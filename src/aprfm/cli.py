@@ -157,8 +157,14 @@ class RunResult:
     rho_pair: tuple = None
 
 
+def _reference_key(kind, spec):
+    # ex3's epsilon is a fixed profile, but a new closure on every catalog call
+    scale = float(spec.epsilon) if spec.epsilon_is_constant else "profile"
+    return (kind, spec.id, scale)
+
+
 def _reference_f(spec, grid, cache=None):
-    key = ("f", spec.id, repr(spec.epsilon))
+    key = _reference_key("f", spec)
     if cache is not None and key in cache:
         return cache[key], cache[key + ("meta",)]
     if spec.exact_f is not None:
@@ -176,7 +182,7 @@ def _reference_f(spec, grid, cache=None):
 
 
 def _reference_rho(spec, cache=None):
-    key = ("rho", spec.id, repr(spec.epsilon))
+    key = _reference_key("rho", spec)
     if cache is not None and key in cache:
         return cache[key], cache[key + ("meta",)]
     xs = collocation.evaluation_spatial_grid(spec)
@@ -424,7 +430,10 @@ def sweep(table, base_config, out=None):
                   + [f"error_seed{k}" for k in range(n_seeds)], tidy_rows)
         report = {"table": table if isinstance(table, str) else "custom",
                   "mean_errors": means,
-                  "cells": [_config_dict(cell.resolved()) for cell in cells],
+                  # each cell's first run, at the base seed
+                  "cells": [_config_dict(dataclasses.replace(
+                      cell, seed=base_config.seed).resolved())
+                      for cell in cells],
                   "seeds": n_seeds, "base_seed": base_config.seed}
         with open(f"{out}.json", "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidProblemError
+from .errors import InvalidProblemError, NodeOnJointError
 from .problems import HOLE_HALF_WIDTH
 
 EVAL_GRID_1D = (128, 256)
@@ -80,7 +80,7 @@ def spatial_cells(spec, n_spatial):
     axes = [cell_centers(lo, hi, n)
             for lo, hi, n in zip(spec.x_lo, spec.x_hi, n_spatial)]
     for lo, hi, nodes in zip(spec.x_lo, spec.x_hi, axes):
-        _assert_off_dyadic_kinks(nodes, lo, hi)
+        _require_off_dyadic_kinks(nodes, lo, hi)
     if spec.spatial_dim == 1:
         points = axes[0][:, None]
     else:
@@ -194,7 +194,7 @@ def evaluation_spatial_grid(spec):
     return spatial_cells(spec, n_spatial)
 
 
-def _assert_off_dyadic_kinks(nodes, lo, hi):
+def _require_off_dyadic_kinks(nodes, lo, hi):
     """Guard cell-centered nodes against the bump window's C1 joints.
 
     For 2^p cells and a dyadic partition into 2^m boxes the normalized
@@ -214,4 +214,7 @@ def _assert_off_dyadic_kinks(nodes, lo, hi):
         centers = lo + (np.arange(m) + 0.5) * width
         z = (nodes[:, None] - centers[None, :]) / (width / 2.0)
         hits = np.isclose(np.abs(z), 0.75) | np.isclose(np.abs(z), 1.25)
-        assert not np.any(hits), "collocation node on a window joint"
+        if np.any(hits):
+            raise NodeOnJointError(
+                f"{n} cells put a collocation node on a window joint of a "
+                f"{m}-box partition")

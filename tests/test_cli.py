@@ -51,6 +51,21 @@ class TestRun:
         header = (tmp_path / "sq.csv").read_text().splitlines()[0]
         assert header == "x1,x2,rho_approx,rho_ref"
 
+    def test_mixed_scale_reference_is_cached(self, monkeypatch):
+        calls = []
+
+        def counting_oracle(*args, **kwargs):
+            calls.append(args[0].id)
+            return fdm_reference(*args, **kwargs)
+
+        fdm_reference = cli.fdm_reference
+        monkeypatch.setattr(cli, "fdm_reference", counting_oracle)
+        cache = {}
+        for seed in (1, 2):
+            cli.run(tiny_config(problem="ex3", epsilon="profile", seed=seed),
+                    reference_cache=cache)
+        assert calls == ["ex3"]
+
     def test_seed_changes_error(self):
         a = cli.run(tiny_config(seed=1)).report["error"]
         b = cli.run(tiny_config(seed=2)).report["error"]
@@ -75,12 +90,20 @@ class TestMain:
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys,
                                           monkeypatch):
-        monkeypatch.setattr(cli, "FDM_MAX_ITERS", 2)
-        code = cli.main(["run", "--problem", "ex3", "--method", "aprfm",
-                         "--j", "4", "--nx", "8", "--nv", "8",
+        monkeypatch.setattr(cli, "FDM_MAX_ITERS", 1)
+        code = cli.main(["run", "--problem", "ex5", "--method", "aprfm",
+                         "--epsilon", "1", "--j", "4", "--nx1", "8",
+                         "--nx2", "8", "--nv", "8",
                          "--out", str(tmp_path / "x")])
         assert code == 3
         assert "no-convergence" in capsys.readouterr().err
+
+    def test_node_on_window_joint_exit_two(self, tmp_path, capsys):
+        code = cli.main(["run", "--problem", "ex1", "--epsilon", "1",
+                         "--j", "4", "--nx", str(2 ** 18), "--nv", "2",
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "node-on-joint" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -121,6 +144,17 @@ class TestSweep:
         assert len(cell_lines) == 3
         report = json.loads((tmp_path / "mini.json").read_text())
         assert report["seeds"] == 2 and report["table"] == "custom"
+
+    def test_reported_cell_replays_its_first_seed(self, tmp_path):
+        base = cli.RunConfig(seeds=2, seed=5)
+        out = str(tmp_path / "replay")
+        cli.sweep([tiny_config(epsilon=0.5, seed=9)], base, out=out)
+        cell = json.loads((tmp_path / "replay.json").read_text())["cells"][0]
+        assert cell["seed"] == 5
+        lines = (tmp_path / "replay_cells.csv").read_text().splitlines()
+        seed0_error = float(lines[1].split(",")[3])
+        replayed = cli.run(cli.RunConfig(**cell)).report["error"]
+        assert replayed == pytest.approx(seed0_error, rel=1e-6)
 
     def test_cell_errors_are_seed_averaged(self, tmp_path):
         base = cli.RunConfig(seeds=2, seed=5)

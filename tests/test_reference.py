@@ -7,6 +7,7 @@ import pytest
 from aprfm import collocation, problems, quadrature, reference
 from aprfm.errors import (NoConvergenceError, UndefinedMetricError,
                           UnsupportedProblemError)
+from helpers import source_iteration_1d, source_iteration_2d
 
 
 class TestExactField:
@@ -121,11 +122,26 @@ class TestFdm1D:
                                         sweep_tol=1e-13)
         np.testing.assert_allclose(field.values, 1.0, atol=1e-12)
 
-    def test_no_convergence_error(self):
-        spec = problems.catalog("ex3")
-        with pytest.raises(NoConvergenceError) as err:
-            reference.fdm_reference(spec, resolution=64, max_iters=3)
-        assert err.value.last_change > 0
+    def test_oracle_matches_exact_solution_small_eps(self):
+        spec = problems.catalog("ex1", 1e-2)
+        field = reference.fdm_reference(spec)
+        exact = reference.exact_field(spec, collocation.evaluation_grid(spec))
+        assert reference.relative_l2(field, exact) < 5e-3
+
+    @pytest.mark.parametrize("problem,eps", [("ex2", 1e-1), ("ex3", None)])
+    def test_direct_solve_matches_source_iteration(self, problem, eps):
+        spec = problems.catalog(problem, eps)
+        rule = quadrature.angular_rule(1, 16)
+        ref = source_iteration_1d(spec, 128, rule, sweep_tol=1e-14)
+        rho = reference._solve_1d(spec, 128, rule, velocity_nodes=None)["rho"]
+        assert np.max(np.abs(rho - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_non_finite_density_raises(self):
+        spec = dataclasses.replace(
+            problems.catalog("ex2", 1.0),
+            rfm_source=lambda x, v: np.full(np.shape(v), np.nan))
+        with pytest.raises(NoConvergenceError):
+            reference.fdm_density(spec, resolution=64)
 
     def test_mixed_scale_profile_supported(self):
         spec = problems.catalog("ex3")
@@ -143,6 +159,21 @@ class TestFdm2D:
         assert any("source iteration converged" in rec.message
                    for rec in caplog.records)
         assert rho.values.max() > 0.1  # interior source builds up density
+
+    def test_no_convergence_error(self):
+        spec = problems.catalog("ex5", 1.0)
+        with pytest.raises(NoConvergenceError) as err:
+            reference.fdm_density(spec, resolution=(32, 32), max_iters=1)
+        assert err.value.last_change > 0
+
+    @pytest.mark.parametrize("problem", ["ex5", "ex6"])
+    def test_gmres_matches_source_iteration(self, problem):
+        spec = problems.catalog(problem, 1.0)
+        rule = quadrature.angular_rule(2, 16)
+        ref = source_iteration_2d(spec, (32, 32), rule, sweep_tol=1e-14)
+        rho = reference._solve_2d(spec, (32, 32), 1e-10, 200_000, rule,
+                                  velocity_nodes=None)["rho"]
+        assert np.max(np.abs(rho - ref)) <= 1e-8 * np.max(np.abs(ref))
 
     def test_planar_oracle_against_exact(self):
         spec = problems.catalog("ex4", 1.0)
