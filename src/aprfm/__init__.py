@@ -15,9 +15,10 @@ from .problems import (PROBLEM_IDS, ProblemSpec, catalog, epsilon_profile,
                        micro_macro_residuals)
 from .assemble import (LinearSystem, assemble_aprfm, assemble_rfm,
                        reconstruct_f, rescale_rows)
-from .solve import SolveReport, condition_report, lstsq
-from .reference import (GridField, density_field, exact_field, fdm_density,
-                        fdm_reference, relative_l2)
+from .solve import SolveReport, lstsq
+from .reference import (GridField, exact_field, fdm_density, fdm_reference,
+                        relative_l2)
+from .method import Method
 
 __all__ = [
     "__version__",
@@ -32,7 +33,8 @@ __all__ = [
     "micro_macro_residuals",
     "LinearSystem", "assemble_aprfm", "assemble_rfm", "reconstruct_f",
     "rescale_rows",
-    "SolveReport", "condition_report", "lstsq",
-    "GridField", "density_field", "exact_field", "fdm_density",
-    "fdm_reference", "relative_l2",
+    "SolveReport", "lstsq",
+    "GridField", "exact_field", "fdm_density", "fdm_reference",
+    "relative_l2",
+    "Method",
 ]

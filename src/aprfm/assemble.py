@@ -27,14 +27,12 @@ import numpy as np
 
 from .basis import column_batch, model_values
 from .errors import DegenerateRowError, InvalidProblemError
+from .problems import direction
 
 ROW_MACRO = "macro"
 ROW_MICRO = "micro"
 ROW_RFM = "rfm-interior"
 ROW_BOUNDARY = "boundary"
-
-_ROW_CODES = {ROW_MACRO: 0, ROW_MICRO: 1, ROW_RFM: 2, ROW_BOUNDARY: 3}
-_ROW_NAMES = {code: name for name, code in _ROW_CODES.items()}
 
 # Cap on intermediate feature-tensor size (doubles) when chunking assembly.
 _CHUNK_BUDGET = 16_000_000
@@ -78,13 +76,6 @@ class LinearSystem:
         return self.matrix.shape[1]
 
 
-def _direction_components(spatial_dim, v):
-    v = np.asarray(v, dtype=float)
-    if spatial_dim == 1:
-        return v[:, None]
-    return np.stack([np.cos(v), np.sin(v)], axis=1)
-
-
 def _phase_points(xs, vs):
     """Tensor phase grid (len(xs) * len(vs), d + 1), space-major."""
     n_x, n_v = xs.shape[0], vs.size
@@ -92,11 +83,6 @@ def _phase_points(xs, vs):
     out[:, :-1] = np.repeat(xs, n_v, axis=0)
     out[:, -1] = np.tile(vs, n_x)
     return out
-
-
-def _chunk_size(n_velocity, n_quad, n_columns, dim):
-    per_node = (n_velocity + n_quad) * n_columns * (dim + 1)
-    return max(1, _CHUNK_BUDGET // max(per_node, 1))
 
 
 def _check_phase_model(spec, model, role):
@@ -113,44 +99,66 @@ def _check_spatial_model(spec, model, role):
             f"got {model.dim}")
 
 
-def assemble_rfm(spec, model, colloc, rule):
-    """Assemble the one-shot system over a single phase-space model."""
-    _check_phase_model(spec, model, "f")
-    xs = colloc.spatial_nodes
-    vs = colloc.velocity_nodes
-    n_x, n_v, n_q = xs.shape[0], vs.size, rule.n_nodes
-    dim = spec.spatial_dim
-    z = model.n_columns
-    n_int = colloc.n_interior
-    n_bdy = colloc.n_boundary
-    if n_int != n_x * n_v:
+def _tensor_nodes(colloc):
+    """Spatial (S, d) and velocity (L,) nodes of a tensor-grid interior."""
+    xs, vs = colloc.spatial_nodes, colloc.velocity_nodes
+    if colloc.n_interior != xs.shape[0] * vs.size:
         raise ValueError("collocation interior is not a tensor grid")
+    return xs, vs
 
-    matrix = np.empty((n_int + n_bdy, z))
-    rhs = np.empty(n_int + n_bdy)
-    dirs_v = _direction_components(dim, vs)
-    eps = spec.epsilon_at(xs)
 
-    chunk = _chunk_size(n_v, n_q, z, dim)
+def _node_chunks(model, xs, vs, rule):
+    """Columns of a phase-space model over chunks of spatial nodes.
+
+    Yields ``(s0, s1, chi, dchi, chi_q, dchi_q)`` for the nodes ``s0:s1``:
+    values (cs, L, Z) and gradients (cs, L, Z, d + 1) at the velocities
+    ``vs``, then the same at the rule nodes (cs, Q, ...).
+    """
+    n_x, n_v, n_q = xs.shape[0], vs.size, rule.n_nodes
+    z, dim = model.n_columns, model.dim
+    chunk = max(1, _CHUNK_BUDGET // max((n_v + n_q) * z * dim, 1))
     for s0 in range(0, n_x, chunk):
         s1 = min(s0 + chunk, n_x)
         cs = s1 - s0
         chi, dchi = column_batch(model, _phase_points(xs[s0:s1], vs))
-        chi = chi.reshape(cs, n_v, z)
-        dchi = dchi.reshape(cs, n_v, z, dim + 1)
-        chi_q, _ = column_batch(model, _phase_points(xs[s0:s1], rule.nodes))
-        avg_chi = np.einsum("q,sqz->sz", rule.weights,
-                            chi_q.reshape(cs, n_q, z))
+        chi_q, dchi_q = column_batch(model,
+                                     _phase_points(xs[s0:s1], rule.nodes))
+        yield (s0, s1, chi.reshape(cs, n_v, z), dchi.reshape(cs, n_v, z, dim),
+               chi_q.reshape(cs, n_q, z), dchi_q.reshape(cs, n_q, z, dim))
+
+
+def _boundary_columns(model, colloc):
+    """Column values of a phase-space model at the inflow boundary points."""
+    points = np.concatenate([colloc.boundary_x, colloc.boundary_v[:, None]],
+                            axis=1)
+    chi, _ = column_batch(model, points)
+    return chi
+
+
+def assemble_rfm(spec, model, colloc, rule):
+    """Assemble the one-shot system over a single phase-space model."""
+    _check_phase_model(spec, model, "f")
+    xs, vs = _tensor_nodes(colloc)
+    n_v, dim, z = vs.size, spec.spatial_dim, model.n_columns
+    n_int = colloc.n_interior
+    n_bdy = colloc.n_boundary
+
+    matrix = np.empty((n_int + n_bdy, z))
+    rhs = np.empty(n_int + n_bdy)
+    dirs_v = direction(dim, vs)
+    eps = spec.epsilon_at(xs)
+
+    for s0, s1, chi, dchi, chi_q, _ in _node_chunks(model, xs, vs, rule):
+        avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
         transport = np.einsum("la,slza->slz", dirs_v, dchi[..., :dim])
         rows = (eps[s0:s1, None, None] * transport
                 - avg_chi[:, None, :] + chi)
-        matrix[s0 * n_v:s1 * n_v] = rows.reshape(cs * n_v, z)
+        matrix[s0 * n_v:s1 * n_v] = rows.reshape(-1, z)
         x_rep = np.repeat(xs[s0:s1], n_v, axis=0)
-        rhs[s0 * n_v:s1 * n_v] = spec.rfm_source(x_rep, np.tile(vs, cs))
+        rhs[s0 * n_v:s1 * n_v] = spec.rfm_source(x_rep,
+                                                 np.tile(vs, s1 - s0))
 
-    bdy_points = np.concatenate([colloc.boundary_x,
-                                 colloc.boundary_v[:, None]], axis=1)
-    matrix[n_int:], _ = column_batch(model, bdy_points)
+    matrix[n_int:] = _boundary_columns(model, colloc)
     rhs[n_int:] = colloc.boundary_value
 
     row_kind = np.concatenate([np.full(n_int, ROW_RFM, dtype="<U12"),
@@ -164,17 +172,13 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
     """Assemble the micro-macro system (macro/micro row pair per point)."""
     _check_spatial_model(spec, rho_model, "rho")
     _check_phase_model(spec, g_model, "g")
-    xs = colloc.spatial_nodes
-    vs = colloc.velocity_nodes
-    n_x, n_v, n_q = xs.shape[0], vs.size, rule.n_nodes
-    dim = spec.spatial_dim
+    xs, vs = _tensor_nodes(colloc)
+    n_v, dim = vs.size, spec.spatial_dim
     z_r = rho_model.n_columns
     z_g = g_model.n_columns
     z = z_r + z_g
     n_int = colloc.n_interior
     n_bdy = colloc.n_boundary
-    if n_int != n_x * n_v:
-        raise ValueError("collocation interior is not a tensor grid")
 
     sig_s = spec.sigma_s(xs)
     sig_a = spec.sigma_a(xs)
@@ -184,28 +188,19 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
         raise InvalidProblemError(
             "mixed-scale assembly supports 1D problems with sigma_a = 0")
 
+    dirs_v = direction(dim, vs)
+    dirs_q = direction(dim, rule.nodes)
     chi_r, dchi_r = column_batch(rho_model, xs)
-    transport_r = np.einsum("la,sza->slz",
-                            _direction_components(dim, vs), dchi_r)
+    transport_r = np.einsum("la,sza->slz", dirs_v, dchi_r)
 
     matrix = np.empty((2 * n_int + n_bdy, z))
     rhs = np.empty(2 * n_int + n_bdy)
-    dirs_v = _direction_components(dim, vs)
-    dirs_q = _direction_components(dim, rule.nodes)
 
     macro_b = spec.macro_source(xs)
 
-    chunk = _chunk_size(n_v, n_q, z_g, dim)
-    for s0 in range(0, n_x, chunk):
-        s1 = min(s0 + chunk, n_x)
+    for s0, s1, chi, dchi, chi_q, dchi_q in _node_chunks(g_model, xs, vs,
+                                                         rule):
         cs = s1 - s0
-        chi, dchi = column_batch(g_model, _phase_points(xs[s0:s1], vs))
-        chi = chi.reshape(cs, n_v, z_g)
-        dchi = dchi.reshape(cs, n_v, z_g, dim + 1)
-        chi_q, dchi_q = column_batch(g_model, _phase_points(xs[s0:s1], rule.nodes))
-        chi_q = chi_q.reshape(cs, n_q, z_g)
-        dchi_q = dchi_q.reshape(cs, n_q, z_g, dim + 1)
-
         if spec.mixed_scale:
             # 1D only: transport acts on eps(x) g, expanded by the product
             # rule to eps'(x) v g + eps(x) v dg/dx
@@ -246,12 +241,10 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
             x_rep, np.tile(vs, cs))
 
     chi_rb, _ = column_batch(rho_model, colloc.boundary_x)
-    bdy_points = np.concatenate([colloc.boundary_x,
-                                 colloc.boundary_v[:, None]], axis=1)
-    chi_gb, _ = column_batch(g_model, bdy_points)
     eps_b = spec.epsilon_at(colloc.boundary_x)
     matrix[2 * n_int:, :z_r] = chi_rb
-    matrix[2 * n_int:, z_r:] = eps_b[:, None] * chi_gb
+    matrix[2 * n_int:, z_r:] = eps_b[:, None] * _boundary_columns(g_model,
+                                                                  colloc)
     rhs[2 * n_int:] = colloc.boundary_value
 
     row_kind = np.empty(2 * n_int + n_bdy, dtype="<U12")
@@ -299,44 +292,3 @@ def reconstruct_f(spec, rho_model, g_model, coeffs, x, v):
     phase = np.concatenate([x, v[:, None]], axis=1)
     g = model_values(g_model, coeffs[z_r:], phase)
     return rho + spec.epsilon_at(x) * g
-
-
-def dump_system(system, path):
-    """Write the system as flat little-endian binary for external debugging.
-
-    Layout: five uint64 (N, Z, N_int, N_bdy, row-kind table offset), then
-    A row-major, b, and the rescale factors as float64, then one uint8 row
-    kind code per row (0 macro, 1 micro, 2 rfm-interior, 3 boundary).
-    """
-    n, z = system.matrix.shape
-    offset = 5 * 8 + (n * z + 2 * n) * 8
-    header = np.array([n, z, system.n_interior, system.n_boundary, offset],
-                      dtype="<u8")
-    codes = np.array([_ROW_CODES[k] for k in system.row_kind], dtype="u1")
-    with open(path, "wb") as handle:
-        handle.write(header.tobytes())
-        handle.write(system.matrix.astype("<f8").tobytes())
-        handle.write(system.rhs.astype("<f8").tobytes())
-        handle.write(system.lam.astype("<f8").tobytes())
-        handle.write(codes.tobytes())
-
-
-def load_system(path):
-    """Read a system written by :func:`dump_system`.
-
-    The dump carries (A, b, lambda, row kinds) only; the rho/g column split
-    is not part of the format, so it is reported as zero.
-    """
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    n, z, n_int, n_bdy, offset = np.frombuffer(raw, dtype="<u8", count=5)
-    n, z = int(n), int(z)
-    body = np.frombuffer(raw, dtype="<f8", count=n * z + 2 * n, offset=40)
-    matrix = body[:n * z].reshape(n, z).copy()
-    rhs = body[n * z:n * z + n].copy()
-    lam = body[n * z + n:].copy()
-    codes = np.frombuffer(raw, dtype="u1", count=n, offset=int(offset))
-    row_kind = np.array([_ROW_NAMES[int(c)] for c in codes], dtype="<U12")
-    return LinearSystem(matrix=matrix, rhs=rhs, row_kind=row_kind, lam=lam,
-                        n_interior=int(n_int), n_boundary=int(n_bdy),
-                        n_rho_columns=0)

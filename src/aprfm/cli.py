@@ -10,14 +10,18 @@ Subcommands:
   plotdata  tidy CSV for plots: phase-space heatmaps, density heatmaps, or
             error against degrees of freedom
 
-1D runs report the relative l2 error of f on the fixed evaluation phase
-grid; 2D runs report the density error on the spatial grid, which is what
-the benchmark tables quote.  References come from exact solutions when the
+Every subcommand solves through :func:`aprfm.method.solve`.  1D runs
+report the relative l2 error of f on the fixed evaluation phase grid; 2D
+runs report the density error on the spatial grid, which is what the
+benchmark tables quote.  References come from exact solutions when the
 problem has one and from the finite-difference oracle otherwise.
 
-All flags can also be given in a config file (one ``key = value`` per
-line, ``#`` comments); command-line flags win.  ``APRFM_THREADS`` caps the
-number of worker threads used for sweep cells.
+``--epsilon`` must be positive and finite (``profile`` for ex3, which
+ignores it); anything else exits 2 with ``invalid-config``.  All flags can
+also be given in a config file (one ``key = value`` per line, ``#``
+comments); command-line flags win.  ``APRFM_THREADS`` caps the number of
+worker threads used for sweep cells; the threads share one reference
+cache and compute each reference once.
 """
 
 import argparse
@@ -26,19 +30,18 @@ import dataclasses
 import json
 import os
 import sys
+import threading
 import time
 
 import numpy as np
 
 from . import collocation
-from .assemble import assemble_aprfm, assemble_rfm, reconstruct_f, rescale_rows
-from .basis import make_model, model_values, uniform_partition
 from .errors import AprfmError, NoConvergenceError, NonFiniteInputError
-from .problems import catalog
-from .quadrature import angular_rule
-from .reference import (GridField, density_field, exact_field, fdm_density,
-                        fdm_reference, phase_field, relative_l2)
-from .solve import lstsq
+from .method import METHODS, solve
+from .problems import PROBLEM_IDS, catalog
+from .reference import (FDM_RESOLUTION_1D, FDM_RESOLUTION_2D, GridField,
+                        exact_field, fdm_density, fdm_reference, phase_field,
+                        relative_l2)
 
 FDM_SWEEP_TOL = 1e-10
 FDM_MAX_ITERS = 200_000
@@ -70,9 +73,9 @@ class RunConfig:
     seeds: int = 3
 
     def validate(self):
-        if self.problem not in ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6"):
+        if self.problem not in PROBLEM_IDS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        if self.method not in ("rfm", "aprfm"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         counts = [self.mx, self.mv, self.mx1, self.mx2, self.nx, self.nv,
                   self.nx1, self.nx2, self.nq, self.seeds]
@@ -108,44 +111,6 @@ def _problem_epsilon(config):
     return eps
 
 
-def _velocity_bounds(spec):
-    if spec.spatial_dim == 1:
-        return (-1.0, 1.0)
-    return (0.0, 2.0 * np.pi)
-
-
-def _build_models(spec, config):
-    """Feature models for the requested method, with per-role seed streams."""
-    cfg = config.resolved()
-    spatial_bounds = list(zip(spec.x_lo, spec.x_hi))
-    if spec.spatial_dim == 1:
-        m_spatial = (cfg.mx,)
-    else:
-        m_spatial = (cfg.mx1, cfg.mx2)
-    phase_bounds = spatial_bounds + [_velocity_bounds(spec)]
-    phase_counts = tuple(m_spatial) + (cfg.mv,)
-    if config.method == "rfm":
-        part = uniform_partition(phase_bounds, phase_counts)
-        model = make_model(part, cfg.j, seed=cfg.seed, range_b=cfg.b_range,
-                           activation=cfg.activation, pou_kind=cfg.pou)
-        return {"f": model}
-    rho_part = uniform_partition(spatial_bounds, m_spatial)
-    g_part = uniform_partition(phase_bounds, phase_counts)
-    rho_model = make_model(rho_part, cfg.jrho, seed=2 * cfg.seed,
-                           range_b=cfg.b_range, activation=cfg.activation,
-                           pou_kind=cfg.pou)
-    g_model = make_model(g_part, cfg.jg, seed=2 * cfg.seed + 1,
-                         range_b=cfg.b_range, activation=cfg.activation,
-                         pou_kind=cfg.pou)
-    return {"rho": rho_model, "g": g_model}
-
-
-def _collocation_counts(spec, config):
-    if spec.spatial_dim == 1:
-        return (config.nx,), config.nv
-    return (config.nx1, config.nx2), config.nv
-
-
 @dataclasses.dataclass
 class RunResult:
     report: dict
@@ -157,59 +122,45 @@ class RunResult:
     rho_pair: tuple = None
 
 
-def _reference_key(kind, spec):
+def _cached_reference(kind, spec, cache, compute):
+    """``compute()`` once per (kind, problem, scale) in ``cache``; threads
+    asking for the same reference wait for the first one's result."""
+    if cache is None:
+        return compute()
     # ex3's epsilon is a fixed profile, but a new closure on every catalog call
     scale = float(spec.epsilon) if spec.epsilon_is_constant else "profile"
-    return (kind, spec.id, scale)
+    key = (kind, spec.id, scale)
+    with cache.setdefault(key + ("lock",), threading.Lock()):
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+
+def _fdm_meta(spec):
+    resolution = ((FDM_RESOLUTION_1D,) if spec.spatial_dim == 1
+                  else FDM_RESOLUTION_2D)
+    return {"kind": "fdm", "resolution": resolution,
+            "sweep_tol": FDM_SWEEP_TOL}
 
 
 def _reference_f(spec, grid, cache=None):
-    key = _reference_key("f", spec)
-    if cache is not None and key in cache:
-        return cache[key], cache[key + ("meta",)]
-    if spec.exact_f is not None:
-        field = exact_field(spec, grid)
-        meta = {"kind": "exact"}
-    else:
-        field = fdm_reference(spec, sweep_tol=FDM_SWEEP_TOL,
-                              max_iters=FDM_MAX_ITERS)
-        meta = {"kind": "fdm", "resolution": _fdm_resolution(spec),
-                "sweep_tol": FDM_SWEEP_TOL}
-    if cache is not None:
-        cache[key] = field
-        cache[key + ("meta",)] = meta
-    return field, meta
+    def compute():
+        if spec.exact_f is not None:
+            return exact_field(spec, grid), {"kind": "exact"}
+        return (fdm_reference(spec, sweep_tol=FDM_SWEEP_TOL,
+                              max_iters=FDM_MAX_ITERS), _fdm_meta(spec))
+    return _cached_reference("f", spec, cache, compute)
 
 
 def _reference_rho(spec, cache=None):
-    key = _reference_key("rho", spec)
-    if cache is not None and key in cache:
-        return cache[key], cache[key + ("meta",)]
-    xs = collocation.evaluation_spatial_grid(spec)
-    if spec.exact_rho is not None:
-        field = GridField(points=xs, values=spec.exact_rho(xs))
-        meta = {"kind": "exact"}
-    else:
-        field = fdm_density(spec, sweep_tol=FDM_SWEEP_TOL,
-                            max_iters=FDM_MAX_ITERS)
-        meta = {"kind": "fdm", "resolution": _fdm_resolution(spec),
-                "sweep_tol": FDM_SWEEP_TOL}
-    if cache is not None:
-        cache[key] = field
-        cache[key + ("meta",)] = meta
-    return field, meta
-
-
-def _fdm_resolution(spec):
-    from .reference import FDM_RESOLUTION_1D, FDM_RESOLUTION_2D
-    return (FDM_RESOLUTION_1D,) if spec.spatial_dim == 1 else FDM_RESOLUTION_2D
-
-
-def _approx_f_values(spec, config, models, coeffs, x, v):
-    if config.method == "rfm":
-        phase = np.concatenate([x, v[:, None]], axis=1)
-        return model_values(models["f"], coeffs, phase)
-    return reconstruct_f(spec, models["rho"], models["g"], coeffs, x, v)
+    def compute():
+        if spec.exact_rho is not None:
+            xs = collocation.evaluation_spatial_grid(spec)
+            return GridField(points=xs, values=spec.exact_rho(xs)), \
+                {"kind": "exact"}
+        return (fdm_density(spec, sweep_tol=FDM_SWEEP_TOL,
+                            max_iters=FDM_MAX_ITERS), _fdm_meta(spec))
+    return _cached_reference("rho", spec, cache, compute)
 
 
 def run(config, reference_cache=None):
@@ -218,20 +169,9 @@ def run(config, reference_cache=None):
     cfg = config.resolved()
     t_start = time.perf_counter()
     spec = catalog(config.problem, _problem_epsilon(config))
-    rule = angular_rule(spec.spatial_dim, config.nq)
-
-    t0 = time.perf_counter()
-    models = _build_models(spec, config)
-    n_spatial, n_velocity = _collocation_counts(spec, config)
-    colloc = collocation.build_collocation(spec, n_spatial, n_velocity)
-    if config.method == "rfm":
-        system = assemble_rfm(spec, models["f"], colloc, rule)
-    else:
-        system = assemble_aprfm(spec, models["rho"], models["g"], colloc, rule)
-    system = rescale_rows(system)
-    t_assembly = time.perf_counter() - t0
-
-    solve_report = lstsq(system, rank_tol=config.rank_tol)
+    solution = solve(spec, cfg)
+    method, system = solution.method, solution.system
+    solve_report = solution.report
     coeffs = solve_report.coeffs
 
     eval_x, eval_v = collocation.evaluation_grid(spec)
@@ -239,8 +179,7 @@ def run(config, reference_cache=None):
     f_error = None
     if spec.spatial_dim == 1:
         approx = phase_field(eval_x, eval_v,
-                             _approx_f_values(spec, config, models, coeffs,
-                                              eval_x, eval_v))
+                             method.f_values(coeffs, eval_x, eval_v))
         ref, ref_meta = _reference_f(spec, (eval_x, eval_v), reference_cache)
         error = relative_l2(approx, ref)
         error_kind = "f-phase"
@@ -251,23 +190,13 @@ def run(config, reference_cache=None):
             [eval_x[:, 0], eval_v, approx.values, ref.values])
     else:
         xs = collocation.evaluation_spatial_grid(spec)
-        if config.method == "rfm":
-            samples = np.stack(
-                [model_values(models["f"], coeffs,
-                              np.concatenate([xs, np.full((xs.shape[0], 1),
-                                                          node)], axis=1))
-                 for node in rule.nodes], axis=1)
-            approx_rho = density_field(spec, rule, xs, f_samples=samples)
-        else:
-            approx_rho = density_field(spec, rule, xs,
-                                       rho_model=models["rho"],
-                                       g_model=models["g"], coeffs=coeffs)
+        approx_rho = GridField(
+            points=xs, values=method.rho_values(coeffs, solution.rule, xs))
         ref_rho, ref_meta = _reference_rho(spec, reference_cache)
         error = relative_l2(approx_rho, ref_rho)
         error_kind = "rho-spatial"
         if spec.exact_f is not None:
-            f_approx = _approx_f_values(spec, config, models, coeffs,
-                                        eval_x, eval_v)
+            f_approx = method.f_values(coeffs, eval_x, eval_v)
             f_ref = spec.exact_f(eval_x, eval_v)
             f_error = float(np.sqrt(np.sum((f_approx - f_ref) ** 2)
                                     / np.sum(f_ref ** 2)))
@@ -288,7 +217,7 @@ def run(config, reference_cache=None):
         "residual_norm": solve_report.residual_norm,
         "rank": solve_report.rank,
         "condition_estimate": solve_report.condition_estimate,
-        "timings": {"assembly": t_assembly,
+        "timings": {"assembly": solution.assembly_s,
                     "solve": solve_report.wall_time,
                     "total": total},
         "Z": system.n_columns,

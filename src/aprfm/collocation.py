@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProblemError, NodeOnJointError
-from .problems import HOLE_HALF_WIDTH
+from .problems import HOLE_HALF_WIDTH, v_dot
 
 EVAL_GRID_1D = (128, 256)
 EVAL_GRID_2D = (64, 64, 32)
@@ -63,13 +63,8 @@ def cell_centers(lo, hi, n):
 
 def velocity_cells(spec, n_velocity):
     """Cell-centered velocity nodes for the problem's velocity domain."""
-    if spec.spatial_dim == 1:
-        return cell_centers(-1.0, 1.0, n_velocity)
-    return cell_centers(0.0, 2.0 * np.pi, n_velocity)
-
-
-def _in_hole(points):
-    return np.max(np.abs(points), axis=-1) < HOLE_HALF_WIDTH
+    lo, hi = spec.velocity_bounds
+    return cell_centers(lo, hi, n_velocity)
 
 
 def spatial_cells(spec, n_spatial):
@@ -86,9 +81,7 @@ def spatial_cells(spec, n_spatial):
     else:
         g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
         points = np.stack([g1.ravel(), g2.ravel()], axis=1)
-    if spec.geometry == "annulus":
-        points = points[~_in_hole(points)]
-    return points
+    return points[spec.in_domain(points)]
 
 
 def interior_grid(spec, n_spatial, n_velocity):
@@ -135,13 +128,6 @@ def _faces(spec, n_face):
         yield face(1, h, (0.0, -1.0), (-h, h), n_face[0])
 
 
-def v_dot_normal(spatial_dim, v, normal):
-    v = np.asarray(v, dtype=float)
-    if spatial_dim == 1:
-        return v * normal[0]
-    return np.cos(v) * normal[0] + np.sin(v) * normal[1]
-
-
 def inflow_boundary(spec, n_face, n_velocity):
     """Inflow boundary tuples (X, V, prescribed value), v . n < 0 strictly."""
     if spec.boundary_value is None:
@@ -150,7 +136,7 @@ def inflow_boundary(spec, n_face, n_velocity):
     xs_out, vs_out, val_out = [], [], []
     for points, normal in _faces(spec, n_face):
         for point in points:
-            keep = v_dot_normal(spec.spatial_dim, vs, normal) < 0.0
+            keep = v_dot(spec.spatial_dim, vs, normal) < 0.0
             if not np.any(keep):
                 continue
             kept_v = vs[keep]

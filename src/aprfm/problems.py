@@ -83,6 +83,18 @@ class ProblemSpec:
             return np.zeros(x.shape[:-1])
         return self.epsilon_prime(x)
 
+    @property
+    def velocity_bounds(self):
+        """Velocity domain: v in [-1, 1] in 1D, the angle in [0, 2 pi] in 2D."""
+        return (-1.0, 1.0) if self.spatial_dim == 1 else (0.0, 2.0 * np.pi)
+
+    def in_domain(self, x):
+        """Mask of the spatial points (..., d) that are not in a hole."""
+        x = np.asarray(x, dtype=float)
+        if self.geometry != "annulus":
+            return np.ones(x.shape[:-1], dtype=bool)
+        return np.max(np.abs(x), axis=-1) >= HOLE_HALF_WIDTH
+
 
 def epsilon_profile(x):
     """Spatial scale profile of the mixed benchmark on [0, 1]."""
@@ -109,12 +121,9 @@ def _const_field(value):
 
 
 def _require_positive_epsilon(problem_id, epsilon):
-    if epsilon is None:
-        raise ValueError(f"{problem_id} needs a positive epsilon")
-    epsilon = float(epsilon)
-    if not epsilon > 0:
-        raise ValueError(f"{problem_id} needs a positive epsilon")
-    return epsilon
+    if epsilon is None or not 0 < float(epsilon) < np.inf:
+        raise ValueError(f"{problem_id} needs a positive finite epsilon")
+    return float(epsilon)
 
 
 def _slab_problem(problem_id, epsilon, inflow_left, with_source):
@@ -240,8 +249,9 @@ def _uniform_source_2d_problem(epsilon):
 def catalog(problem_id, epsilon=None):
     """Build one of the six built-in benchmarks.
 
-    ``epsilon`` is required (and must be positive) for every problem except
-    the mixed-scale one, which carries its own spatial profile.
+    ``epsilon`` is required (and must be positive and finite) for every
+    problem except the mixed-scale one, which carries its own spatial
+    profile.
     """
     if problem_id == "ex1":
         return _slab_problem("ex1", epsilon, inflow_left=1.0, with_source=True)
@@ -258,16 +268,19 @@ def catalog(problem_id, epsilon=None):
     raise ValueError(f"unknown problem id {problem_id!r}")
 
 
-def v_dot(spatial_dim, v, grad):
-    """Transport direction dotted with a spatial gradient.
-
-    ``v`` is the 1D velocity or the 2D angle; ``grad`` has shape (..., d).
-    """
+def direction(spatial_dim, v):
+    """Cartesian transport direction (..., d) of the 1D velocity ``v``
+    (v itself) or the 2D angle ``v`` ((cos v, sin v))."""
     v = np.asarray(v, dtype=float)
-    grad = np.asarray(grad, dtype=float)
     if spatial_dim == 1:
-        return v * grad[..., 0]
-    return np.cos(v) * grad[..., 0] + np.sin(v) * grad[..., 1]
+        return v[..., None]
+    return np.stack([np.cos(v), np.sin(v)], axis=-1)
+
+
+def v_dot(spatial_dim, v, grad):
+    """Transport direction dotted with a spatial gradient (..., d)."""
+    return np.sum(direction(spatial_dim, v) * np.asarray(grad, dtype=float),
+                  axis=-1)
 
 
 def micro_macro_residuals(spec, x, v, rho_val, rho_grad, g_val, g_grad,

@@ -50,13 +50,6 @@ class AngularRule:
     def n_nodes(self):
         return self.nodes.size
 
-    def direction_components(self):
-        """Cartesian velocity components per node: (v,) in 1D,
-        (cos a, sin a) in 2D.  Shape (n_nodes, dimension)."""
-        if self.dimension == 1:
-            return self.nodes[:, None]
-        return np.stack([np.cos(self.nodes), np.sin(self.nodes)], axis=1)
-
 
 def angular_rule(dimension, n):
     """Gauss-Legendre angular rule with unit total weight.

@@ -34,7 +34,6 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import collocation
-from .basis import model_values
 from .errors import (NoConvergenceError, UndefinedMetricError,
                      UnsupportedProblemError)
 from .quadrature import angular_rule
@@ -89,35 +88,6 @@ def relative_l2(approx, ref):
         raise UndefinedMetricError("reference field is identically zero")
     num = float(np.sum((approx.values - ref.values) ** 2))
     return float(np.sqrt(num / denom))
-
-
-def density_field(spec, rule, spatial_points, *, rho_model=None, g_model=None,
-                  coeffs=None, f_samples=None):
-    """Angular average of f over the rule nodes, per spatial point.
-
-    Either pass the micro-macro models with their stacked coefficients, or
-    precomputed samples ``f_samples`` of shape (n_points, n_rule_nodes).
-    """
-    spatial_points = np.asarray(spatial_points, dtype=float)
-    if f_samples is not None:
-        f_samples = np.asarray(f_samples, dtype=float)
-        if f_samples.shape != (spatial_points.shape[0], rule.n_nodes):
-            raise ValueError("samples must be (n_points, n_rule_nodes)")
-        return GridField(points=spatial_points,
-                         values=f_samples @ rule.weights)
-    if rho_model is None or g_model is None or coeffs is None:
-        raise ValueError("need models plus coefficients, or f_samples")
-    coeffs = np.asarray(coeffs, dtype=float)
-    z_r = rho_model.n_columns
-    rho = model_values(rho_model, coeffs[:z_r], spatial_points)
-    g_avg = np.zeros(spatial_points.shape[0])
-    for node, weight in zip(rule.nodes, rule.weights):
-        phase = np.concatenate(
-            [spatial_points,
-             np.full((spatial_points.shape[0], 1), node)], axis=1)
-        g_avg += weight * model_values(g_model, coeffs[z_r:], phase)
-    values = rho + spec.epsilon_at(spatial_points) * g_avg
-    return GridField(points=spatial_points, values=values)
 
 
 # -- finite-difference oracle ----------------------------------------------
@@ -356,10 +326,7 @@ def _solve_2d(spec, n_cells, sweep_tol, max_iters, rule, velocity_nodes):
     c1 = collocation.cell_centers(lo1, hi1, n1)
     c2 = collocation.cell_centers(lo2, hi2, n2)
     pts = np.stack(np.meshgrid(c1, c2, indexing="ij"), axis=-1)
-    mask = np.ones((n1, n2), dtype=bool)
-    if spec.geometry == "annulus":
-        from .problems import HOLE_HALF_WIDTH
-        mask = np.max(np.abs(pts), axis=-1) >= HOLE_HALF_WIDTH
+    mask = spec.in_domain(pts)
     eps_f, sig_s_f, removal_f = (arr.reshape(n1, n2) for arr in
                                  _native_fields(spec, pts.reshape(-1, 2)))
     grid = (c1, c2, h1, h2, mask, removal_f, sig_s_f, eps_f)

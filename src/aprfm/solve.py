@@ -49,16 +49,3 @@ def lstsq(system, rank_tol=1e-12):
     elapsed = time.perf_counter() - start
     return SolveReport(coeffs=coeffs, residual_norm=residual, rank=int(rank),
                        condition_estimate=condition, wall_time=elapsed)
-
-
-def condition_report(system):
-    """Untruncated spectral condition number of the system matrix."""
-    matrix = system.matrix
-    if matrix.size == 0:
-        raise ValueError("system must have at least one row and column")
-    if not np.all(np.isfinite(matrix)):
-        raise NonFiniteInputError("system contains non-finite entries")
-    sing = np.linalg.svd(matrix, compute_uv=False)
-    if sing[-1] == 0.0:
-        return np.inf
-    return float(sing[0] / sing[-1])

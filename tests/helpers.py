@@ -1,97 +1,93 @@
-"""Shared pipeline helpers for the test suite."""
+"""Shared pipeline helpers for the test suite.
+
+The solver helpers map their arguments onto a ``cli.RunConfig`` and solve
+through ``aprfm.method``, the path the CLI ships."""
 
 import numpy as np
 
-from aprfm import assemble, basis, collocation, problems, quadrature, \
-    reference, solve
-
-TWO_PI = 2.0 * np.pi
+from aprfm import cli, collocation, reference
+from aprfm.method import Method, solve
 
 
-def spatial_bounds(spec):
-    return list(zip(spec.x_lo, spec.x_hi))
-
-
-def velocity_bounds(spec):
-    return (-1.0, 1.0) if spec.spatial_dim == 1 else (0.0, TWO_PI)
+def run_config(spec, method, n_spatial=(2, 2), n_velocity=2, m_spatial=(1,),
+               m_velocity=1, seed=0, n_quad=16, activation="tanh",
+               pou_kind="phi_b", **features):
+    """The resolved ``cli.RunConfig`` of a run on ``spec``; ``features``
+    gives ``j`` or ``jrho`` and ``jg``.  A one-entry ``m_spatial`` means one box per
+    axis in 2D; the grid defaults suit callers that only build models."""
+    if spec.spatial_dim == 1:
+        counts = dict(mx=m_spatial[0], nx=n_spatial[0])
+    else:
+        mx1, mx2 = (1, 1) if len(m_spatial) == 1 else m_spatial
+        counts = dict(mx1=mx1, mx2=mx2, nx1=n_spatial[0], nx2=n_spatial[1])
+    epsilon = spec.epsilon if spec.epsilon_is_constant else "profile"
+    return cli.RunConfig(problem=spec.id, method=method, epsilon=epsilon,
+                         mv=m_velocity, nv=n_velocity, nq=n_quad, seed=seed,
+                         activation=activation, pou=pou_kind, **counts,
+                         **features).validate().resolved()
 
 
 def build_models(spec, j_rho, j_g, m_spatial, m_velocity, seed,
                  activation="tanh", pou_kind="phi_b"):
-    sb = spatial_bounds(spec)
-    rho_part = basis.uniform_partition(sb, m_spatial)
-    g_part = basis.uniform_partition(sb + [velocity_bounds(spec)],
-                                     list(m_spatial) + [m_velocity])
-    rho_model = basis.make_model(rho_part, j_rho, seed=2 * seed,
-                                 activation=activation, pou_kind=pou_kind)
-    g_model = basis.make_model(g_part, j_g, seed=2 * seed + 1,
-                               activation=activation, pou_kind=pou_kind)
-    return rho_model, g_model
+    config = run_config(spec, "aprfm", m_spatial=m_spatial,
+                        m_velocity=m_velocity, seed=seed,
+                        activation=activation, pou_kind=pou_kind,
+                        jrho=j_rho, jg=j_g)
+    return Method.build(spec, config).models
 
 
 def build_f_model(spec, j, m_spatial, m_velocity, seed, activation="tanh",
                   pou_kind="phi_b"):
-    part = basis.uniform_partition(
-        spatial_bounds(spec) + [velocity_bounds(spec)],
-        list(m_spatial) + [m_velocity])
-    return basis.make_model(part, j, seed=seed, activation=activation,
-                            pou_kind=pou_kind)
+    config = run_config(spec, "rfm", m_spatial=m_spatial,
+                        m_velocity=m_velocity, seed=seed,
+                        activation=activation, pou_kind=pou_kind, j=j)
+    return Method.build(spec, config).models[0]
 
 
 def solve_aprfm(spec, j_rho, j_g, n_spatial, n_velocity, m_spatial=(1,),
                 m_velocity=1, seed=0, n_quad=16, activation="tanh"):
     """Assemble + rescale + solve; returns (models, solve report, system)."""
-    if spec.spatial_dim == 2 and len(m_spatial) == 1:
-        m_spatial = (1, 1)
-    rule = quadrature.angular_rule(spec.spatial_dim, n_quad)
-    colloc = collocation.build_collocation(spec, n_spatial, n_velocity)
-    rho_model, g_model = build_models(spec, j_rho, j_g, m_spatial,
-                                      m_velocity, seed, activation=activation)
-    system = assemble.rescale_rows(
-        assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule))
-    report = solve.lstsq(system)
-    return (rho_model, g_model), report, system
+    solution = solve(spec, run_config(
+        spec, "aprfm", n_spatial, n_velocity, m_spatial, m_velocity, seed,
+        n_quad, activation, jrho=j_rho, jg=j_g))
+    return solution.method.models, solution.report, solution.system
+
+
+def _f_error(solution, reference_field):
+    eval_x, eval_v = collocation.evaluation_grid(solution.method.spec)
+    values = solution.method.f_values(solution.report.coeffs, eval_x, eval_v)
+    approx = reference.phase_field(eval_x, eval_v, values)
+    return reference.relative_l2(approx, reference_field)
 
 
 def aprfm_f_error(spec, j_rho, j_g, n_spatial, n_velocity, reference_field,
                   **kwargs):
     """Relative l2 error of the rebuilt f on the evaluation phase grid."""
-    models, report, _ = solve_aprfm(spec, j_rho, j_g, n_spatial, n_velocity,
-                                    **kwargs)
-    eval_x, eval_v = collocation.evaluation_grid(spec)
-    values = assemble.reconstruct_f(spec, models[0], models[1],
-                                    report.coeffs, eval_x, eval_v)
-    approx = reference.phase_field(eval_x, eval_v, values)
-    return reference.relative_l2(approx, reference_field)
+    return _f_error(solve(spec, run_config(spec, "aprfm", n_spatial,
+                                           n_velocity, jrho=j_rho, jg=j_g,
+                                           **kwargs)), reference_field)
 
 
 def aprfm_rho_error(spec, j_rho, j_g, n_spatial, n_velocity, reference_field,
                     n_quad=16, **kwargs):
     """Relative l2 density error on the spatial evaluation grid."""
-    models, report, _ = solve_aprfm(spec, j_rho, j_g, n_spatial, n_velocity,
-                                    n_quad=n_quad, **kwargs)
-    rule = quadrature.angular_rule(spec.spatial_dim, n_quad)
+    solution = solve(spec, run_config(spec, "aprfm", n_spatial, n_velocity,
+                                      n_quad=n_quad, jrho=j_rho, jg=j_g,
+                                      **kwargs))
     xs = collocation.evaluation_spatial_grid(spec)
-    approx = reference.density_field(spec, rule, xs, rho_model=models[0],
-                                     g_model=models[1], coeffs=report.coeffs)
-    return reference.relative_l2(approx, reference_field)
+    values = solution.method.rho_values(solution.report.coeffs,
+                                        solution.rule, xs)
+    return reference.relative_l2(reference.GridField(points=xs, values=values),
+                                 reference_field)
 
 
 def rfm_f_error(spec, j, n_spatial, n_velocity, m_spatial=(1,),
                 m_velocity=1, seed=0, n_quad=16):
     """Vanilla one-shot solve; error of f on the evaluation phase grid."""
-    rule = quadrature.angular_rule(spec.spatial_dim, n_quad)
-    colloc = collocation.build_collocation(spec, n_spatial, n_velocity)
-    model = build_f_model(spec, j, m_spatial, m_velocity, seed)
-    system = assemble.rescale_rows(
-        assemble.assemble_rfm(spec, model, colloc, rule))
-    report = solve.lstsq(system)
-    eval_x, eval_v = collocation.evaluation_grid(spec)
-    phase = np.concatenate([eval_x, eval_v[:, None]], axis=1)
-    values = basis.model_values(model, report.coeffs, phase)
-    approx = reference.phase_field(eval_x, eval_v, values)
-    ref = reference.exact_field(spec, (eval_x, eval_v))
-    return reference.relative_l2(approx, ref)
+    solution = solve(spec, run_config(spec, "rfm", n_spatial, n_velocity,
+                                      m_spatial, m_velocity, seed, n_quad,
+                                      j=j))
+    return _f_error(solution, exact_field_for(spec))
 
 
 def exact_field_for(spec):
@@ -153,9 +149,7 @@ def source_iteration_2d(spec, n_cells, rule, sweep_tol, max_iters=10_000):
     c1 = collocation.cell_centers(lo1, hi1, n1)
     c2 = collocation.cell_centers(lo2, hi2, n2)
     pts = np.stack(np.meshgrid(c1, c2, indexing="ij"), axis=-1)
-    mask = np.ones((n1, n2), dtype=bool)
-    if spec.geometry == "annulus":
-        mask = np.max(np.abs(pts), axis=-1) >= problems.HOLE_HALF_WIDTH
+    mask = spec.in_domain(pts)
     eps, sig_s, removal = (arr.reshape(n1, n2) for arr in
                            reference._native_fields(spec, pts.reshape(-1, 2)))
     grid = (c1, c2, (hi1 - lo1) / n1, (hi2 - lo2) / n2, mask, removal, sig_s,

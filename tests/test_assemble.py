@@ -325,32 +325,3 @@ class TestReconstruct:
                                np.array([[0.5, 0.3]]))
         assert f[0] - rho[0] == pytest.approx(EPS_PROFILE_AT_HALF * g[0],
                                               rel=1e-12)
-
-
-class TestDump:
-    def test_roundtrip(self, tmp_path):
-        spec, rule, colloc, rho_model, g_model = small_setup()
-        system = assemble.rescale_rows(
-            assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule))
-        path = tmp_path / "system.bin"
-        assemble.dump_system(system, path)
-        loaded = assemble.load_system(path)
-        np.testing.assert_array_equal(loaded.matrix, system.matrix)
-        np.testing.assert_array_equal(loaded.rhs, system.rhs)
-        np.testing.assert_array_equal(loaded.lam, system.lam)
-        np.testing.assert_array_equal(loaded.row_kind, system.row_kind)
-        assert loaded.n_interior == system.n_interior
-        assert loaded.n_boundary == system.n_boundary
-
-    def test_header_layout(self, tmp_path):
-        spec, rule, colloc, rho_model, g_model = small_setup()
-        system = assemble.assemble_aprfm(spec, rho_model, g_model, colloc,
-                                         rule)
-        path = tmp_path / "system.bin"
-        assemble.dump_system(system, path)
-        raw = path.read_bytes()
-        header = np.frombuffer(raw[:40], dtype="<u8")
-        n, z = system.matrix.shape
-        assert list(header) == [n, z, system.n_interior, system.n_boundary,
-                                40 + (n * z + 2 * n) * 8]
-        assert len(raw) == 40 + (n * z + 2 * n) * 8 + n

@@ -1,10 +1,12 @@
-import dataclasses
 import json
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from aprfm import cli
+import helpers
+from aprfm import cli, problems
 
 
 def tiny_config(**overrides):
@@ -66,6 +68,23 @@ class TestRun:
                     reference_cache=cache)
         assert calls == ["ex3"]
 
+    @pytest.mark.parametrize("config,helper_error", [
+        (dict(method="aprfm", jrho=8, jg=8, nx=16, nv=32),
+         lambda spec: helpers.aprfm_f_error(
+             spec, 8, 8, (16,), 32, helpers.exact_field_for(spec), seed=3)),
+        (dict(method="rfm", j=16, nx=16, nv=32),
+         lambda spec: helpers.rfm_f_error(spec, 16, (16,), 32, seed=3)),
+        (dict(problem="ex4", method="aprfm", epsilon=1.0, j=8, mv=2,
+              nx1=8, nx2=8, nv=8),
+         lambda spec: helpers.aprfm_rho_error(
+             spec, 8, 8, (8, 8), 8, helpers.exact_rho_field(spec),
+             m_velocity=2, seed=3)),
+    ], ids=["ex1-aprfm", "ex1-rfm", "ex4-aprfm"])
+    def test_shipped_path_is_tested_path(self, config, helper_error):
+        config = tiny_config(seed=3, **config)
+        spec = problems.catalog(config.problem, config.epsilon)
+        assert cli.run(config).report["error"] == helper_error(spec)
+
     def test_seed_changes_error(self):
         a = cli.run(tiny_config(seed=1)).report["error"]
         b = cli.run(tiny_config(seed=2)).report["error"]
@@ -85,6 +104,14 @@ class TestMain:
 
     def test_invalid_config_exit_two(self, capsys):
         code = cli.main(["run", "--problem", "ex9"])
+        assert code == 2
+        assert "invalid-config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_non_finite_epsilon_exit_two(self, tmp_path, capsys, epsilon):
+        code = cli.main(["run", "--problem", "ex1", "--epsilon", epsilon,
+                         "--j", "4", "--nx", "8", "--nv", "16",
+                         "--out", str(tmp_path / "x")])
         assert code == 2
         assert "invalid-config" in capsys.readouterr().err
 
@@ -155,6 +182,27 @@ class TestSweep:
         seed0_error = float(lines[1].split(",")[3])
         replayed = cli.run(cli.RunConfig(**cell)).report["error"]
         assert replayed == pytest.approx(seed0_error, rel=1e-6)
+
+    def test_threaded_sweep_solves_each_oracle_once(self, monkeypatch):
+        calls = []
+
+        def slow_coarse_oracle(spec, **kwargs):
+            calls.append(spec.id)
+            time.sleep(0.3)  # keep the first solve running while others ask
+            return fdm_density(spec, resolution=(16, 16))
+
+        fdm_density = cli.fdm_density
+        monkeypatch.setattr(cli, "fdm_density", slow_coarse_oracle)
+        monkeypatch.setenv("APRFM_THREADS", "4")  # more threads than cores
+        cells = [tiny_config(problem="ex5", epsilon=1.0, j=j, nx1=8, nx2=8,
+                             nv=8) for j in (3, 4, 5, 6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cli.sweep(cells, cli.RunConfig(seeds=1))
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == ["ex5"]
 
     def test_cell_errors_are_seed_averaged(self, tmp_path):
         base = cli.RunConfig(seeds=2, seed=5)

@@ -41,10 +41,9 @@ class TestCatalog:
 
     @pytest.mark.parametrize("pid", ["ex1", "ex2", "ex4", "ex5", "ex6"])
     def test_requires_positive_epsilon(self, pid):
-        with pytest.raises(ValueError):
-            problems.catalog(pid, 0.0)
-        with pytest.raises(ValueError):
-            problems.catalog(pid, None)
+        for eps in (0.0, None, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                problems.catalog(pid, eps)
 
     def test_source_conventions_ex1(self):
         spec = problems.catalog("ex1", 0.25)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from aprfm import collocation, problems, quadrature, reference
+from aprfm.basis import model_values
 from aprfm.errors import (NoConvergenceError, UndefinedMetricError,
                           UnsupportedProblemError)
-from helpers import source_iteration_1d, source_iteration_2d
+from aprfm.method import Method
+from helpers import build_models, source_iteration_1d, source_iteration_2d
 
 
 class TestExactField:
@@ -73,28 +75,16 @@ class TestRelativeL2:
 
 
 class TestDensityField:
-    def test_velocity_independent_samples(self):
-        spec = problems.catalog("ex4", 1.0)
-        rule = quadrature.angular_rule(2, 16)
-        xs = np.array([[0.1, 0.2], [-0.3, 0.4]])
-        samples = np.repeat(spec.exact_rho(xs)[:, None], rule.n_nodes, axis=1)
-        rho = reference.density_field(spec, rule, xs, f_samples=samples)
-        np.testing.assert_allclose(rho.values, spec.exact_rho(xs), atol=1e-14)
-
     def test_zero_fluctuation_coefficients(self):
-        from helpers import build_models
         spec = problems.catalog("ex1", 0.5)
         rule = quadrature.angular_rule(1, 8)
-        rho_model, g_model = build_models(spec, 4, 5, (1,), 1, seed=0)
+        models = build_models(spec, 4, 5, (1,), 1, seed=0)
         rng = np.random.default_rng(2)
         coeffs = np.concatenate([rng.standard_normal(4), np.zeros(5)])
         xs = rng.uniform(0, 1, size=(12, 1))
-        rho = reference.density_field(spec, rule, xs, rho_model=rho_model,
-                                      g_model=g_model, coeffs=coeffs)
-        from aprfm.basis import model_values
-        np.testing.assert_allclose(rho.values,
-                                   model_values(rho_model, coeffs[:4], xs),
-                                   atol=1e-14)
+        rho = Method("aprfm", spec, models).rho_values(coeffs, rule, xs)
+        np.testing.assert_allclose(rho, model_values(models[0], coeffs[:4],
+                                                     xs), atol=1e-14)
 
 
 class TestFdm1D:
