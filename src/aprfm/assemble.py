@@ -18,7 +18,9 @@ derivatives of eps(x) g (product rule) and adds g itself to the micro row.
 
 Angular averages are evaluated with the supplied quadrature rule; because
 interior grids are space-major tensor products, each distinct spatial node
-is swept over the quadrature nodes exactly once.
+is swept over the quadrature nodes exactly once.  An assembler builds the
+rows of whatever collocation set it is given; :mod:`aprfm.method` bounds
+the memory of a run by assembling it slab by slab.
 """
 
 from dataclasses import dataclass
@@ -29,18 +31,15 @@ from .basis import column_batch, model_values
 from .errors import DegenerateRowError, InvalidProblemError
 from .problems import direction
 
-ROW_MACRO = "macro"
-ROW_MICRO = "micro"
-ROW_RFM = "rfm-interior"
-ROW_BOUNDARY = "boundary"
-
-# Cap on intermediate feature-tensor size (doubles) when chunking assembly.
-_CHUNK_BUDGET = 16_000_000
+# Row kinds are stored as uint8 codes indexing ROW_KINDS.
+ROW_KINDS = ("macro", "micro", "rfm-interior", "boundary")
+ROW_MACRO, ROW_MICRO, ROW_RFM, ROW_BOUNDARY = range(len(ROW_KINDS))
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Dense system A theta ~ b with per-row tags and rescale factors."""
+    """Dense system A theta ~ b with per-row kind codes (see ``ROW_KINDS``)
+    and rescale factors."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -55,7 +54,7 @@ class LinearSystem:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        kinds = np.asarray(self.row_kind)
+        kinds = np.asarray(self.row_kind, dtype=np.uint8)
         kinds.setflags(write=False)
         object.__setattr__(self, "row_kind", kinds)
         n = self.matrix.shape[0]
@@ -107,24 +106,20 @@ def _tensor_nodes(colloc):
     return xs, vs
 
 
-def _node_chunks(model, xs, vs, rule):
-    """Columns of a phase-space model over chunks of spatial nodes.
+def _node_columns(model, xs, vs, rule):
+    """Columns of a phase-space model at every spatial node.
 
-    Yields ``(s0, s1, chi, dchi, chi_q, dchi_q)`` for the nodes ``s0:s1``:
-    values (cs, L, Z) and gradients (cs, L, Z, d + 1) at the velocities
-    ``vs``, then the same at the rule nodes (cs, Q, ...).
+    Returns ``(chi, dchi, chi_q, dchi_q)``: values (S, L, Z) and gradients
+    (S, L, Z, d + 1) at the velocities ``vs``, then the same at the rule
+    nodes (S, Q, ...).  Callers bound the work by assembling slabs of
+    spatial nodes (see ``aprfm.method``).
     """
     n_x, n_v, n_q = xs.shape[0], vs.size, rule.n_nodes
     z, dim = model.n_columns, model.dim
-    chunk = max(1, _CHUNK_BUDGET // max((n_v + n_q) * z * dim, 1))
-    for s0 in range(0, n_x, chunk):
-        s1 = min(s0 + chunk, n_x)
-        cs = s1 - s0
-        chi, dchi = column_batch(model, _phase_points(xs[s0:s1], vs))
-        chi_q, dchi_q = column_batch(model,
-                                     _phase_points(xs[s0:s1], rule.nodes))
-        yield (s0, s1, chi.reshape(cs, n_v, z), dchi.reshape(cs, n_v, z, dim),
-               chi_q.reshape(cs, n_q, z), dchi_q.reshape(cs, n_q, z, dim))
+    chi, dchi = column_batch(model, _phase_points(xs, vs))
+    chi_q, dchi_q = column_batch(model, _phase_points(xs, rule.nodes))
+    return (chi.reshape(n_x, n_v, z), dchi.reshape(n_x, n_v, z, dim),
+            chi_q.reshape(n_x, n_q, z), dchi_q.reshape(n_x, n_q, z, dim))
 
 
 def _boundary_columns(model, colloc):
@@ -139,30 +134,26 @@ def assemble_rfm(spec, model, colloc, rule):
     """Assemble the one-shot system over a single phase-space model."""
     _check_phase_model(spec, model, "f")
     xs, vs = _tensor_nodes(colloc)
-    n_v, dim, z = vs.size, spec.spatial_dim, model.n_columns
+    dim, z = spec.spatial_dim, model.n_columns
     n_int = colloc.n_interior
     n_bdy = colloc.n_boundary
 
+    chi, dchi, chi_q, _ = _node_columns(model, xs, vs, rule)
+    avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
+    transport = np.einsum("la,slza->slz", direction(dim, vs),
+                          dchi[..., :dim])
+    rows = (spec.epsilon_at(xs)[:, None, None] * transport
+            - avg_chi[:, None, :] + chi)
+
     matrix = np.empty((n_int + n_bdy, z))
-    rhs = np.empty(n_int + n_bdy)
-    dirs_v = direction(dim, vs)
-    eps = spec.epsilon_at(xs)
-
-    for s0, s1, chi, dchi, chi_q, _ in _node_chunks(model, xs, vs, rule):
-        avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
-        transport = np.einsum("la,slza->slz", dirs_v, dchi[..., :dim])
-        rows = (eps[s0:s1, None, None] * transport
-                - avg_chi[:, None, :] + chi)
-        matrix[s0 * n_v:s1 * n_v] = rows.reshape(-1, z)
-        x_rep = np.repeat(xs[s0:s1], n_v, axis=0)
-        rhs[s0 * n_v:s1 * n_v] = spec.rfm_source(x_rep,
-                                                 np.tile(vs, s1 - s0))
-
+    matrix[:n_int] = rows.reshape(-1, z)
     matrix[n_int:] = _boundary_columns(model, colloc)
-    rhs[n_int:] = colloc.boundary_value
+    rhs = np.concatenate([spec.rfm_source(colloc.interior_x,
+                                          colloc.interior_v),
+                          colloc.boundary_value])
 
-    row_kind = np.concatenate([np.full(n_int, ROW_RFM, dtype="<U12"),
-                               np.full(n_bdy, ROW_BOUNDARY, dtype="<U12")])
+    row_kind = np.concatenate([np.full(n_int, ROW_RFM, dtype=np.uint8),
+                               np.full(n_bdy, ROW_BOUNDARY, dtype=np.uint8)])
     return LinearSystem(matrix=matrix, rhs=rhs, row_kind=row_kind,
                         lam=np.ones(n_int + n_bdy),
                         n_interior=n_int, n_boundary=n_bdy, n_rho_columns=0)
@@ -173,81 +164,62 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
     _check_spatial_model(spec, rho_model, "rho")
     _check_phase_model(spec, g_model, "g")
     xs, vs = _tensor_nodes(colloc)
-    n_v, dim = vs.size, spec.spatial_dim
+    n_x, n_v, dim = xs.shape[0], vs.size, spec.spatial_dim
     z_r = rho_model.n_columns
     z_g = g_model.n_columns
-    z = z_r + z_g
     n_int = colloc.n_interior
     n_bdy = colloc.n_boundary
 
-    sig_s = spec.sigma_s(xs)
+    sig_s = spec.sigma_s(xs)[:, None, None]
     sig_a = spec.sigma_a(xs)
-    eps = spec.epsilon_at(xs)
-    eps_p = spec.epsilon_prime_at(xs)
+    eps = spec.epsilon_at(xs)[:, None, None]
     if spec.mixed_scale and (dim != 1 or np.any(sig_a != 0.0)):
         raise InvalidProblemError(
             "mixed-scale assembly supports 1D problems with sigma_a = 0")
 
-    dirs_v = direction(dim, vs)
-    dirs_q = direction(dim, rule.nodes)
     chi_r, dchi_r = column_batch(rho_model, xs)
-    transport_r = np.einsum("la,sza->slz", dirs_v, dchi_r)
+    chi, dchi, chi_q, dchi_q = _node_columns(g_model, xs, vs, rule)
+    if spec.mixed_scale:
+        # 1D only: transport acts on eps(x) g, expanded by the product
+        # rule to eps'(x) v g + eps(x) v dg/dx
+        eps_p = spec.epsilon_prime_at(xs)[:, None, None]
+        trans_q = rule.nodes[None, :, None] * (eps_p * chi_q
+                                               + eps * dchi_q[..., 0])
+        trans_c = vs[None, :, None] * (eps_p * chi + eps * dchi[..., 0])
+    else:
+        trans_q = np.einsum("qa,sqza->sqz", direction(dim, rule.nodes),
+                            dchi_q[..., :dim])
+        trans_c = np.einsum("la,slza->slz", direction(dim, vs),
+                            dchi[..., :dim])
+    avg_trans = np.einsum("q,sqz->sz", rule.weights, trans_q)
+    avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
+    if spec.mixed_scale:
+        micro_g = trans_c - avg_trans[:, None, :] + chi
+    else:
+        micro_g = (eps * (trans_c - avg_trans[:, None, :])
+                   + sig_s * (chi - avg_chi[:, None, :])
+                   + (eps * eps) * sig_a[:, None, None] * chi)
 
-    matrix = np.empty((2 * n_int + n_bdy, z))
-    rhs = np.empty(2 * n_int + n_bdy)
-
-    macro_b = spec.macro_source(xs)
-
-    for s0, s1, chi, dchi, chi_q, dchi_q in _node_chunks(g_model, xs, vs,
-                                                         rule):
-        cs = s1 - s0
-        if spec.mixed_scale:
-            # 1D only: transport acts on eps(x) g, expanded by the product
-            # rule to eps'(x) v g + eps(x) v dg/dx
-            scale = eps[s0:s1, None, None]
-            scale_p = eps_p[s0:s1, None, None]
-            trans_q = rule.nodes[None, :, None] * (scale_p * chi_q
-                                                   + scale * dchi_q[..., 0])
-            trans_c = vs[None, :, None] * (scale_p * chi
-                                           + scale * dchi[..., 0])
-        else:
-            trans_q = np.einsum("qa,sqza->sqz", dirs_q, dchi_q[..., :dim])
-            trans_c = np.einsum("la,slza->slz", dirs_v, dchi[..., :dim])
-        avg_trans = np.einsum("q,sqz->sz", rule.weights, trans_q)
-        avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
-
-        macro_g = np.broadcast_to(avg_trans[:, None, :], (cs, n_v, z_g))
-        macro_r = np.broadcast_to((sig_a[s0:s1, None] * chi_r[s0:s1])[:, None, :],
-                                  (cs, n_v, z_r))
-        if spec.mixed_scale:
-            micro_g = trans_c - avg_trans[:, None, :] + chi
-        else:
-            e = eps[s0:s1, None, None]
-            micro_g = (e * (trans_c - avg_trans[:, None, :])
-                       + sig_s[s0:s1, None, None] * (chi - avg_chi[:, None, :])
-                       + (e * e) * sig_a[s0:s1, None, None] * chi)
-        micro_r = transport_r[s0:s1]
-
-        block = np.empty((2 * cs * n_v, z))
-        block[0::2, :z_r] = macro_r.reshape(cs * n_v, z_r)
-        block[0::2, z_r:] = macro_g.reshape(cs * n_v, z_g)
-        block[1::2, :z_r] = micro_r.reshape(cs * n_v, z_r)
-        block[1::2, z_r:] = micro_g.reshape(cs * n_v, z_g)
-        matrix[2 * s0 * n_v:2 * s1 * n_v] = block
-
-        x_rep = np.repeat(xs[s0:s1], n_v, axis=0)
-        rhs[2 * s0 * n_v:2 * s1 * n_v:2] = np.repeat(macro_b[s0:s1], n_v)
-        rhs[2 * s0 * n_v + 1:2 * s1 * n_v:2] = spec.micro_source(
-            x_rep, np.tile(vs, cs))
-
+    matrix = np.empty((2 * n_int + n_bdy, z_r + z_g))
+    # (macro, micro) row pair of every interior point, as a view
+    pairs = matrix[:2 * n_int].reshape(n_x, n_v, 2, z_r + z_g)
+    pairs[:, :, 0, :z_r] = (sig_a[:, None] * chi_r)[:, None, :]
+    pairs[:, :, 0, z_r:] = avg_trans[:, None, :]
+    pairs[:, :, 1, :z_r] = np.einsum("la,sza->slz", direction(dim, vs),
+                                     dchi_r)
+    pairs[:, :, 1, z_r:] = micro_g
     chi_rb, _ = column_batch(rho_model, colloc.boundary_x)
-    eps_b = spec.epsilon_at(colloc.boundary_x)
     matrix[2 * n_int:, :z_r] = chi_rb
-    matrix[2 * n_int:, z_r:] = eps_b[:, None] * _boundary_columns(g_model,
-                                                                  colloc)
+    matrix[2 * n_int:, z_r:] = (spec.epsilon_at(colloc.boundary_x)[:, None]
+                                * _boundary_columns(g_model, colloc))
+
+    rhs = np.empty(2 * n_int + n_bdy)
+    rhs[0:2 * n_int:2] = np.repeat(spec.macro_source(xs), n_v)
+    rhs[1:2 * n_int:2] = spec.micro_source(colloc.interior_x,
+                                           colloc.interior_v)
     rhs[2 * n_int:] = colloc.boundary_value
 
-    row_kind = np.empty(2 * n_int + n_bdy, dtype="<U12")
+    row_kind = np.empty(2 * n_int + n_bdy, dtype=np.uint8)
     row_kind[0:2 * n_int:2] = ROW_MACRO
     row_kind[1:2 * n_int:2] = ROW_MICRO
     row_kind[2 * n_int:] = ROW_BOUNDARY
@@ -256,12 +228,17 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
                         n_interior=n_int, n_boundary=n_bdy, n_rho_columns=z_r)
 
 
-def rescale_rows(system):
-    """Scale every row so its largest entry has absolute value one."""
+def rescale_rows(system, first_row=0):
+    """Scale every row so its largest entry has absolute value one.
+
+    ``system`` may be a row block of a larger system whose first row has
+    index ``first_row``; an all-zero row is reported by that global index.
+    """
     row_max = np.max(np.abs(system.matrix), axis=1)
     if np.any(row_max == 0.0):
         idx = int(np.argmax(row_max == 0.0))
-        raise DegenerateRowError(idx, system.row_kind[idx])
+        raise DegenerateRowError(first_row + idx,
+                                 ROW_KINDS[system.row_kind[idx]])
     factor = 1.0 / row_max
     return LinearSystem(matrix=system.matrix * factor[:, None],
                         rhs=system.rhs * factor,

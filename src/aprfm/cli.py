@@ -29,6 +29,7 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import resource
 import sys
 import threading
 import time
@@ -170,17 +171,20 @@ def run(config, reference_cache=None):
     t_start = time.perf_counter()
     spec = catalog(config.problem, _problem_epsilon(config))
     solution = solve(spec, cfg)
-    method, system = solution.method, solution.system
+    method, colloc = solution.method, solution.colloc
     solve_report = solution.report
     coeffs = solve_report.coeffs
 
+    t_eval = time.perf_counter()
     eval_x, eval_v = collocation.evaluation_grid(spec)
     result = RunResult(report={}, field_columns=(), field_rows=None)
     f_error = None
     if spec.spatial_dim == 1:
         approx = phase_field(eval_x, eval_v,
                              method.f_values(coeffs, eval_x, eval_v))
+        t_ref = time.perf_counter()
         ref, ref_meta = _reference_f(spec, (eval_x, eval_v), reference_cache)
+        reference_s = time.perf_counter() - t_ref
         error = relative_l2(approx, ref)
         error_kind = "f-phase"
         result.phase = (eval_x, eval_v)
@@ -192,7 +196,9 @@ def run(config, reference_cache=None):
         xs = collocation.evaluation_spatial_grid(spec)
         approx_rho = GridField(
             points=xs, values=method.rho_values(coeffs, solution.rule, xs))
+        t_ref = time.perf_counter()
         ref_rho, ref_meta = _reference_rho(spec, reference_cache)
+        reference_s = time.perf_counter() - t_ref
         error = relative_l2(approx_rho, ref_rho)
         error_kind = "rho-spatial"
         if spec.exact_f is not None:
@@ -208,7 +214,8 @@ def run(config, reference_cache=None):
         result.field_rows = np.column_stack(
             [xs[:, 0], xs[:, 1], approx_rho.values, ref_rho.values])
 
-    total = time.perf_counter() - t_start
+    end = time.perf_counter()
+    lam = solution.lam
     result.report = {
         "config": _config_dict(cfg),
         "error": float(error),
@@ -217,16 +224,23 @@ def run(config, reference_cache=None):
         "residual_norm": solve_report.residual_norm,
         "rank": solve_report.rank,
         "condition_estimate": solve_report.condition_estimate,
+        # assembly and solve interleave: solve is the folds and the SVD,
+        # assembly everything else up to the solution
         "timings": {"assembly": solution.assembly_s,
                     "solve": solve_report.wall_time,
-                    "total": total},
-        "Z": system.n_columns,
-        "N": system.n_rows,
-        "N_int": system.n_interior,
-        "N_bdy": system.n_boundary,
-        "lambda_stats": {"min": float(system.lam.min()),
-                         "max": float(system.lam.max()),
-                         "mean": float(system.lam.mean())},
+                    "evaluation": end - t_eval - reference_s,
+                    "reference": reference_s,
+                    "total": end - t_start},
+        # high-water mark of the whole process, not of this run alone
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        * 1024 / 1e6,
+        "Z": coeffs.size,
+        "N": lam.size,
+        "N_int": colloc.n_interior,
+        "N_bdy": colloc.n_boundary,
+        "lambda_stats": {"min": float(lam.min()),
+                         "max": float(lam.max()),
+                         "mean": float(lam.mean())},
         "reference": ref_meta,
     }
     return result

@@ -3,11 +3,13 @@
 The solvers differ only in how f is represented: ``rfm`` uses one
 phase-space feature model, ``aprfm`` a spatial model for rho and a
 phase-space model for g with f = rho + eps g.  :class:`Method` holds the
-models for one problem and one configuration; :func:`solve` runs
-collocation, assembly, row rescaling and the least-squares solve with it.
-The CLI and the test suite both go through :func:`solve`.
+models for one problem and one configuration and assembles its system as
+rescaled row blocks; :func:`solve` runs collocation and streams those
+blocks into the least-squares solve, so the full N x Z matrix is never
+held.  The CLI and the test suite both go through :func:`solve`.
 """
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -21,9 +23,28 @@ from .solve import lstsq
 
 METHODS = ("rfm", "aprfm")
 
+# Cap, in doubles, on a row block and on each feature-gradient tensor it is
+# assembled from; it sets how many spatial nodes (or inflow points) one
+# block covers.
+_CHUNK_BUDGET = 2_000_000
+
 
 def _phase(x, v):
     return np.concatenate([x, v[:, None]], axis=1)
+
+
+def _restrict(colloc, nodes, inflow):
+    """The part of ``colloc`` at the spatial nodes ``nodes`` (a slice, with
+    every velocity) and the inflow points ``inflow`` (a slice)."""
+    n_v = colloc.velocity_nodes.size
+    interior = slice(nodes.start * n_v, nodes.stop * n_v)
+    return dataclasses.replace(
+        colloc, interior_x=colloc.interior_x[interior],
+        interior_v=colloc.interior_v[interior],
+        boundary_x=colloc.boundary_x[inflow],
+        boundary_v=colloc.boundary_v[inflow],
+        boundary_value=colloc.boundary_value[inflow],
+        spatial_nodes=colloc.spatial_nodes[nodes])
 
 
 @dataclass(frozen=True)
@@ -69,6 +90,33 @@ class Method:
             return assemble_rfm(self.spec, *self.models, colloc, rule)
         return assemble_aprfm(self.spec, *self.models, colloc, rule)
 
+    def blocks(self, colloc, rule):
+        """The rescaled system on ``colloc`` as row blocks, in row order:
+        slabs of spatial nodes (each with every velocity), then the inflow
+        rows.  A block and each feature-gradient tensor behind it hold at
+        most ``_CHUNK_BUDGET`` doubles (at least one node or point each).
+        """
+        n_x, n_v = colloc.spatial_nodes.shape[0], colloc.velocity_nodes.size
+        z = sum(model.n_columns for model in self.models)
+        phase = self.models[-1]  # f for rfm, g for aprfm
+        rows_per_point = 1 if self.name == "rfm" else 2
+        node_cost = max(rows_per_point * n_v * z,
+                        (n_v + rule.n_nodes) * phase.n_columns * phase.dim)
+        point_cost = max(z, phase.n_columns * phase.dim)
+        step = max(1, _CHUNK_BUDGET // node_cost)
+        b_step = max(1, _CHUNK_BUDGET // point_cost)
+        none = slice(0, 0)
+        parts = ([(slice(s, s + step), none) for s in range(0, n_x, step)]
+                 + [(none, slice(b, b + b_step))
+                    for b in range(0, colloc.n_boundary, b_step)])
+        first_row = 0
+        for nodes, inflow in parts:
+            block = rescale_rows(
+                self.assemble(_restrict(colloc, nodes, inflow), rule),
+                first_row=first_row)
+            first_row += block.n_rows
+            yield block
+
     def f_values(self, coeffs, x, v):
         """f at the phase points (x, v), x (n, d) and v (n,)."""
         if self.name == "rfm":
@@ -96,26 +144,36 @@ class Method:
 
 @dataclass(frozen=True)
 class Solution:
-    """One solved configuration; ``assembly_s`` times everything before
-    the least-squares solve."""
+    """One solved configuration.  ``assembly_s`` is the run's time outside
+    the least-squares folds and SVD: models, collocation and the row
+    blocks.  ``lam`` holds the row rescale factors of the whole system."""
 
     method: Method
     rule: object
-    system: object
+    colloc: object
     report: object
     assembly_s: float
+    lam: np.ndarray
 
 
 def solve(spec, config):
     """Build the models of ``config`` (a resolved ``RunConfig``) on
-    ``spec``, then collocate, assemble, rescale the rows and solve."""
+    ``spec``, then collocate and fold the rescaled row blocks into the
+    least-squares solve."""
     start = time.perf_counter()
     rule = angular_rule(spec.spatial_dim, config.nq)
     method = Method.build(spec, config)
     n_spatial = ((config.nx,) if spec.spatial_dim == 1
                  else (config.nx1, config.nx2))
     colloc = collocation.build_collocation(spec, n_spatial, config.nv)
-    system = rescale_rows(method.assemble(colloc, rule))
-    assembly_s = time.perf_counter() - start
-    report = lstsq(system, rank_tol=config.rank_tol)
-    return Solution(method, rule, system, report, assembly_s)
+    scales = []
+
+    def blocks():
+        for block in method.blocks(colloc, rule):
+            scales.append(block.lam)
+            yield block
+
+    report = lstsq(blocks(), rank_tol=config.rank_tol)
+    assembly_s = time.perf_counter() - start - report.wall_time
+    return Solution(method, rule, colloc, report, assembly_s,
+                    np.concatenate(scales))

@@ -34,12 +34,15 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import collocation
-from .errors import (NoConvergenceError, UndefinedMetricError,
-                     UnsupportedProblemError)
+from .errors import (NoConvergenceError, NonFiniteInputError,
+                     UndefinedMetricError, UnsupportedProblemError)
 from .quadrature import angular_rule
 
 FDM_RESOLUTION_1D = 512
 FDM_RESOLUTION_2D = (128, 128)
+# Krylov vectors GMRES keeps before it restarts (scipy's default is 20,
+# which needs 890 sweeps on ex5 at 128 x 128 and eps = 1e-2, against 261)
+_GMRES_RESTART = 60
 
 logger = logging.getLogger(__name__)
 
@@ -61,7 +64,7 @@ class GridField:
         if points.shape[0] != values.shape[0] or values.ndim != 1:
             raise ValueError("one value per grid point required")
         if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
+            raise NonFiniteInputError("field values must be finite")
 
 
 def phase_field(x, v, values):
@@ -366,7 +369,8 @@ def _solve_2d(spec, n_cells, sweep_tol, max_iters, rule, velocity_nodes):
     b = sweep_average(np.zeros((n1, n2)))
     op = LinearOperator((n1 * n2, n1 * n2), matvec=matvec, dtype=float)
     x, info = gmres(op, b.ravel(), rtol=sweep_tol, atol=0.0,
-                    maxiter=int(max_iters), callback=record,
+                    restart=_GMRES_RESTART, maxiter=int(max_iters),
+                    callback=record,
                     callback_type="pr_norm")
     if info != 0:
         raise NoConvergenceError("GMRES stalled", residual)

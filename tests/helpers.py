@@ -1,12 +1,16 @@
 """Shared pipeline helpers for the test suite.
 
 The solver helpers map their arguments onto a ``cli.RunConfig`` and solve
-through ``aprfm.method``, the path the CLI ships."""
+through ``aprfm.method``, the path the CLI ships.  ``stack_blocks`` and
+``dense_lstsq`` rebuild the whole matrix and solve it the pre-streaming
+way, as references for the streamed solve."""
 
 import numpy as np
+import scipy.linalg
 
-from aprfm import cli, collocation, reference
+from aprfm import assemble, cli, collocation, reference
 from aprfm.method import Method, solve
+from aprfm.solve import SolveReport
 
 
 def run_config(spec, method, n_spatial=(2, 2), n_velocity=2, m_spatial=(1,),
@@ -44,13 +48,44 @@ def build_f_model(spec, j, m_spatial, m_velocity, seed, activation="tanh",
     return Method.build(spec, config).models[0]
 
 
+def stack_blocks(blocks):
+    """One ``LinearSystem`` from consecutive row blocks."""
+    blocks = list(blocks)
+    return assemble.LinearSystem(
+        matrix=np.concatenate([b.matrix for b in blocks]),
+        rhs=np.concatenate([b.rhs for b in blocks]),
+        row_kind=np.concatenate([b.row_kind for b in blocks]),
+        lam=np.concatenate([b.lam for b in blocks]),
+        n_interior=sum(b.n_interior for b in blocks),
+        n_boundary=sum(b.n_boundary for b in blocks),
+        n_rho_columns=blocks[0].n_rho_columns)
+
+
+def dense_lstsq(system, rank_tol=1e-12):
+    """The solve before streaming: gelsd on the whole matrix, with rank,
+    condition estimate and residual taken the same way as ``lstsq``."""
+    matrix, rhs = system.matrix, system.rhs
+    coeffs, _, rank, sing = scipy.linalg.lstsq(
+        matrix, rhs, cond=rank_tol, lapack_driver="gelsd")
+    retained = sing[sing > rank_tol * sing[0]]
+    return SolveReport(coeffs=coeffs,
+                       residual_norm=float(np.linalg.norm(matrix @ coeffs
+                                                          - rhs)),
+                       rank=int(rank),
+                       condition_estimate=float(sing[0] / retained[-1]),
+                       wall_time=0.0)
+
+
 def solve_aprfm(spec, j_rho, j_g, n_spatial, n_velocity, m_spatial=(1,),
                 m_velocity=1, seed=0, n_quad=16, activation="tanh"):
-    """Assemble + rescale + solve; returns (models, solve report, system)."""
+    """Assemble + rescale + solve; returns (models, solve report, the
+    rescaled system restacked from its row blocks)."""
     solution = solve(spec, run_config(
         spec, "aprfm", n_spatial, n_velocity, m_spatial, m_velocity, seed,
         n_quad, activation, jrho=j_rho, jg=j_g))
-    return solution.method.models, solution.report, solution.system
+    system = stack_blocks(solution.method.blocks(solution.colloc,
+                                                 solution.rule))
+    return solution.method.models, solution.report, system
 
 
 def _f_error(solution, reference_field):

@@ -31,8 +31,8 @@ class TestShapes:
         model = build_f_model(spec, 128, (1,), 1, seed=0)
         system = assemble.assemble_rfm(spec, model, colloc, rule)
         assert system.matrix.shape == (8192 + colloc.n_boundary, 128)
-        assert np.all(system.row_kind[:8192] == "rfm-interior")
-        assert np.all(system.row_kind[8192:] == "boundary")
+        assert np.all(system.row_kind[:8192] == assemble.ROW_RFM)
+        assert np.all(system.row_kind[8192:] == assemble.ROW_BOUNDARY)
 
     def test_aprfm_dimensions(self):
         spec, rule, colloc, rho_model, g_model = small_setup(
@@ -40,8 +40,8 @@ class TestShapes:
         system = assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule)
         n_int, n_bdy = colloc.n_interior, colloc.n_boundary
         assert system.matrix.shape == (2 * n_int + n_bdy, 2 * 4 + 4 * 6)
-        assert np.all(system.row_kind[0:2 * n_int:2] == "macro")
-        assert np.all(system.row_kind[1:2 * n_int:2] == "micro")
+        assert np.all(system.row_kind[0:2 * n_int:2] == assemble.ROW_MACRO)
+        assert np.all(system.row_kind[1:2 * n_int:2] == assemble.ROW_MICRO)
 
     def test_model_dimension_checked(self):
         spec, rule, colloc, rho_model, g_model = small_setup()
@@ -243,7 +243,7 @@ class TestRescaleRows:
         return assemble.LinearSystem(
             matrix=np.array([[2.0, 4.0, -8.0], [1.0, 0.5, 0.25]]),
             rhs=np.array([16.0, 1.0]),
-            row_kind=np.array(["rfm-interior", "boundary"]),
+            row_kind=[assemble.ROW_RFM, assemble.ROW_BOUNDARY],
             lam=np.ones(2), n_interior=1, n_boundary=1, n_rho_columns=0)
 
     def test_direct_arithmetic(self):
@@ -273,17 +273,18 @@ class TestRescaleRows:
         truth = rng.standard_normal(4)
         system = assemble.LinearSystem(
             matrix=matrix, rhs=matrix @ truth,
-            row_kind=np.full(12, "rfm-interior"), lam=np.ones(12),
+            row_kind=np.full(12, assemble.ROW_RFM), lam=np.ones(12),
             n_interior=12, n_boundary=0, n_rho_columns=0)
-        before = solve.lstsq(system).coeffs
-        after = solve.lstsq(assemble.rescale_rows(system)).coeffs
+        before = solve.lstsq([system]).coeffs
+        after = solve.lstsq([assemble.rescale_rows(system)]).coeffs
         np.testing.assert_allclose(before, truth, atol=1e-10)
         np.testing.assert_allclose(after, truth, atol=1e-10)
 
     def test_zero_row_rejected(self):
         system = assemble.LinearSystem(
             matrix=np.array([[1.0, 2.0], [0.0, 0.0]]),
-            rhs=np.zeros(2), row_kind=np.array(["rfm-interior", "boundary"]),
+            rhs=np.zeros(2),
+            row_kind=[assemble.ROW_RFM, assemble.ROW_BOUNDARY],
             lam=np.ones(2), n_interior=1, n_boundary=1, n_rho_columns=0)
         with pytest.raises(DegenerateRowError) as err:
             assemble.rescale_rows(system)

@@ -7,6 +7,7 @@ import pytest
 
 import helpers
 from aprfm import cli, problems
+from aprfm.method import Method
 
 
 def tiny_config(**overrides):
@@ -31,6 +32,14 @@ class TestRun:
         assert report["config"]["nq"] == 16
         assert report["config"]["b_range"] == 1.0
         assert report["lambda_stats"]["max"] >= report["lambda_stats"]["min"]
+        # disjoint stages of the run
+        timings = report["timings"]
+        stages = [timings.pop(name) for name in ("assembly", "solve",
+                                                  "evaluation", "reference")]
+        assert list(timings) == ["total"]
+        assert min(stages) >= 0
+        assert sum(stages) <= timings["total"] * (1 + 1e-9)
+        assert report["peak_rss_mb"] > 0
         csv_lines = (tmp_path / "run.csv").read_text().splitlines()
         assert csv_lines[0] == "x,v,f_approx,f_ref"
         assert len(csv_lines) == 1 + 128 * 256
@@ -124,6 +133,16 @@ class TestMain:
                          "--out", str(tmp_path / "x")])
         assert code == 3
         assert "no-convergence" in capsys.readouterr().err
+
+    def test_non_finite_field_exit_three(self, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.setattr(Method, "f_values",
+                            lambda self, coeffs, x, v: np.full(len(v), np.nan))
+        code = cli.main(["run", "--problem", "ex1", "--epsilon", "0.5",
+                         "--j", "6", "--nx", "8", "--nv", "16",
+                         "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "invalid-input" in capsys.readouterr().err
 
     def test_node_on_window_joint_exit_two(self, tmp_path, capsys):
         code = cli.main(["run", "--problem", "ex1", "--epsilon", "1",

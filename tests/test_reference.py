@@ -165,6 +165,17 @@ class TestFdm2D:
                                   velocity_nodes=None)["rho"]
         assert np.max(np.abs(rho - ref)) <= 1e-8 * np.max(np.abs(ref))
 
+    def test_gmres_past_default_restart_matches_source_iteration(self):
+        # 23 sweeps: past scipy's default restart length of 20, so the
+        # oracle's own restart length is what runs
+        spec = problems.catalog("ex5", 0.2)
+        rule = quadrature.angular_rule(2, 8)
+        ref = source_iteration_2d(spec, (32, 32), rule, sweep_tol=1e-14)
+        out = reference._solve_2d(spec, (32, 32), 1e-10, 200_000, rule,
+                                  velocity_nodes=None)
+        assert out["iterations"] > 20
+        assert np.max(np.abs(out["rho"] - ref)) <= 1e-8 * np.max(np.abs(ref))
+
     def test_planar_oracle_against_exact(self):
         spec = problems.catalog("ex4", 1.0)
         rho = reference.fdm_density(spec, resolution=(64, 64))

@@ -10,9 +10,14 @@ def plain_system(matrix, rhs):
     matrix = np.asarray(matrix, dtype=float)
     return assemble.LinearSystem(
         matrix=matrix, rhs=np.asarray(rhs, dtype=float),
-        row_kind=np.full(matrix.shape[0], "rfm-interior"),
+        row_kind=np.full(matrix.shape[0], assemble.ROW_RFM),
         lam=np.ones(matrix.shape[0]),
         n_interior=matrix.shape[0], n_boundary=0, n_rho_columns=0)
+
+
+def blocks(matrix, rhs):
+    """The system as the one-block iterable ``solve.lstsq`` takes."""
+    return [plain_system(matrix, rhs)]
 
 
 def pinv_by_eigendecomposition(matrix, rhs):
@@ -27,20 +32,20 @@ def pinv_by_eigendecomposition(matrix, rhs):
 
 class TestLstsq:
     def test_identity(self):
-        report = solve.lstsq(plain_system(np.eye(3), [1.0, 2.0, 3.0]))
+        report = solve.lstsq(blocks(np.eye(3), [1.0, 2.0, 3.0]))
         np.testing.assert_allclose(report.coeffs, [1.0, 2.0, 3.0], atol=1e-14)
         assert report.residual_norm < 1e-14
         assert report.rank == 3
 
     def test_inconsistent_rows_average(self):
-        report = solve.lstsq(plain_system([[1.0], [1.0]], [0.0, 2.0]))
+        report = solve.lstsq(blocks([[1.0], [1.0]], [0.0, 2.0]))
         assert report.coeffs[0] == pytest.approx(1.0, abs=1e-14)
         assert report.residual_norm == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     def test_rank_deficient_minimum_norm(self):
         matrix = np.ones((3, 2))
         rhs = np.array([3.0, 3.0, 3.0])
-        report = solve.lstsq(plain_system(matrix, rhs))
+        report = solve.lstsq(blocks(matrix, rhs))
         oracle = pinv_by_eigendecomposition(matrix, rhs)
         np.testing.assert_allclose(report.coeffs, [1.5, 1.5], atol=1e-12)
         np.testing.assert_allclose(report.coeffs, oracle, atol=1e-12)
@@ -52,7 +57,7 @@ class TestLstsq:
             base = rng.standard_normal((20, 3))
             matrix = np.concatenate([base, base[:, :1] + base[:, 1:2]], axis=1)
             rhs = rng.standard_normal(20)
-            report = solve.lstsq(plain_system(matrix, rhs))
+            report = solve.lstsq(blocks(matrix, rhs))
             oracle = pinv_by_eigendecomposition(matrix, rhs)
             np.testing.assert_allclose(report.coeffs, oracle, atol=1e-10)
             assert np.linalg.norm(report.coeffs) <= \
@@ -63,7 +68,7 @@ class TestLstsq:
         for _ in range(20):
             matrix = rng.standard_normal((40, 7))
             rhs = rng.standard_normal(40)
-            report = solve.lstsq(plain_system(matrix, rhs))
+            report = solve.lstsq(blocks(matrix, rhs))
             grad = matrix.T @ (matrix @ report.coeffs - rhs)
             bound = 1e-8 * np.linalg.norm(matrix) * np.linalg.norm(rhs)
             assert np.linalg.norm(grad) <= bound
@@ -72,26 +77,44 @@ class TestLstsq:
         rng = np.random.default_rng(8)
         matrix = rng.standard_normal((30, 6))
         rhs = rng.standard_normal(30)
-        a = solve.lstsq(plain_system(matrix, rhs))
-        b = solve.lstsq(plain_system(matrix, rhs))
+        a = solve.lstsq(blocks(matrix, rhs))
+        b = solve.lstsq(blocks(matrix, rhs))
         assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+    def test_row_blocks_give_the_stacked_solution(self):
+        # blocks shorter than the column count, as the last one may be
+        rng = np.random.default_rng(5)
+        matrix = rng.standard_normal((50, 6))
+        rhs = rng.standard_normal(50)
+        whole = solve.lstsq(blocks(matrix, rhs))
+        parts = solve.lstsq([plain_system(matrix[i:i + 4], rhs[i:i + 4])
+                             for i in range(0, 50, 4)])
+        np.testing.assert_allclose(parts.coeffs, whole.coeffs, rtol=1e-12)
+        assert parts.residual_norm == pytest.approx(whole.residual_norm,
+                                                    rel=1e-12)
+        assert parts.rank == whole.rank == 6
+
+    def test_blocks_must_share_columns(self):
+        with pytest.raises(ValueError):
+            solve.lstsq([plain_system(np.eye(3), np.ones(3)),
+                         plain_system(np.eye(2), np.ones(2))])
 
     def test_non_finite_rejected(self):
         matrix = np.array([[1.0, np.nan]])
         with pytest.raises(NonFiniteInputError):
-            solve.lstsq(plain_system(matrix, [1.0]))
+            solve.lstsq(blocks(matrix, [1.0]))
 
     def test_rank_tol_domain(self):
         with pytest.raises(ValueError):
-            solve.lstsq(plain_system(np.eye(2), [1.0, 1.0]), rank_tol=0.0)
+            solve.lstsq(blocks(np.eye(2), [1.0, 1.0]), rank_tol=0.0)
         with pytest.raises(ValueError):
-            solve.lstsq(plain_system(np.eye(2), [1.0, 1.0]), rank_tol=1.5)
+            solve.lstsq(blocks(np.eye(2), [1.0, 1.0]), rank_tol=1.5)
 
 
 def condition(system):
     """Untruncated condition number from the solver's own spectrum: a rank
     tolerance below double precision retains every singular value."""
-    return solve.lstsq(system, rank_tol=1e-16).condition_estimate
+    return solve.lstsq([system], rank_tol=1e-16).condition_estimate
 
 
 class TestConditionReport:
