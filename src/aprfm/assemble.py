@@ -16,11 +16,15 @@ model for g trailing; boundary rows impose rho + eps g = f_bdy.  The
 mixed-scale variant replaces the eps-scaled micro/macro transport by
 derivatives of eps(x) g (product rule) and adds g itself to the micro row.
 
-Angular averages are evaluated with the supplied quadrature rule; because
-interior grids are space-major tensor products, each distinct spatial node
-is swept over the quadrature nodes exactly once.  An assembler builds the
-rows of whatever collocation set it is given; :mod:`aprfm.method` bounds
-the memory of a run by assembling it slab by slab.
+The phase model's transport terms come straight from
+``basis.column_batch`` as the derivative of each column along the
+transport direction of its velocity, v . grad_x chi; v . grad_x rho comes
+from the d axis derivatives of the small spatial model.  Angular averages
+are evaluated with the supplied quadrature rule; because interior grids
+are space-major tensor products, each distinct spatial node is swept over
+the quadrature nodes exactly once.  An assembler builds the rows of
+whatever collocation set it is given; :mod:`aprfm.method` bounds the
+memory of a run by assembling it slab by slab.
 """
 
 from dataclasses import dataclass
@@ -106,20 +110,18 @@ def _tensor_nodes(colloc):
     return xs, vs
 
 
-def _node_columns(model, xs, vs, rule):
-    """Columns of a phase-space model at every spatial node.
-
-    Returns ``(chi, dchi, chi_q, dchi_q)``: values (S, L, Z) and gradients
-    (S, L, Z, d + 1) at the velocities ``vs``, then the same at the rule
-    nodes (S, Q, ...).  Callers bound the work by assembling slabs of
-    spatial nodes (see ``aprfm.method``).
-    """
-    n_x, n_v, n_q = xs.shape[0], vs.size, rule.n_nodes
-    z, dim = model.n_columns, model.dim
-    chi, dchi = column_batch(model, _phase_points(xs, vs))
-    chi_q, dchi_q = column_batch(model, _phase_points(xs, rule.nodes))
-    return (chi.reshape(n_x, n_v, z), dchi.reshape(n_x, n_v, z, dim),
-            chi_q.reshape(n_x, n_q, z), dchi_q.reshape(n_x, n_q, z, dim))
+def _node_columns(model, xs, vs, transport=True):
+    """Columns of a phase-space model at every (spatial node, velocity)
+    pair, (S, L, Z), and with ``transport`` their derivative along each
+    velocity's transport direction, v . grad_x chi (else None).  Callers
+    bound the work by assembling slabs of spatial nodes (see
+    ``aprfm.method``)."""
+    n_x, n_v = xs.shape[0], vs.size
+    shape = (n_x, n_v, model.n_columns)
+    dirs = (np.tile(direction(xs.shape[1], vs), (n_x, 1)) if transport
+            else None)
+    chi, dchi = column_batch(model, _phase_points(xs, vs), dirs)
+    return chi.reshape(shape), (None if dchi is None else dchi.reshape(shape))
 
 
 def _boundary_columns(model, colloc):
@@ -134,14 +136,13 @@ def assemble_rfm(spec, model, colloc, rule):
     """Assemble the one-shot system over a single phase-space model."""
     _check_phase_model(spec, model, "f")
     xs, vs = _tensor_nodes(colloc)
-    dim, z = spec.spatial_dim, model.n_columns
+    z = model.n_columns
     n_int = colloc.n_interior
     n_bdy = colloc.n_boundary
 
-    chi, dchi, chi_q, _ = _node_columns(model, xs, vs, rule)
+    chi, transport = _node_columns(model, xs, vs)
+    chi_q, _ = _node_columns(model, xs, rule.nodes, transport=False)
     avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
-    transport = np.einsum("la,slza->slz", direction(dim, vs),
-                          dchi[..., :dim])
     rows = (spec.epsilon_at(xs)[:, None, None] * transport
             - avg_chi[:, None, :] + chi)
 
@@ -177,20 +178,20 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
         raise InvalidProblemError(
             "mixed-scale assembly supports 1D problems with sigma_a = 0")
 
-    chi_r, dchi_r = column_batch(rho_model, xs)
-    chi, dchi, chi_q, dchi_q = _node_columns(g_model, xs, vs, rule)
+    # v . grad_x rho at every velocity from the d axis derivatives of the
+    # small spatial model
+    trans_r = np.zeros((n_x, n_v, z_r))
+    for axis, along in enumerate(direction(dim, vs).T):
+        chi_r, d_axis = column_batch(rho_model, xs, np.eye(dim)[axis])
+        trans_r += along[None, :, None] * d_axis[:, None, :]
+    chi, trans_c = _node_columns(g_model, xs, vs)
+    chi_q, trans_q = _node_columns(g_model, xs, rule.nodes)
     if spec.mixed_scale:
         # 1D only: transport acts on eps(x) g, expanded by the product
-        # rule to eps'(x) v g + eps(x) v dg/dx
+        # rule to eps'(x) v g + eps(x) (v dg/dx)
         eps_p = spec.epsilon_prime_at(xs)[:, None, None]
-        trans_q = rule.nodes[None, :, None] * (eps_p * chi_q
-                                               + eps * dchi_q[..., 0])
-        trans_c = vs[None, :, None] * (eps_p * chi + eps * dchi[..., 0])
-    else:
-        trans_q = np.einsum("qa,sqza->sqz", direction(dim, rule.nodes),
-                            dchi_q[..., :dim])
-        trans_c = np.einsum("la,slza->slz", direction(dim, vs),
-                            dchi[..., :dim])
+        trans_q = eps_p * rule.nodes[None, :, None] * chi_q + eps * trans_q
+        trans_c = eps_p * vs[None, :, None] * chi + eps * trans_c
     avg_trans = np.einsum("q,sqz->sz", rule.weights, trans_q)
     avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
     if spec.mixed_scale:
@@ -205,8 +206,7 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
     pairs = matrix[:2 * n_int].reshape(n_x, n_v, 2, z_r + z_g)
     pairs[:, :, 0, :z_r] = (sig_a[:, None] * chi_r)[:, None, :]
     pairs[:, :, 0, z_r:] = avg_trans[:, None, :]
-    pairs[:, :, 1, :z_r] = np.einsum("la,sza->slz", direction(dim, vs),
-                                     dchi_r)
+    pairs[:, :, 1, :z_r] = trans_r
     pairs[:, :, 1, z_r:] = micro_g
     chi_rb, _ = column_batch(rho_model, colloc.boundary_x)
     matrix[2 * n_int:, :z_r] = chi_rb

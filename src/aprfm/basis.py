@@ -10,6 +10,14 @@ per-box neurons into one global approximant.
 
 Coefficient/column order everywhere is box-major, neuron-minor:
 column ``c = i * J + j``.
+
+The batched kernels use the compact support of the windows: ``phi_b``
+reaches an eighth of its box's width past each face, so a point of a
+uniform partition lies in at most two boxes per axis.  ``column_batch`` and ``model_values`` evaluate box i only
+at the points where psi~_i (or its derivative) is non-zero, found from the
+cheap (n, M) window arrays, and ``column_batch`` returns the derivative
+along one given direction, not the gradient, so no batched array carries a
+gradient axis.
 """
 
 from dataclasses import dataclass
@@ -276,97 +284,137 @@ def _axis_pou(kind, z):
     raise ValueError(f"unknown pou kind {kind!r}")
 
 
-def pou_raw_batch(partition, kind, points):
-    """Raw bump values/gradients: psi (n, M) and dpsi (n, M, d)."""
+def pou_raw_batch(partition, kind, points, direction=None):
+    """Raw bump values psi (n, M) and, given ``direction`` (n, k), their
+    derivative along it over the first k coordinates (n, M), else None.
+    The tensor product is built one axis at a time, its derivative by the
+    product rule, so no array carries a gradient axis."""
     points = np.asarray(points, dtype=float)
-    centers = partition.centers
-    radii = partition.radii
-    z = (points[:, None, :] - centers[None, :, :]) / radii[None, :, :]
-    u, du_dz = _axis_pou(kind, z)
-    du = du_dz / radii[None, :, :]
-    psi = np.prod(u, axis=2)
-    d = partition.dim
-    dpsi = np.empty(u.shape)
-    for axis in range(d):
-        rest = np.prod(np.delete(u, axis, axis=2), axis=2) if d > 1 else 1.0
-        dpsi[:, :, axis] = du[:, :, axis] * rest
+    psi = np.ones((points.shape[0], partition.n_boxes))
+    dpsi = None if direction is None else np.zeros_like(psi)
+    for axis in range(partition.dim):
+        radius = partition.radii[:, axis]
+        u, du_dz = _axis_pou(kind, (points[:, axis, None]
+                                    - partition.centers[:, axis]) / radius)
+        if dpsi is not None:
+            dpsi *= u
+            if axis < direction.shape[1]:
+                dpsi += psi * du_dz * (direction[:, axis, None] / radius)
+        psi *= u
     return psi, dpsi
 
 
-def pou_normalized_batch(partition, kind, points):
-    """Normalized bump values/gradients via the quotient rule."""
-    psi, dpsi = pou_raw_batch(partition, kind, points)
+def pou_normalized_batch(partition, kind, points, direction=None):
+    """Normalized bump values psi~ (n, M) and, given ``direction``, their
+    derivative along it (quotient rule), as in ``pou_raw_batch``."""
+    psi, dpsi = pou_raw_batch(partition, kind, points, direction)
     total = psi.sum(axis=1)
     bad = total <= 0.0
     if np.any(bad):
         where = np.asarray(points)[np.argmax(bad)]
         raise DegenerateCoverError(
             f"no partition box covers point {where}; check partition overlap")
-    dtotal = dpsi.sum(axis=1)
     psi_t = psi / total[:, None]
-    dpsi_t = (dpsi - psi_t[:, :, None] * dtotal[:, None, :]) / total[:, None, None]
+    if dpsi is None:
+        return psi_t, None
+    dpsi_t = (dpsi - psi_t * dpsi.sum(axis=1)[:, None]) / total[:, None]
     return psi_t, dpsi_t
 
 
-def _activation(name, t):
+def _activation(name, t, slope=True):
+    """Activation values at ``t`` and, if ``slope``, its derivative (else
+    None)."""
     if name == "tanh":
         value = np.tanh(t)
-        return value, 1.0 - value * value
+        return value, (1.0 - value * value if slope else None)
     if name == "sine-pi":
-        return np.sin(np.pi * t), np.pi * np.cos(np.pi * t)
+        return (np.sin(np.pi * t),
+                np.pi * np.cos(np.pi * t) if slope else None)
     raise ValueError(f"unknown activation {name!r}")
 
 
-def feature_batch(model, points):
-    """Neuron values/gradients: phi (n, M, J) and dphi (n, M, J, d)."""
-    points = np.asarray(points, dtype=float)
-    centers = model.partition.centers
-    radii = model.partition.radii
-    z = (points[:, None, :] - centers[None, :, :]) / radii[None, :, :]
-    t = np.einsum("nmd,mjd->nmj", z, model.weights.w) + model.weights.b[None]
-    phi, dact = _activation(model.activation, t)
-    dphi = dact[:, :, :, None] * (model.weights.w / radii[:, None, :])[None]
-    return phi, dphi
+def _box_rows(reach):
+    """(box, rows) for every box of an (n, M) mask with a true entry: a
+    slice when the box reaches every point, else the row indices."""
+    for i in range(reach.shape[1]):
+        rows = np.flatnonzero(reach[:, i])
+        if rows.size == reach.shape[0]:
+            yield i, slice(None)
+        elif rows.size:
+            yield i, rows
 
 
-def column_batch(model, points):
-    """Glued columns chi_c = psi~_i phi_ij and their gradients.
+def _box_features(model, i, points, slope):
+    """Neurons of box ``i`` at ``points``: phi (n, J) and, if ``slope``,
+    the activation derivative at the same arguments (else None)."""
+    z = (points - model.partition.centers[i]) / model.partition.radii[i]
+    # einsum, not @, for the thin contractions over d + 1 <= 3 axes here
+    # and in column_batch: @ hands them to the BLAS dgemm, whose threads
+    # then slow the dtpqrt folds that run between row blocks (T4 J=128
+    # cell, 2-core OpenBLAS box: solve 0.47 -> 1.07-2.01 s, assembly
+    # 0.42 -> 0.53-0.63 s)
+    t = np.einsum("nd,dj->nj", z, model.weights.w[i].T) + model.weights.b[i]
+    return _activation(model.activation, t, slope)
 
-    Returns chi (n, M*J) and dchi (n, M*J, d) in box-major column order.
+
+def column_batch(model, points, direction=None):
+    """Glued columns chi_c = psi~_i phi_ij at (n, d) points, (n, M*J) in
+    box-major column order, and, given ``direction`` ((k,) or (n, k)),
+    their derivative along it over the first k coordinates,
+
+        (d_dir psi~_i) phi_ij + psi~_i act'(t_ij) (w_ij / r_i) . dir,
+
+    else None.  Box i is evaluated only at the points where psi~_i or its
+    derivative is non-zero: every other entry is exactly zero.
     """
     points = np.asarray(points, dtype=float)
-    psi_t, dpsi_t = pou_normalized_batch(model.partition, model.pou_kind, points)
-    phi, dphi = feature_batch(model, points)
-    n = points.shape[0]
-    chi = (psi_t[:, :, None] * phi).reshape(n, model.n_columns)
-    dchi = (dpsi_t[:, :, None, :] * phi[:, :, :, None]
-            + psi_t[:, :, None, None] * dphi).reshape(n, model.n_columns, model.dim)
-    return chi, dchi
+    n, m, j = points.shape[0], model.n_boxes, model.n_features
+    if direction is not None:
+        direction = np.asarray(direction, dtype=float)
+        if direction.ndim not in (1, 2) \
+                or not 1 <= direction.shape[-1] <= model.dim:
+            raise ValueError(f"direction must have 1..{model.dim} components")
+        k = direction.shape[-1]
+        direction = np.broadcast_to(direction, (n, k))
+    psi_t, dpsi_t = pou_normalized_batch(model.partition, model.pou_kind,
+                                         points, direction)
+    chi = np.zeros((n, m, j))
+    dchi = None if direction is None else np.zeros((n, m, j))
+    reach = psi_t != 0.0 if dchi is None else (psi_t != 0.0) | (dpsi_t != 0.0)
+    for i, rows in _box_rows(reach):
+        phi, dact = _box_features(model, i, points[rows], dchi is not None)
+        chi[rows, i] = psi_t[rows, i, None] * phi
+        if dchi is not None:
+            rate = np.einsum("nk,kj->nj", direction[rows],
+                             (model.weights.w[i, :, :k]
+                              / model.partition.radii[i, :k]).T)
+            dchi[rows, i] = (dpsi_t[rows, i, None] * phi
+                             + psi_t[rows, i, None] * (dact * rate))
+    return (chi.reshape(n, m * j),
+            None if dchi is None else dchi.reshape(n, m * j))
 
 
 def model_values(model, coeffs, points):
     """Batched model evaluation, (n,) values for (n, d) points.
 
-    Evaluation is chunked internally so large grids never materialize the
-    full (n, M, J) neuron tensor at once.
+    Evaluation is chunked internally so large grids never materialize more
+    than an (n, M, J) neuron tensor's worth at once, and box i is evaluated
+    only at the points its window psi~_i reaches.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (model.n_columns,):
         raise ValueError(f"expected {model.n_columns} coefficients")
     points = np.asarray(points, dtype=float)
     c = coeffs.reshape(model.n_boxes, model.n_features)
-    centers = model.partition.centers
-    radii = model.partition.radii
     n = points.shape[0]
-    out = np.empty(n)
+    out = np.zeros(n)
     chunk = max(1, 8_000_000 // max(model.n_columns, 1))
     for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        block = points[lo:hi]
-        psi_t, _ = pou_normalized_batch(model.partition, model.pou_kind, block)
-        z = (block[:, None, :] - centers[None, :, :]) / radii[None, :, :]
-        t = np.einsum("nmd,mjd->nmj", z, model.weights.w) \
-            + model.weights.b[None]
-        phi, _ = _activation(model.activation, t)
-        out[lo:hi] = np.einsum("nm,nmj,mj->n", psi_t, phi, c)
+        block = points[lo:lo + chunk]
+        values = out[lo:lo + chunk]
+        psi_t, _ = pou_normalized_batch(model.partition, model.pou_kind,
+                                        block)
+        for i, rows in _box_rows(psi_t != 0.0):
+            phi, _ = _box_features(model, i, block[rows], False)
+            values[rows] += psi_t[rows, i] * np.einsum("nj,j->n", phi, c[i])
     return out

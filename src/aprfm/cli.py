@@ -224,6 +224,7 @@ def run(config, reference_cache=None):
         "residual_norm": solve_report.residual_norm,
         "rank": solve_report.rank,
         "condition_estimate": solve_report.condition_estimate,
+        "singular_tail": list(solve_report.singular_tail),
         # assembly and solve interleave: solve is the folds and the SVD,
         # assembly everything else up to the solution
         "timings": {"assembly": solution.assembly_s,

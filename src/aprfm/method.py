@@ -23,7 +23,7 @@ from .solve import lstsq
 
 METHODS = ("rfm", "aprfm")
 
-# Cap, in doubles, on a row block and on each feature-gradient tensor it is
+# Cap, in doubles, on a row block together with the feature columns it is
 # assembled from; it sets how many spatial nodes (or inflow points) one
 # block covers.
 _CHUNK_BUDGET = 2_000_000
@@ -93,16 +93,18 @@ class Method:
     def blocks(self, colloc, rule):
         """The rescaled system on ``colloc`` as row blocks, in row order:
         slabs of spatial nodes (each with every velocity), then the inflow
-        rows.  A block and each feature-gradient tensor behind it hold at
-        most ``_CHUNK_BUDGET`` doubles (at least one node or point each).
+        rows.  A block and the phase-model columns behind it (values and
+        transport derivatives at every velocity and rule node of a spatial
+        node; values at an inflow point) hold at most ``_CHUNK_BUDGET``
+        doubles together (at least one node or point each).
         """
         n_x, n_v = colloc.spatial_nodes.shape[0], colloc.velocity_nodes.size
         z = sum(model.n_columns for model in self.models)
-        phase = self.models[-1]  # f for rfm, g for aprfm
+        z_phase = self.models[-1].n_columns  # f for rfm, g for aprfm
         rows_per_point = 1 if self.name == "rfm" else 2
-        node_cost = max(rows_per_point * n_v * z,
-                        (n_v + rule.n_nodes) * phase.n_columns * phase.dim)
-        point_cost = max(z, phase.n_columns * phase.dim)
+        node_cost = (rows_per_point * n_v * z
+                     + 2 * (n_v + rule.n_nodes) * z_phase)
+        point_cost = z + z_phase
         step = max(1, _CHUNK_BUDGET // node_cost)
         b_step = max(1, _CHUNK_BUDGET // point_cost)
         none = slice(0, 0)

@@ -23,15 +23,21 @@ from .errors import NonFiniteInputError
 # than 32, and 8 or 64 were slower still.
 _FOLD_BLOCK = 16
 
+# How many of the smallest retained singular values a report keeps.
+_TAIL = 8
+
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution of min ||A theta - b||_2 plus diagnostics."""
+    """Solution of min ||A theta - b||_2 plus diagnostics.
+    ``singular_tail`` holds the smallest retained singular values of A
+    (at most ``_TAIL``), largest first."""
 
     coeffs: np.ndarray
     residual_norm: float
     rank: int
     condition_estimate: float
+    singular_tail: tuple
     wall_time: float
 
     def __post_init__(self):
@@ -92,4 +98,6 @@ def lstsq(blocks, rank_tol=1e-12):
     condition = float(sing[0] / retained[-1]) if retained[-1] > 0 else np.inf
     elapsed += time.perf_counter() - start
     return SolveReport(coeffs=coeffs, residual_norm=residual, rank=int(rank),
-                       condition_estimate=condition, wall_time=elapsed)
+                       condition_estimate=condition,
+                       singular_tail=tuple(map(float, retained[-_TAIL:])),
+                       wall_time=elapsed)

@@ -3,13 +3,17 @@
 The solver helpers map their arguments onto a ``cli.RunConfig`` and solve
 through ``aprfm.method``, the path the CLI ships.  ``stack_blocks`` and
 ``dense_lstsq`` rebuild the whole matrix and solve it the pre-streaming
-way, as references for the streamed solve."""
+way, as references for the streamed solve; ``dense_column_batch``,
+``dense_model_values`` and ``dense_assembly`` evaluate every box at every
+point with full gradients, as references for the support-restricted
+directional kernel."""
 
 import numpy as np
 import scipy.linalg
 
-from aprfm import assemble, cli, collocation, reference
+from aprfm import assemble, basis, cli, collocation, reference
 from aprfm.method import Method, solve
+from aprfm.problems import direction
 from aprfm.solve import SolveReport
 
 
@@ -73,7 +77,7 @@ def dense_lstsq(system, rank_tol=1e-12):
                                                           - rhs)),
                        rank=int(rank),
                        condition_estimate=float(sing[0] / retained[-1]),
-                       wall_time=0.0)
+                       singular_tail=tuple(retained[-8:]), wall_time=0.0)
 
 
 def solve_aprfm(spec, j_rho, j_g, n_spatial, n_velocity, m_spatial=(1,),
@@ -132,6 +136,115 @@ def exact_field_for(spec):
 def exact_rho_field(spec):
     xs = collocation.evaluation_spatial_grid(spec)
     return reference.GridField(points=xs, values=spec.exact_rho(xs))
+
+
+# -- every box at every point, full gradients: the kernel's reference -------
+
+def _dense_windows(partition, kind, points):
+    """Normalized bump values (n, M) and gradients (n, M, d)."""
+    z = (points[:, None, :] - partition.centers) / partition.radii
+    u, du_dz = basis._axis_pou(kind, z)
+    du = du_dz / partition.radii
+    psi = np.prod(u, axis=2)
+    dpsi = np.empty(u.shape)
+    for axis in range(partition.dim):
+        dpsi[:, :, axis] = du[:, :, axis] * np.prod(
+            np.delete(u, axis, axis=2), axis=2)
+    total = psi.sum(axis=1)
+    psi_t = psi / total[:, None]
+    dpsi_t = (dpsi - psi_t[:, :, None] * dpsi.sum(axis=1)[:, None, :]) \
+        / total[:, None, None]
+    return psi_t, dpsi_t
+
+
+def _dense_features(model, points):
+    """Neuron values (n, M, J) and gradients (n, M, J, d)."""
+    partition = model.partition
+    z = (points[:, None, :] - partition.centers) / partition.radii
+    t = np.einsum("nmd,mjd->nmj", z, model.weights.w) + model.weights.b
+    phi, dact = basis._activation(model.activation, t)
+    return phi, dact[..., None] * (model.weights.w
+                                   / partition.radii[:, None, :])
+
+
+def dense_column_batch(model, points):
+    """Columns chi (n, Z) and full gradients (n, Z, d), every box at
+    every point."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    psi_t, dpsi_t = _dense_windows(model.partition, model.pou_kind, points)
+    phi, dphi = _dense_features(model, points)
+    chi = (psi_t[:, :, None] * phi).reshape(n, model.n_columns)
+    dchi = (dpsi_t[:, :, None, :] * phi[..., None]
+            + psi_t[:, :, None, None] * dphi)
+    return chi, dchi.reshape(n, model.n_columns, model.dim)
+
+
+def dense_model_values(model, coeffs, points):
+    points = np.asarray(points, dtype=float)
+    psi_t, _ = _dense_windows(model.partition, model.pou_kind, points)
+    phi, _ = _dense_features(model, points)
+    return np.einsum("nm,nmj,mj->n", psi_t, phi,
+                     np.reshape(coeffs, (model.n_boxes, model.n_features)))
+
+
+def dense_assembly(meth, colloc, rule):
+    """The unscaled matrix of ``meth`` on a tensor-grid ``colloc`` from
+    dense columns and gradients, with the transport direction contracted
+    afterwards."""
+    spec = meth.spec
+    dim = spec.spatial_dim
+    xs, vs = colloc.spatial_nodes, colloc.velocity_nodes
+    n_x = xs.shape[0]
+    phase = meth.models[-1]
+
+    def node_columns(nodes):
+        chi, dchi = dense_column_batch(phase, assemble._phase_points(xs, nodes))
+        return (chi.reshape(n_x, nodes.size, -1),
+                dchi.reshape(n_x, nodes.size, phase.n_columns, dim + 1))
+
+    def transport(nodes, dchi):
+        return np.einsum("la,slza->slz", direction(dim, nodes),
+                         dchi[..., :dim])
+
+    chi, dchi = node_columns(vs)
+    chi_q, dchi_q = node_columns(rule.nodes)
+    avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
+    eps = spec.epsilon_at(xs)[:, None, None]
+    chi_b, _ = dense_column_batch(phase, np.column_stack(
+        [colloc.boundary_x, colloc.boundary_v]))
+    if meth.name == "rfm":
+        rows = eps * transport(vs, dchi) - avg_chi[:, None, :] + chi
+        return np.concatenate([rows.reshape(-1, phase.n_columns), chi_b])
+    rho_model = meth.models[0]
+    sig_s = spec.sigma_s(xs)[:, None, None]
+    sig_a = spec.sigma_a(xs)
+    if spec.mixed_scale:
+        eps_p = spec.epsilon_prime_at(xs)[:, None, None]
+        trans_q = rule.nodes[None, :, None] * (eps_p * chi_q
+                                               + eps * dchi_q[..., 0])
+        trans_c = vs[None, :, None] * (eps_p * chi + eps * dchi[..., 0])
+    else:
+        trans_q, trans_c = transport(rule.nodes, dchi_q), transport(vs, dchi)
+    avg_trans = np.einsum("q,sqz->sz", rule.weights, trans_q)
+    if spec.mixed_scale:
+        micro_g = trans_c - avg_trans[:, None, :] + chi
+    else:
+        micro_g = (eps * (trans_c - avg_trans[:, None, :])
+                   + sig_s * (chi - avg_chi[:, None, :])
+                   + eps * eps * sig_a[:, None, None] * chi)
+    chi_r, dchi_r = dense_column_batch(rho_model, xs)
+    z_r = rho_model.n_columns
+    pairs = np.empty((n_x, vs.size, 2, z_r + phase.n_columns))
+    pairs[:, :, 0, :z_r] = (sig_a[:, None] * chi_r)[:, None, :]
+    pairs[:, :, 0, z_r:] = avg_trans[:, None, :]
+    pairs[:, :, 1, :z_r] = np.einsum("la,sza->slz", direction(dim, vs),
+                                     dchi_r)
+    pairs[:, :, 1, z_r:] = micro_g
+    boundary = np.concatenate(
+        [dense_column_batch(rho_model, colloc.boundary_x)[0],
+         spec.epsilon_at(colloc.boundary_x)[:, None] * chi_b], axis=1)
+    return np.concatenate([pairs.reshape(-1, pairs.shape[-1]), boundary])
 
 
 # -- plain source iteration, the reference for the oracle's fast solves ------

@@ -5,7 +5,9 @@ import pytest
 
 from aprfm import assemble, basis, collocation, problems, quadrature, solve
 from aprfm.errors import DegenerateRowError
-from helpers import build_f_model, build_models, exact_field_for, rfm_f_error
+from aprfm.method import Method
+from helpers import (build_f_model, build_models, dense_assembly,
+                     exact_field_for, rfm_f_error, run_config)
 
 EPS_PROFILE_AT_HALF = 0.7715941559557649
 
@@ -236,6 +238,36 @@ class TestMicroMacroRows:
                                                                   abs=5e-6)
             assert system.matrix[2 * k + 1] @ coeffs == pytest.approx(
                 micro, abs=5e-6)
+
+
+DENSE_CASES = {
+    "ex1-rfm": ("ex1", 1e-2, "rfm", (16,), 32, dict(j=16)),
+    "ex1-aprfm": ("ex1", 1e-8, "aprfm", (16,), 32, dict(jrho=8, jg=8)),
+    "ex3-mixed": ("ex3", None, "aprfm", (16,), 32,
+                  dict(jrho=8, jg=8, m_spatial=(2,), m_velocity=2)),
+    "ex6-mv4": ("ex6", 1.0, "aprfm", (8, 8), 16,
+                dict(jrho=8, jg=8, m_velocity=4)),
+    "ex5-mv8-phi_a": ("ex5", 1.0, "aprfm", (8, 8), 16,
+                      dict(jrho=8, jg=8, m_velocity=8, pou_kind="phi_a")),
+}
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("case", DENSE_CASES.values(),
+                             ids=DENSE_CASES.keys())
+    def test_matrix_matches_dense_assembly(self, case):
+        # the directional, support-restricted kernel against every box at
+        # every point with full gradients
+        problem, eps, name, n_spatial, n_velocity, features = case
+        spec = problems.catalog(problem, eps)
+        config = run_config(spec, name, n_spatial, n_velocity, **features)
+        rule = quadrature.angular_rule(spec.spatial_dim, config.nq)
+        colloc = collocation.build_collocation(spec, n_spatial, n_velocity)
+        meth = Method.build(spec, config)
+        matrix = meth.assemble(colloc, rule).matrix
+        ref = dense_assembly(meth, colloc, rule)
+        np.testing.assert_allclose(matrix, ref, rtol=0,
+                                   atol=1e-14 * np.abs(ref).max())
 
 
 class TestRescaleRows:

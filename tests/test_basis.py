@@ -3,6 +3,7 @@ import pytest
 
 from aprfm import basis
 from aprfm.errors import DegenerateCoverError
+from helpers import dense_column_batch, dense_model_values
 
 
 def unit_square_partition(counts=(1, 1)):
@@ -138,35 +139,88 @@ class TestFeatureEval:
             np.testing.assert_allclose(grad, fd, atol=1e-6 * scale)
             checked += 1
 
-    def test_glued_column_gradient_matches_finite_differences(self):
-        # gradient of the normalized-bump-times-neuron columns, checked off
-        # the bump joints |z| in {3/4, 5/4}
-        part = basis.uniform_partition([(0.0, 1.0), (-1.0, 1.0)], (2, 2))
-        model = basis.make_model(part, 4, seed=5)
-        rng = np.random.default_rng(19)
+
+# phase-space partitions: space x velocity in 2D, space^2 x angle in 3D
+PHASE_BOUNDS = {2: ([(0.0, 1.0), (-1.0, 1.0)], (2, 3)),
+                3: ([(0.0, 1.0), (0.0, 1.0), (0.0, 2 * np.pi)], (2, 1, 3))}
+
+
+def phase_model(dim, counts=None, **kwargs):
+    bounds, default = PHASE_BOUNDS[dim]
+    part = basis.uniform_partition(bounds, counts or default)
+    return basis.make_model(part, 4, seed=5, range_b=2.0, **kwargs)
+
+
+def random_points(model, n, seed):
+    lo = model.partition.centers - model.partition.radii
+    hi = model.partition.centers + model.partition.radii
+    return np.random.default_rng(seed).uniform(lo.min(axis=0),
+                                               hi.max(axis=0),
+                                               size=(n, model.dim))
+
+
+class TestColumnKernel:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("pou_kind", basis.POU_KINDS)
+    @pytest.mark.parametrize("activation", basis.ACTIVATIONS)
+    def test_directional_derivative_matches_finite_differences(
+            self, activation, pou_kind, dim):
+        # derivative of the glued columns along a spatial direction (the
+        # last axis is velocity), checked off the window joints: on flat
+        # and ramp parts of the windows and outside their support
+        model = phase_model(dim, activation=activation, pou_kind=pou_kind)
+        part = model.partition
+        pts = random_points(model, 400, seed=19)
+        dirs = np.random.default_rng(3).standard_normal((400, dim - 1))
+        joints = np.array([1.0] if pou_kind == "phi_a" else [0.75, 1.25])
+        az = np.abs((pts[:, None, :] - part.centers) / part.radii)
+        off = np.all(np.abs(az[..., None] - joints) > 1e-3, axis=(1, 2, 3))
+        pts, dirs, az = pts[off], dirs[off], az[off]
         h = 1e-6
-        joints = np.array([0.75, 1.25])
+        step = h * np.pad(dirs, ((0, 0), (0, 1)))
+        chi, dchi = basis.column_batch(model, pts, dirs)
+        up, _ = basis.column_batch(model, pts + step)
+        dn, _ = basis.column_batch(model, pts - step)
+        fd = (up - dn) / (2 * h)
+        np.testing.assert_allclose(dchi, fd, rtol=0,
+                                   atol=1e-6 * max(np.abs(fd).max(), 1.0))
+        np.testing.assert_array_equal(chi, basis.column_batch(model, pts)[0])
 
-        def off_joints(point):
-            z = (point[None, :] - part.centers) / part.radii
-            return np.all(np.abs(np.abs(z)[:, :, None] - joints) > 1e-3)
+        edge = 1.0 if pou_kind == "phi_a" else 0.75
+        outside = np.any(az > (1.0 if pou_kind == "phi_a" else 1.25), axis=2)
+        flat = np.all(az <= edge, axis=2)
+        ramp = ~outside & ~flat
+        assert outside.sum() > 20 and flat.sum() > 20
+        assert ramp.sum() > 20 if pou_kind == "phi_b" else not ramp.any()
+        per_box = (len(pts), model.n_boxes, model.n_features)
+        assert not np.any(dchi.reshape(per_box)[outside])
+        assert not np.any(chi.reshape(per_box)[outside])
 
-        checked = 0
-        while checked < 60:
-            y = rng.uniform([0.01, -0.99], [0.99, 0.99])
-            if not off_joints(y):
-                continue
-            _, dchi = basis.column_batch(model, y[None, :])
-            fd = np.empty((model.n_columns, 2))
-            for axis in range(2):
-                step = np.zeros(2)
-                step[axis] = h
-                up, _ = basis.column_batch(model, (y + step)[None, :])
-                dn, _ = basis.column_batch(model, (y - step)[None, :])
-                fd[:, axis] = (up[0] - dn[0]) / (2 * h)
-            scale = max(np.abs(fd).max(), 1.0)
-            np.testing.assert_allclose(dchi[0], fd, atol=2e-6 * scale)
-            checked += 1
+    @pytest.mark.parametrize("counts", [(2, 1), (1, 4), (1, 8), (2, 1, 4)],
+                             ids=["mx2", "mv4", "mv8", "3d-mv4"])
+    @pytest.mark.parametrize("activation", basis.ACTIVATIONS)
+    def test_matches_dense_reference(self, activation, counts):
+        model = phase_model(len(counts), counts, activation=activation)
+        pts = random_points(model, 500, seed=4)
+        dirs = np.random.default_rng(5).standard_normal((500,
+                                                         model.dim - 1))
+        chi, dchi = basis.column_batch(model, pts, dirs)
+        chi_ref, grad_ref = dense_column_batch(model, pts)
+        dchi_ref = np.einsum("nzk,nk->nz", grad_ref[..., :-1], dirs)
+        for got, ref in ((chi, chi_ref), (dchi, dchi_ref)):
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-14 * np.abs(ref).max())
+            np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+        coeffs = np.random.default_rng(6).standard_normal(model.n_columns)
+        ref = dense_model_values(model, coeffs, pts)
+        np.testing.assert_allclose(basis.model_values(model, coeffs, pts),
+                                   ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+    def test_direction_components_checked(self):
+        model = phase_model(2)
+        with pytest.raises(ValueError):
+            basis.column_batch(model, random_points(model, 3, 0),
+                               np.ones(3))
 
 
 class TestFeatureWeights:

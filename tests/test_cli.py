@@ -32,6 +32,12 @@ class TestRun:
         assert report["config"]["nq"] == 16
         assert report["config"]["b_range"] == 1.0
         assert report["lambda_stats"]["max"] >= report["lambda_stats"]["min"]
+        # the smallest retained singular values, largest first, and the
+        # condition estimate is the largest over the smallest of them
+        tail = report["singular_tail"]
+        assert len(tail) == min(8, report["rank"])
+        assert tail == sorted(tail, reverse=True) and tail[-1] > 0
+        assert report["condition_estimate"] * tail[-1] >= tail[0]
         # disjoint stages of the run
         timings = report["timings"]
         stages = [timings.pop(name) for name in ("assembly", "solve",

@@ -37,6 +37,24 @@ class TestLstsq:
         assert report.residual_norm < 1e-14
         assert report.rank == 3
 
+    def test_singular_tail_is_smallest_retained(self):
+        # singular values 1e0 .. 1e-9, 1e-14 and 0: rank_tol 1e-10 keeps
+        # the first ten
+        rng = np.random.default_rng(2)
+        u, _ = np.linalg.qr(rng.standard_normal((40, 12)))
+        v, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        sing = np.concatenate([10.0 ** -np.arange(10.0), [1e-14, 0.0]])
+        report = solve.lstsq(blocks((u * sing) @ v.T, rng.standard_normal(40)),
+                             rank_tol=1e-10)
+        assert report.rank == 10
+        np.testing.assert_allclose(report.singular_tail, sing[2:10],
+                                   rtol=1e-6)
+        assert report.condition_estimate == pytest.approx(
+            report.singular_tail[0] / report.singular_tail[-1] * 1e2,
+            rel=1e-6)
+        short = solve.lstsq(blocks(np.diag([3.0, 2.0]), [1.0, 1.0]))
+        assert short.singular_tail == pytest.approx((3.0, 2.0), rel=1e-14)
+
     def test_inconsistent_rows_average(self):
         report = solve.lstsq(blocks([[1.0], [1.0]], [0.0, 2.0]))
         assert report.coeffs[0] == pytest.approx(1.0, abs=1e-14)
