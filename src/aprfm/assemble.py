@@ -4,17 +4,21 @@ One-shot ("rfm") rows discretize
 
     eps(x) v . grad_x f - mean_v f + f = rfm_source
 
-over a single phase-space feature model.  Micro-macro ("aprfm") rows come
-in pairs per interior collocation point,
+over a single phase-space feature model.  Micro-macro ("aprfm") systems
+have one macro row per spatial node, which has no velocity in it, and one
+micro row per interior collocation point (x, v),
 
     macro:  mean_v(v . grad_x g) + sigma_a rho = macro_source,
     micro:  v . grad_x rho + eps (Id - P)(v . grad_x g)
             - sigma_s (mean_v g - g) + eps^2 sigma_a g = micro_source,
 
 with the spatial model for rho in the leading column block and the phase
-model for g trailing; boundary rows impose rho + eps g = f_bdy.  The
-mixed-scale variant replaces the eps-scaled micro/macro transport by
-derivatives of eps(x) g (product rule) and adds g itself to the micro row.
+model for g trailing; boundary rows impose rho + eps g = f_bdy.  The rows
+come macro first, then micro, then boundary.  A macro row stands for the
+n_v identical rows of its node's velocities, so the solve weights it by
+sqrt(n_v) (see ``aprfm.method``).  The mixed-scale variant replaces the
+eps-scaled micro/macro transport by derivatives of eps(x) g (product rule)
+and adds g itself to the micro row.
 
 The phase model's transport terms come straight from
 ``basis.column_batch`` as the derivative of each column along the
@@ -27,6 +31,7 @@ whatever collocation set it is given; :mod:`aprfm.method` bounds the
 memory of a run by assembling it slab by slab.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +48,10 @@ ROW_MACRO, ROW_MICRO, ROW_RFM, ROW_BOUNDARY = range(len(ROW_KINDS))
 @dataclass(frozen=True)
 class LinearSystem:
     """Dense system A theta ~ b with per-row kind codes (see ``ROW_KINDS``)
-    and rescale factors."""
+    and row weights ``lam``: the least-squares problem is
+    min ||diag(lam) (A theta - b)||, and ``matrix`` and ``rhs`` stay
+    unweighted.  ``n_interior`` counts the interior collocation points (one
+    rfm or micro row each); macro rows come on top of them."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -65,9 +73,8 @@ class LinearSystem:
         if self.rhs.shape != (n,) or self.row_kind.shape != (n,) \
                 or self.lam.shape != (n,):
             raise ValueError("row metadata does not match the matrix")
-        paired = np.any(kinds == ROW_MACRO)
-        expected = (2 if paired else 1) * self.n_interior + self.n_boundary
-        if n != expected:
+        n_macro = np.count_nonzero(kinds == ROW_MACRO)
+        if n != n_macro + self.n_interior + self.n_boundary:
             raise ValueError("row count does not match interior/boundary counts")
 
     @property
@@ -161,7 +168,8 @@ def assemble_rfm(spec, model, colloc, rule):
 
 
 def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
-    """Assemble the micro-macro system (macro/micro row pair per point)."""
+    """Assemble the micro-macro system: a macro row per spatial node, then a
+    micro row per interior point, then the boundary rows."""
     _check_spatial_model(spec, rho_model, "rho")
     _check_phase_model(spec, g_model, "g")
     xs, vs = _tensor_nodes(colloc)
@@ -201,52 +209,48 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
                    + sig_s * (chi - avg_chi[:, None, :])
                    + (eps * eps) * sig_a[:, None, None] * chi)
 
-    matrix = np.empty((2 * n_int + n_bdy, z_r + z_g))
-    # (macro, micro) row pair of every interior point, as a view
-    pairs = matrix[:2 * n_int].reshape(n_x, n_v, 2, z_r + z_g)
-    pairs[:, :, 0, :z_r] = (sig_a[:, None] * chi_r)[:, None, :]
-    pairs[:, :, 0, z_r:] = avg_trans[:, None, :]
-    pairs[:, :, 1, :z_r] = trans_r
-    pairs[:, :, 1, z_r:] = micro_g
+    n_rows = n_x + n_int + n_bdy
+    bdy = n_x + n_int
+    matrix = np.empty((n_rows, z_r + z_g))
+    matrix[:n_x, :z_r] = sig_a[:, None] * chi_r
+    matrix[:n_x, z_r:] = avg_trans
+    # the micro rows of every (node, velocity) pair, as a view
+    micro = matrix[n_x:bdy].reshape(n_x, n_v, z_r + z_g)
+    micro[:, :, :z_r] = trans_r
+    micro[:, :, z_r:] = micro_g
     chi_rb, _ = column_batch(rho_model, colloc.boundary_x)
-    matrix[2 * n_int:, :z_r] = chi_rb
-    matrix[2 * n_int:, z_r:] = (spec.epsilon_at(colloc.boundary_x)[:, None]
-                                * _boundary_columns(g_model, colloc))
+    matrix[bdy:, :z_r] = chi_rb
+    matrix[bdy:, z_r:] = (spec.epsilon_at(colloc.boundary_x)[:, None]
+                          * _boundary_columns(g_model, colloc))
 
-    rhs = np.empty(2 * n_int + n_bdy)
-    rhs[0:2 * n_int:2] = np.repeat(spec.macro_source(xs), n_v)
-    rhs[1:2 * n_int:2] = spec.micro_source(colloc.interior_x,
-                                           colloc.interior_v)
-    rhs[2 * n_int:] = colloc.boundary_value
-
-    row_kind = np.empty(2 * n_int + n_bdy, dtype=np.uint8)
-    row_kind[0:2 * n_int:2] = ROW_MACRO
-    row_kind[1:2 * n_int:2] = ROW_MICRO
-    row_kind[2 * n_int:] = ROW_BOUNDARY
+    rhs = np.concatenate([spec.macro_source(xs),
+                          spec.micro_source(colloc.interior_x,
+                                            colloc.interior_v),
+                          colloc.boundary_value])
+    row_kind = np.repeat(np.array([ROW_MACRO, ROW_MICRO, ROW_BOUNDARY],
+                                  dtype=np.uint8), [n_x, n_int, n_bdy])
     return LinearSystem(matrix=matrix, rhs=rhs, row_kind=row_kind,
-                        lam=np.ones(2 * n_int + n_bdy),
+                        lam=np.ones(n_rows),
                         n_interior=n_int, n_boundary=n_bdy, n_rho_columns=z_r)
 
 
 def rescale_rows(system, first_row=0):
-    """Scale every row so its largest entry has absolute value one.
+    """Set the row weights so that every weighted row's largest entry has
+    absolute value one.  The matrix is not copied: the solve applies the
+    weights as it reads the rows.
 
     ``system`` may be a row block of a larger system whose first row has
     index ``first_row``; an all-zero row is reported by that global index.
     """
-    row_max = np.max(np.abs(system.matrix), axis=1)
+    # max |a_ij| over j without an |A| temporary
+    matrix = system.matrix
+    row_max = np.abs(system.lam) * np.maximum(matrix.max(axis=1),
+                                              -matrix.min(axis=1))
     if np.any(row_max == 0.0):
         idx = int(np.argmax(row_max == 0.0))
         raise DegenerateRowError(first_row + idx,
                                  ROW_KINDS[system.row_kind[idx]])
-    factor = 1.0 / row_max
-    return LinearSystem(matrix=system.matrix * factor[:, None],
-                        rhs=system.rhs * factor,
-                        row_kind=system.row_kind,
-                        lam=system.lam * factor,
-                        n_interior=system.n_interior,
-                        n_boundary=system.n_boundary,
-                        n_rho_columns=system.n_rho_columns)
+    return dataclasses.replace(system, lam=system.lam / row_max)
 
 
 def split_coefficients(system, coeffs):

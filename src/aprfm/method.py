@@ -4,7 +4,7 @@ The solvers differ only in how f is represented: ``rfm`` uses one
 phase-space feature model, ``aprfm`` a spatial model for rho and a
 phase-space model for g with f = rho + eps g.  :class:`Method` holds the
 models for one problem and one configuration and assembles its system as
-rescaled row blocks; :func:`solve` runs collocation and streams those
+weighted row blocks; :func:`solve` runs collocation and streams those
 blocks into the least-squares solve, so the full N x Z matrix is never
 held.  The CLI and the test suite both go through :func:`solve`.
 """
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import collocation
-from .assemble import assemble_aprfm, assemble_rfm, reconstruct_f, rescale_rows
+from .assemble import (ROW_MACRO, assemble_aprfm, assemble_rfm,
+                       reconstruct_f, rescale_rows)
 from .basis import make_model, model_values, uniform_partition
 from .quadrature import angular_rule
 from .solve import lstsq
@@ -91,18 +92,25 @@ class Method:
         return assemble_aprfm(self.spec, *self.models, colloc, rule)
 
     def blocks(self, colloc, rule):
-        """The rescaled system on ``colloc`` as row blocks, in row order:
+        """The weighted system on ``colloc`` as row blocks, in row order:
         slabs of spatial nodes (each with every velocity), then the inflow
         rows.  A block and the phase-model columns behind it (values and
         transport derivatives at every velocity and rule node of a spatial
         node; values at an inflow point) hold at most ``_CHUNK_BUDGET``
         doubles together (at least one node or point each).
+
+        Each block's weights rescale its rows to unit max-abs entries; an
+        aprfm macro row, which stands for the n_v identical rows of its
+        node's velocities, is then weighted by sqrt(n_v), so the
+        least-squares objective is that of the repeated rows:
+        n_v r^2 = (sqrt(n_v) r)^2.  The weight goes in after rescaling,
+        which would otherwise remove it.
         """
         n_x, n_v = colloc.spatial_nodes.shape[0], colloc.velocity_nodes.size
         z = sum(model.n_columns for model in self.models)
         z_phase = self.models[-1].n_columns  # f for rfm, g for aprfm
-        rows_per_point = 1 if self.name == "rfm" else 2
-        node_cost = (rows_per_point * n_v * z
+        rows_per_node = n_v if self.name == "rfm" else n_v + 1
+        node_cost = (rows_per_node * z
                      + 2 * (n_v + rule.n_nodes) * z_phase)
         point_cost = z + z_phase
         step = max(1, _CHUNK_BUDGET // node_cost)
@@ -111,13 +119,15 @@ class Method:
         parts = ([(slice(s, s + step), none) for s in range(0, n_x, step)]
                  + [(none, slice(b, b + b_step))
                     for b in range(0, colloc.n_boundary, b_step)])
+        macro_weight = np.sqrt(n_v)
         first_row = 0
         for nodes, inflow in parts:
             block = rescale_rows(
                 self.assemble(_restrict(colloc, nodes, inflow), rule),
                 first_row=first_row)
             first_row += block.n_rows
-            yield block
+            weight = np.where(block.row_kind == ROW_MACRO, macro_weight, 1.0)
+            yield dataclasses.replace(block, lam=weight * block.lam)
 
     def f_values(self, coeffs, x, v):
         """f at the phase points (x, v), x (n, d) and v (n,)."""
@@ -148,7 +158,8 @@ class Method:
 class Solution:
     """One solved configuration.  ``assembly_s`` is the run's time outside
     the least-squares folds and SVD: models, collocation and the row
-    blocks.  ``lam`` holds the row rescale factors of the whole system."""
+    blocks.  ``lam`` holds the row weights of the whole system: the rescale
+    factors, times sqrt(n_v) on aprfm's macro rows."""
 
     method: Method
     rule: object
@@ -160,7 +171,7 @@ class Solution:
 
 def solve(spec, config):
     """Build the models of ``config`` (a resolved ``RunConfig``) on
-    ``spec``, then collocate and fold the rescaled row blocks into the
+    ``spec``, then collocate and fold the weighted row blocks into the
     least-squares solve."""
     start = time.perf_counter()
     rule = angular_rule(spec.spatial_dim, config.nq)

@@ -234,16 +234,7 @@ class _SweepGroup:
         self.flip1 = np.cos(self.angles[0]) < 0
         self.flip2 = np.sin(self.angles[0]) < 0
         n1, n2 = mask.shape
-
-        def orient(arr):
-            out = arr
-            if self.flip1:
-                out = np.flip(out, axis=-2)
-            if self.flip2:
-                out = np.flip(out, axis=-1)
-            return np.ascontiguousarray(out)
-
-        self.orient = orient
+        orient = self.orient
         p1 = -1 if self.flip1 else 1
         p2 = -1 if self.flip2 else 1
         v1 = np.abs(np.cos(self.angles))
@@ -296,6 +287,16 @@ class _SweepGroup:
             if np.any(sel):
                 fronts.append((ii[sel], jj[sel]))
         self.fronts = fronts
+
+    def orient(self, arr):
+        """``arr`` flipped over its last two axes into the group's sweep
+        frame, or back: the flips are their own inverse."""
+        out = arr
+        if self.flip1:
+            out = np.flip(out, axis=-2)
+        if self.flip2:
+            out = np.flip(out, axis=-1)
+        return np.ascontiguousarray(out)
 
     def sweep(self, source_fields):
         """Solve the oriented transport sweep; sources in original frame."""

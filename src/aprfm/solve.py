@@ -47,11 +47,18 @@ class SolveReport:
 
 
 def _fold(r, block):
-    """Fold one block's rows [A_k | b_k] into the triangular factor r."""
+    """Fold one block's weighted rows diag(lam_k) [A_k | b_k] into the
+    triangular factor r.  The weights are applied in the Fortran-ordered
+    buffer that ``dtpqrt`` reads, after the transposing copy into it: on
+    the 2-core box, copying then scaling a 1536 x 577 block in place took
+    1.9 ms, one ``np.multiply`` from C into Fortran order 7.7 ms."""
     z = block.n_columns
     rows = np.empty((block.n_rows, z + 1), order="F")
     rows[:, :z] = block.matrix
-    rows[:, z] = block.rhs
+    rows[:, :z] *= block.lam[:, None]
+    np.multiply(block.rhs, block.lam, out=rows[:, z])
+    if not np.all(np.isfinite(rows)):
+        raise NonFiniteInputError("system contains non-finite entries")
     r, _, _, info = dtpqrt(0, min(_FOLD_BLOCK, z + 1), r, rows,
                            overwrite_a=1, overwrite_b=1)
     if info != 0:
@@ -60,8 +67,9 @@ def _fold(r, block):
 
 
 def lstsq(blocks, rank_tol=1e-12):
-    """Minimum-norm least-squares solution of the system stacked from the
-    ``LinearSystem`` row blocks in ``blocks`` (any iterable, read once).
+    """Minimum-norm least-squares solution of the weighted system
+    diag(lam) A theta ~ diag(lam) b stacked from the ``LinearSystem`` row
+    blocks in ``blocks`` (any iterable, read once).
 
     Singular values below ``rank_tol`` times the largest are treated as
     zero; the condition estimate is the ratio of the largest retained
@@ -75,9 +83,6 @@ def lstsq(blocks, rank_tol=1e-12):
     for block in blocks:
         if block.matrix.size == 0:
             continue
-        if not np.all(np.isfinite(block.matrix)) \
-                or not np.all(np.isfinite(block.rhs)):
-            raise NonFiniteInputError("system contains non-finite entries")
         start = time.perf_counter()
         if r is None:
             r = np.zeros((block.n_columns + 1,) * 2, order="F")

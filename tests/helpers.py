@@ -3,7 +3,9 @@
 The solver helpers map their arguments onto a ``cli.RunConfig`` and solve
 through ``aprfm.method``, the path the CLI ships.  ``stack_blocks`` and
 ``dense_lstsq`` rebuild the whole matrix and solve it the pre-streaming
-way, as references for the streamed solve; ``dense_column_batch``,
+way, as references for the streamed solve; ``repeated_macro_blocks``
+writes each macro row once per velocity, unweighted, as the reference for
+the weighted single macro row; ``dense_column_batch``,
 ``dense_model_values`` and ``dense_assembly`` evaluate every box at every
 point with full gradients, as references for the support-restricted
 directional kernel."""
@@ -65,10 +67,35 @@ def stack_blocks(blocks):
         n_rho_columns=blocks[0].n_rho_columns)
 
 
+def weighted(system):
+    """The rows the solve sees, diag(lam) A and diag(lam) b."""
+    return system.matrix * system.lam[:, None], system.rhs * system.lam
+
+
+def repeated_macro_blocks(meth, colloc, rule):
+    """The row blocks of an aprfm ``meth.blocks`` in the layout before the
+    macro rows were compressed: every interior point carries its node's
+    macro row next to its micro row, (macro, micro) pairs in point order,
+    and the rows are rescaled with no macro weight."""
+    n_v = colloc.velocity_nodes.size
+    for block in meth.blocks(colloc, rule):
+        n_x = np.count_nonzero(block.row_kind == assemble.ROW_MACRO)
+        n_int = block.n_interior
+        order = np.empty(2 * n_int, dtype=int)
+        order[0::2] = np.repeat(np.arange(n_x), n_v)
+        order[1::2] = n_x + np.arange(n_int)
+        order = np.concatenate([order, np.arange(n_x + n_int, block.n_rows)])
+        yield assemble.rescale_rows(assemble.LinearSystem(
+            matrix=block.matrix[order], rhs=block.rhs[order],
+            row_kind=block.row_kind[order], lam=np.ones(order.size),
+            n_interior=n_int, n_boundary=block.n_boundary,
+            n_rho_columns=block.n_rho_columns))
+
+
 def dense_lstsq(system, rank_tol=1e-12):
     """The solve before streaming: gelsd on the whole matrix, with rank,
     condition estimate and residual taken the same way as ``lstsq``."""
-    matrix, rhs = system.matrix, system.rhs
+    matrix, rhs = weighted(system)
     coeffs, _, rank, sing = scipy.linalg.lstsq(
         matrix, rhs, cond=rank_tol, lapack_driver="gelsd")
     retained = sing[sing > rank_tol * sing[0]]
@@ -83,7 +110,7 @@ def dense_lstsq(system, rank_tol=1e-12):
 def solve_aprfm(spec, j_rho, j_g, n_spatial, n_velocity, m_spatial=(1,),
                 m_velocity=1, seed=0, n_quad=16, activation="tanh"):
     """Assemble + rescale + solve; returns (models, solve report, the
-    rescaled system restacked from its row blocks)."""
+    system restacked from its row blocks, with their weights)."""
     solution = solve(spec, run_config(
         spec, "aprfm", n_spatial, n_velocity, m_spatial, m_velocity, seed,
         n_quad, activation, jrho=j_rho, jg=j_g))
@@ -234,17 +261,15 @@ def dense_assembly(meth, colloc, rule):
                    + sig_s * (chi - avg_chi[:, None, :])
                    + eps * eps * sig_a[:, None, None] * chi)
     chi_r, dchi_r = dense_column_batch(rho_model, xs)
-    z_r = rho_model.n_columns
-    pairs = np.empty((n_x, vs.size, 2, z_r + phase.n_columns))
-    pairs[:, :, 0, :z_r] = (sig_a[:, None] * chi_r)[:, None, :]
-    pairs[:, :, 0, z_r:] = avg_trans[:, None, :]
-    pairs[:, :, 1, :z_r] = np.einsum("la,sza->slz", direction(dim, vs),
-                                     dchi_r)
-    pairs[:, :, 1, z_r:] = micro_g
+    macro = np.concatenate([sig_a[:, None] * chi_r, avg_trans], axis=1)
+    micro = np.concatenate(
+        [np.einsum("la,sza->slz", direction(dim, vs), dchi_r), micro_g],
+        axis=2)
     boundary = np.concatenate(
         [dense_column_batch(rho_model, colloc.boundary_x)[0],
          spec.epsilon_at(colloc.boundary_x)[:, None] * chi_b], axis=1)
-    return np.concatenate([pairs.reshape(-1, pairs.shape[-1]), boundary])
+    return np.concatenate([macro, micro.reshape(-1, micro.shape[-1]),
+                           boundary])
 
 
 # -- plain source iteration, the reference for the oracle's fast solves ------

@@ -17,7 +17,7 @@ from aprfm import assemble, basis, collocation, problems, quadrature, \
 from aprfm import cli
 from helpers import (aprfm_f_error, aprfm_rho_error, build_models,
                      exact_field_for, exact_rho_field, rfm_f_error,
-                     solve_aprfm)
+                     solve_aprfm, weighted)
 from test_assemble import limit_rows_by_single_point_ops, small_setup
 
 SEEDS = (0, 1, 2)
@@ -81,7 +81,8 @@ def test_criterion_4_vanishing_scale_limit_system():
         spec, rule, colloc, rho_model, g_model = small_setup(
             eps=1e-16, n_x=8, n_v=12, j_rho=5, j_g=6, n_quad=8)
         tiny = assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule)
-        interior = tiny.matrix[:2 * colloc.n_interior]
+        n_rows = tiny.n_rows - colloc.n_boundary  # macro and micro rows
+        interior = tiny.matrix[:n_rows]
         limit = limit_rows_by_single_point_ops(spec, rule, colloc,
                                                rho_model, g_model)
         rel = np.linalg.norm(interior - limit) / np.linalg.norm(limit)
@@ -89,8 +90,7 @@ def test_criterion_4_vanishing_scale_limit_system():
         at_zero = assemble.assemble_aprfm(
             dataclasses.replace(spec, epsilon=0.0), rho_model, g_model,
             colloc, rule)
-        np.testing.assert_allclose(interior,
-                                   at_zero.matrix[:2 * colloc.n_interior],
+        np.testing.assert_allclose(interior, at_zero.matrix[:n_rows],
                                    atol=1e-15)
 
 
@@ -187,15 +187,19 @@ def test_criterion_8_property_suite():
                 fd = (up - dn) / (2 * h)
                 assert abs(grad[axis] - fd) <= 1e-6 * max(1.0, abs(fd))
 
-        # solved benchmark system: first-order optimality and unit row maxima
+        # solved benchmark system: first-order optimality and unit row
+        # maxima, sqrt(n_v) on the macro rows that stand for n_v = 64 rows
         spec = problems.catalog("ex1", 1e-8)
         models, report, system = solve_aprfm(spec, 16, 16, (32,), 64, seed=0)
-        grad = system.matrix.T @ (system.matrix @ report.coeffs - system.rhs)
-        bound = 1e-8 * np.linalg.norm(system.matrix) * \
-            np.linalg.norm(system.rhs)
+        matrix, rhs = weighted(system)
+        grad = matrix.T @ (matrix @ report.coeffs - rhs)
+        bound = 1e-8 * np.linalg.norm(matrix) * np.linalg.norm(rhs)
         assert np.linalg.norm(grad) <= bound
-        assert np.max(np.abs(np.max(np.abs(system.matrix), axis=1) - 1.0)) \
-            < 1e-15
+        row_max = np.max(np.abs(matrix), axis=1)
+        macro = system.row_kind == assemble.ROW_MACRO
+        assert np.count_nonzero(macro) == 32
+        assert np.max(np.abs(row_max[macro] / 8.0 - 1.0)) < 1e-15
+        assert np.max(np.abs(row_max[~macro] - 1.0)) < 1e-15
 
         # exact micro-macro pairs drive the assembled residual rows to zero
         for pid, eps in (("ex1", 0.5), ("ex4", 0.5), ("ex6", 0.5)):

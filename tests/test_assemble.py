@@ -7,7 +7,7 @@ from aprfm import assemble, basis, collocation, problems, quadrature, solve
 from aprfm.errors import DegenerateRowError
 from aprfm.method import Method
 from helpers import (build_f_model, build_models, dense_assembly,
-                     exact_field_for, rfm_f_error, run_config)
+                     exact_field_for, rfm_f_error, run_config, weighted)
 
 EPS_PROFILE_AT_HALF = 0.7715941559557649
 
@@ -40,10 +40,21 @@ class TestShapes:
         spec, rule, colloc, rho_model, g_model = small_setup(
             j_rho=4, j_g=6, m_spatial=(2,), m_velocity=2)
         system = assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule)
+        n_x = colloc.spatial_nodes.shape[0]
         n_int, n_bdy = colloc.n_interior, colloc.n_boundary
-        assert system.matrix.shape == (2 * n_int + n_bdy, 2 * 4 + 4 * 6)
-        assert np.all(system.row_kind[0:2 * n_int:2] == assemble.ROW_MACRO)
-        assert np.all(system.row_kind[1:2 * n_int:2] == assemble.ROW_MICRO)
+        assert system.matrix.shape == (n_x + n_int + n_bdy, 2 * 4 + 4 * 6)
+        assert np.all(system.row_kind[:n_x] == assemble.ROW_MACRO)
+        assert np.all(system.row_kind[n_x:n_x + n_int] == assemble.ROW_MICRO)
+        assert np.all(system.row_kind[n_x + n_int:] == assemble.ROW_BOUNDARY)
+
+    def test_row_count_checked(self):
+        spec, rule, colloc, rho_model, g_model = small_setup()
+        system = assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule)
+        for n_interior in (system.n_interior - 1, system.n_interior + 1):
+            with pytest.raises(ValueError):
+                dataclasses.replace(system, n_interior=n_interior)
+        with pytest.raises(ValueError):
+            dataclasses.replace(system, n_boundary=system.n_boundary + 1)
 
     def test_model_dimension_checked(self):
         spec, rule, colloc, rho_model, g_model = small_setup()
@@ -101,16 +112,20 @@ def limit_rows_by_single_point_ops(spec, rule, colloc, rho_model, g_model):
         basis.pou_tensor_normalized(rho_model.partition, rho_model.pou_kind,
                                     colloc.interior_x[0]), [1.0])
     z_r, z_g = rho_model.n_features, g_model.n_features
-    rows = np.zeros((2 * colloc.n_interior, z_r + z_g))
+    n_x = colloc.spatial_nodes.shape[0]
+    n_v = colloc.velocity_nodes.size
+    # a macro row per spatial node, then a micro row per interior point
+    rows = np.zeros((n_x + colloc.n_interior, z_r + z_g))
     for k in range(colloc.n_interior):
         x = colloc.interior_x[k]
         v = colloc.interior_v[k]
+        macro, micro = k // n_v, n_x + k
         sig_s = spec.sigma_s(x[None, :])[0]
         sig_a = spec.sigma_a(x[None, :])[0]
         for j in range(z_r):
             val, grad = basis.feature_eval(rho_model, 0, j, x)
-            rows[2 * k, j] = sig_a * val
-            rows[2 * k + 1, j] = v * grad[0]
+            rows[macro, j] = sig_a * val
+            rows[micro, j] = v * grad[0]
         for j in range(z_g):
             val_here, _ = basis.feature_eval(g_model, 0, j,
                                              np.array([x[0], v]))
@@ -121,8 +136,8 @@ def limit_rows_by_single_point_ops(spec, rule, colloc, rho_model, g_model):
                                                    np.array([x[0], node]))
                 avg_transport += w * node * grad_q[0]
                 avg_val += w * val_q
-            rows[2 * k, z_r + j] = avg_transport
-            rows[2 * k + 1, z_r + j] = sig_s * (val_here - avg_val)
+            rows[macro, z_r + j] = avg_transport
+            rows[micro, z_r + j] = sig_s * (val_here - avg_val)
     return rows
 
 
@@ -134,7 +149,7 @@ class TestVanishingScaleLimit:
         at_zero = assemble.assemble_aprfm(
             dataclasses.replace(spec, epsilon=0.0),
             rho_model, g_model, colloc, rule)
-        n_rows = 2 * colloc.n_interior
+        n_rows = tiny.n_rows - colloc.n_boundary
         np.testing.assert_allclose(tiny.matrix[:n_rows],
                                    at_zero.matrix[:n_rows], atol=1e-15)
         limit = limit_rows_by_single_point_ops(spec, rule, colloc,
@@ -149,7 +164,7 @@ class TestVanishingScaleLimit:
         spec, rule, colloc, rho_model, g_model = small_setup(eps=1e-16)
         system = assemble.assemble_aprfm(spec, rho_model, g_model,
                                          colloc, rule)
-        bdy = system.matrix[2 * colloc.n_interior:]
+        bdy = system.matrix[system.row_kind == assemble.ROW_BOUNDARY]
         assert np.max(np.abs(bdy[:, rho_model.n_columns:])) < 1e-15
 
 
@@ -157,12 +172,15 @@ class TestMicroMacroRows:
     def test_rhs_carries_sources(self):
         spec, rule, colloc, rho_model, g_model = small_setup(eps=0.5)
         system = assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule)
-        n_int = colloc.n_interior
-        np.testing.assert_array_equal(system.rhs[0:2 * n_int:2], 0.0)
-        np.testing.assert_allclose(system.rhs[1:2 * n_int:2],
+        kind = system.row_kind
+        assert np.count_nonzero(kind == assemble.ROW_MACRO) == \
+            colloc.spatial_nodes.shape[0]
+        np.testing.assert_array_equal(system.rhs[kind == assemble.ROW_MACRO],
+                                      0.0)
+        np.testing.assert_allclose(system.rhs[kind == assemble.ROW_MICRO],
                                    -colloc.interior_v, atol=1e-15)
-        np.testing.assert_array_equal(system.rhs[2 * n_int:],
-                                      colloc.boundary_value)
+        np.testing.assert_array_equal(
+            system.rhs[kind == assemble.ROW_BOUNDARY], colloc.boundary_value)
 
     def test_boundary_rows_reconstruct_f(self):
         spec, rule, colloc, rho_model, g_model = small_setup(eps=0.37)
@@ -172,7 +190,8 @@ class TestMicroMacroRows:
         recon = assemble.reconstruct_f(spec, rho_model, g_model, coeffs,
                                        colloc.boundary_x, colloc.boundary_v)
         np.testing.assert_allclose(
-            system.matrix[2 * colloc.n_interior:] @ coeffs, recon, atol=1e-12)
+            system.matrix[system.row_kind == assemble.ROW_BOUNDARY] @ coeffs,
+            recon, atol=1e-12)
 
     def test_micro_rows_match_pointwise_operator(self):
         # n_x = 12 keeps the collocation nodes off the bump joints of the
@@ -183,6 +202,7 @@ class TestMicroMacroRows:
         rng = np.random.default_rng(14)
         coeffs = rng.standard_normal(system.n_columns)
         c_rho, c_g = assemble.split_coefficients(system, coeffs)
+        n_x, n_v = colloc.spatial_nodes.shape[0], colloc.velocity_nodes.size
         h = 1e-6
         for k in rng.integers(0, colloc.n_interior, size=8):
             x, v = colloc.interior_x[k], colloc.interior_v[k]
@@ -203,9 +223,9 @@ class TestMicroMacroRows:
             macro = avg_t
             micro = v * drho + 0.45 * (v * dg - avg_t) \
                 + (g_at(x[0], v) - avg_g)
-            assert system.matrix[2 * k] @ coeffs == pytest.approx(macro,
-                                                                  abs=5e-6)
-            assert system.matrix[2 * k + 1] @ coeffs == pytest.approx(
+            assert system.matrix[k // n_v] @ coeffs == pytest.approx(
+                macro, abs=5e-6)
+            assert system.matrix[n_x + k] @ coeffs == pytest.approx(
                 micro, abs=5e-6)
 
     def test_mixed_scale_rows(self):
@@ -215,6 +235,7 @@ class TestMicroMacroRows:
         rng = np.random.default_rng(21)
         coeffs = rng.standard_normal(system.n_columns)
         c_rho, c_g = assemble.split_coefficients(system, coeffs)
+        n_x, n_v = colloc.spatial_nodes.shape[0], colloc.velocity_nodes.size
         h = 1e-6
         for k in rng.integers(0, colloc.n_interior, size=6):
             x, v = colloc.interior_x[k], colloc.interior_v[k]
@@ -234,9 +255,9 @@ class TestMicroMacroRows:
             micro = (v * (rho_at(x[0] + h) - rho_at(x[0] - h)) / (2 * h)
                      + (v * d_eps_g - avg_t)
                      + basis.model_eval(g_model, c_g, np.array([x[0], v])))
-            assert system.matrix[2 * k] @ coeffs == pytest.approx(macro,
-                                                                  abs=5e-6)
-            assert system.matrix[2 * k + 1] @ coeffs == pytest.approx(
+            assert system.matrix[k // n_v] @ coeffs == pytest.approx(
+                macro, abs=5e-6)
+            assert system.matrix[n_x + k] @ coeffs == pytest.approx(
                 micro, abs=5e-6)
 
 
@@ -279,16 +300,21 @@ class TestRescaleRows:
             lam=np.ones(2), n_interior=1, n_boundary=1, n_rho_columns=0)
 
     def test_direct_arithmetic(self):
-        scaled = assemble.rescale_rows(self.make_tiny())
-        np.testing.assert_allclose(scaled.matrix[0], [0.25, 0.5, -1.0])
-        assert scaled.rhs[0] == 2.0
+        tiny = self.make_tiny()
+        scaled = assemble.rescale_rows(tiny)
+        # the weights carry the scaling; the matrix is not copied
+        assert scaled.matrix is tiny.matrix and scaled.rhs is tiny.rhs
+        matrix, rhs = weighted(scaled)
+        np.testing.assert_allclose(matrix[0], [0.25, 0.5, -1.0])
+        assert rhs[0] == 2.0
         assert scaled.lam[0] == pytest.approx(1 / 8)
 
     def test_unit_row_maxima(self):
         spec, rule, colloc, rho_model, g_model = small_setup()
         system = assemble.rescale_rows(
             assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule))
-        np.testing.assert_allclose(np.max(np.abs(system.matrix), axis=1),
+        matrix, _ = weighted(system)
+        np.testing.assert_allclose(np.max(np.abs(matrix), axis=1),
                                    1.0, atol=1e-15)
 
     def test_idempotent(self):

@@ -26,7 +26,9 @@ class TestRun:
         assert report["error"] > 0
         assert report["error_kind"] == "f-phase"
         assert report["Z"] == 12
-        assert report["N"] == report["N_int"] * 2 + report["N_bdy"]
+        # a macro row per spatial node, a micro row per interior point
+        assert report["N"] == (report["config"]["nx"] + report["N_int"]
+                               + report["N_bdy"])
         # defaults are fully expanded in the echoed config
         assert report["config"]["jrho"] == 6
         assert report["config"]["nq"] == 16

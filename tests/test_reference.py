@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import logging
 
 import numpy as np
@@ -175,6 +176,22 @@ class TestFdm2D:
                                   velocity_nodes=None)
         assert out["iterations"] > 20
         assert np.max(np.abs(out["rho"] - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    def test_sweep_groups_freed_without_cycle_collection(self):
+        # the quadrant groups hold the sweep's large arrays; they must go
+        # with the solve by reference counting, not wait for a collection
+        spec = problems.catalog("ex5", 1.0)
+        gc.collect()
+        gc.disable()
+        try:
+            reference.fdm_density(spec, resolution=(32, 32))
+            left = [obj for obj in gc.get_objects()
+                    if isinstance(obj, reference._SweepGroup)]
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert not left
+        assert freed == 0
 
     def test_planar_oracle_against_exact(self):
         spec = problems.catalog("ex4", 1.0)
