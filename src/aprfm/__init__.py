@@ -4,15 +4,11 @@ uniformly in the scattering scale."""
 
 __version__ = "0.1.0"
 
-from .basis import (Box, BoxPartition, FeatureModel, FeatureWeights,
-                    feature_eval, make_model, model_eval, normalize_to_box,
-                    pou_tensor_normalized, pou_univariate, uniform_partition)
-from .quadrature import AngularRule, angular_rule, apply_collision, average, \
-    gauss_legendre
-from .collocation import (CollocationSet, build_collocation, evaluation_grid,
-                          inflow_boundary, interior_grid)
-from .problems import (PROBLEM_IDS, ProblemSpec, catalog, epsilon_profile,
-                       micro_macro_residuals)
+from .basis import (BoxPartition, FeatureModel, FeatureWeights, make_model,
+                    model_values, uniform_partition)
+from .quadrature import AngularRule, angular_rule
+from .collocation import CollocationSet, build_collocation, evaluation_grid
+from .problems import PROBLEM_IDS, ProblemSpec, catalog, epsilon_profile
 from .assemble import (LinearSystem, assemble_aprfm, assemble_rfm,
                        reconstruct_f, rescale_rows)
 from .solve import SolveReport, lstsq
@@ -22,15 +18,11 @@ from .method import Method
 
 __all__ = [
     "__version__",
-    "Box", "BoxPartition", "FeatureModel", "FeatureWeights",
-    "feature_eval", "make_model", "model_eval", "normalize_to_box",
-    "pou_tensor_normalized", "pou_univariate", "uniform_partition",
-    "AngularRule", "angular_rule", "apply_collision", "average",
-    "gauss_legendre",
+    "BoxPartition", "FeatureModel", "FeatureWeights", "make_model",
+    "model_values", "uniform_partition",
+    "AngularRule", "angular_rule",
     "CollocationSet", "build_collocation", "evaluation_grid",
-    "inflow_boundary", "interior_grid",
     "PROBLEM_IDS", "ProblemSpec", "catalog", "epsilon_profile",
-    "micro_macro_residuals",
     "LinearSystem", "assemble_aprfm", "assemble_rfm", "reconstruct_f",
     "rescale_rows",
     "SolveReport", "lstsq",

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import column_batch, model_values
+from .collocation import _phase, _tensor
 from .errors import DegenerateRowError, InvalidProblemError
 from .problems import direction
 
@@ -59,7 +60,6 @@ class LinearSystem:
     lam: np.ndarray
     n_interior: int
     n_boundary: int
-    n_rho_columns: int
 
     def __post_init__(self):
         for name in ("matrix", "rhs", "lam"):
@@ -86,15 +86,6 @@ class LinearSystem:
         return self.matrix.shape[1]
 
 
-def _phase_points(xs, vs):
-    """Tensor phase grid (len(xs) * len(vs), d + 1), space-major."""
-    n_x, n_v = xs.shape[0], vs.size
-    out = np.empty((n_x * n_v, xs.shape[1] + 1))
-    out[:, :-1] = np.repeat(xs, n_v, axis=0)
-    out[:, -1] = np.tile(vs, n_x)
-    return out
-
-
 def _check_phase_model(spec, model, role):
     if model.dim != spec.spatial_dim + 1:
         raise ValueError(
@@ -109,14 +100,6 @@ def _check_spatial_model(spec, model, role):
             f"got {model.dim}")
 
 
-def _tensor_nodes(colloc):
-    """Spatial (S, d) and velocity (L,) nodes of a tensor-grid interior."""
-    xs, vs = colloc.spatial_nodes, colloc.velocity_nodes
-    if colloc.n_interior != xs.shape[0] * vs.size:
-        raise ValueError("collocation interior is not a tensor grid")
-    return xs, vs
-
-
 def _node_columns(model, xs, vs, transport=True):
     """Columns of a phase-space model at every (spatial node, velocity)
     pair, (S, L, Z), and with ``transport`` their derivative along each
@@ -127,22 +110,20 @@ def _node_columns(model, xs, vs, transport=True):
     shape = (n_x, n_v, model.n_columns)
     dirs = (np.tile(direction(xs.shape[1], vs), (n_x, 1)) if transport
             else None)
-    chi, dchi = column_batch(model, _phase_points(xs, vs), dirs)
+    chi, dchi = column_batch(model, _phase(*_tensor(xs, vs)), dirs)
     return chi.reshape(shape), (None if dchi is None else dchi.reshape(shape))
 
 
 def _boundary_columns(model, colloc):
     """Column values of a phase-space model at the inflow boundary points."""
-    points = np.concatenate([colloc.boundary_x, colloc.boundary_v[:, None]],
-                            axis=1)
-    chi, _ = column_batch(model, points)
+    chi, _ = column_batch(model, _phase(colloc.boundary_x, colloc.boundary_v))
     return chi
 
 
 def assemble_rfm(spec, model, colloc, rule):
     """Assemble the one-shot system over a single phase-space model."""
     _check_phase_model(spec, model, "f")
-    xs, vs = _tensor_nodes(colloc)
+    xs, vs = colloc.spatial_nodes, colloc.velocity_nodes
     z = model.n_columns
     n_int = colloc.n_interior
     n_bdy = colloc.n_boundary
@@ -164,7 +145,7 @@ def assemble_rfm(spec, model, colloc, rule):
                                np.full(n_bdy, ROW_BOUNDARY, dtype=np.uint8)])
     return LinearSystem(matrix=matrix, rhs=rhs, row_kind=row_kind,
                         lam=np.ones(n_int + n_bdy),
-                        n_interior=n_int, n_boundary=n_bdy, n_rho_columns=0)
+                        n_interior=n_int, n_boundary=n_bdy)
 
 
 def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
@@ -172,7 +153,7 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
     micro row per interior point, then the boundary rows."""
     _check_spatial_model(spec, rho_model, "rho")
     _check_phase_model(spec, g_model, "g")
-    xs, vs = _tensor_nodes(colloc)
+    xs, vs = colloc.spatial_nodes, colloc.velocity_nodes
     n_x, n_v, dim = xs.shape[0], vs.size, spec.spatial_dim
     z_r = rho_model.n_columns
     z_g = g_model.n_columns
@@ -231,7 +212,7 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
                                   dtype=np.uint8), [n_x, n_int, n_bdy])
     return LinearSystem(matrix=matrix, rhs=rhs, row_kind=row_kind,
                         lam=np.ones(n_rows),
-                        n_interior=n_int, n_boundary=n_bdy, n_rho_columns=z_r)
+                        n_interior=n_int, n_boundary=n_bdy)
 
 
 def rescale_rows(system, first_row=0):
@@ -253,14 +234,6 @@ def rescale_rows(system, first_row=0):
     return dataclasses.replace(system, lam=system.lam / row_max)
 
 
-def split_coefficients(system, coeffs):
-    """Split a solution vector into its rho and g parts."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (system.n_columns,):
-        raise ValueError("coefficient length does not match the system")
-    return coeffs[:system.n_rho_columns], coeffs[system.n_rho_columns:]
-
-
 def reconstruct_f(spec, rho_model, g_model, coeffs, x, v):
     """Rebuild f = rho + eps g (eps(x) g for the mixed variant) pointwise."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -270,6 +243,5 @@ def reconstruct_f(spec, rho_model, g_model, coeffs, x, v):
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     rho = model_values(rho_model, coeffs[:z_r], x)
-    phase = np.concatenate([x, v[:, None]], axis=1)
-    g = model_values(g_model, coeffs[z_r:], phase)
+    g = model_values(g_model, coeffs[z_r:], _phase(x, v))
     return rho + spec.epsilon_at(x) * g

@@ -37,92 +37,52 @@ def _frozen(arr):
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-aligned box; ``lo[j] < hi[j]`` for every axis."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _frozen(np.atleast_1d(self.lo)))
-        object.__setattr__(self, "hi", _frozen(np.atleast_1d(self.hi)))
-        if self.lo.shape != self.hi.shape or self.lo.ndim != 1 or self.lo.size < 1:
-            raise ValueError("box bounds must be matching 1-d vectors")
-        if not np.all(self.lo < self.hi):
-            raise ValueError("box requires lo < hi on every axis")
-
-    @property
-    def dim(self):
-        return self.lo.size
-
-    @property
-    def center(self):
-        return 0.5 * (self.lo + self.hi)
-
-    @property
-    def radius(self):
-        return 0.5 * (self.hi - self.lo)
-
-
-@dataclass(frozen=True)
 class BoxPartition:
-    """Boxes tiling an enclosing hypercube, shared faces, axis-major order."""
+    """Axis-aligned boxes tiling an enclosing hypercube, with shared faces,
+    as their (M, d) centers and half-widths; ``dims`` counts the boxes
+    per axis, and box order is axis-major (see ``uniform_partition``)."""
 
-    boxes: tuple
+    centers: np.ndarray
+    radii: np.ndarray
     dims: tuple
 
     def __post_init__(self):
-        boxes = tuple(self.boxes)
-        dims = tuple(int(m) for m in self.dims)
-        object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "dims", dims)
-        if not boxes:
-            raise ValueError("partition needs at least one box")
-        d = boxes[0].dim
-        if any(b.dim != d for b in boxes):
-            raise ValueError("boxes must share one dimension")
-        if len(dims) != d or int(np.prod(dims)) != len(boxes):
-            raise ValueError("per-axis counts do not match the box list")
-        object.__setattr__(self, "_centers", _frozen([b.center for b in boxes]))
-        object.__setattr__(self, "_radii", _frozen([b.radius for b in boxes]))
+        object.__setattr__(self, "centers", _frozen(self.centers))
+        object.__setattr__(self, "radii", _frozen(self.radii))
+        object.__setattr__(self, "dims", tuple(int(m) for m in self.dims))
+        if (self.centers.ndim != 2 or self.radii.shape != self.centers.shape
+                or len(self.dims) != self.dim
+                or int(np.prod(self.dims)) != self.n_boxes):
+            raise ValueError("need (M, d) centers and radii, and d per-axis "
+                             "counts with product M")
 
     @property
     def n_boxes(self):
-        return len(self.boxes)
+        return self.centers.shape[0]
 
     @property
     def dim(self):
-        return self.boxes[0].dim
-
-    @property
-    def centers(self):
-        """(M, d) box centers."""
-        return self._centers
-
-    @property
-    def radii(self):
-        """(M, d) box half-widths."""
-        return self._radii
+        return self.centers.shape[1]
 
 
 def uniform_partition(bounds, counts):
     """Split ``prod_j [lo_j, hi_j]`` into a uniform grid of boxes.
 
-    ``bounds`` is a sequence of (lo, hi) pairs, ``counts`` the per-axis box
-    counts.  Boxes are ordered with the first axis slowest, so neighbours
-    along the last axis are adjacent in the list.
+    ``bounds`` is a sequence of (lo, hi) pairs with lo < hi, ``counts`` the
+    per-axis box counts.  Boxes are ordered with the first axis slowest, so
+    neighbours along the last axis are adjacent in the list.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     counts = [int(m) for m in counts]
     if len(bounds) != len(counts) or any(m < 1 for m in counts):
         raise ValueError("need one positive count per axis")
+    if not all(lo < hi for lo, hi in bounds):
+        raise ValueError("partition requires lo < hi on every axis")
     edges = [np.linspace(lo, hi, m + 1) for (lo, hi), m in zip(bounds, counts)]
-    boxes = []
-    for idx in np.ndindex(*counts):
-        lo = [edges[a][i] for a, i in enumerate(idx)]
-        hi = [edges[a][i + 1] for a, i in enumerate(idx)]
-        boxes.append(Box(np.array(lo), np.array(hi)))
-    return BoxPartition(tuple(boxes), tuple(counts))
+    lo, hi = (np.stack(np.meshgrid(*axes, indexing="ij"),
+                       axis=-1).reshape(-1, len(counts))
+              for axes in ([e[:-1] for e in edges], [e[1:] for e in edges]))
+    return BoxPartition(0.5 * (lo + hi), 0.5 * (hi - lo), counts)
 
 
 @dataclass(frozen=True)
@@ -207,63 +167,6 @@ def make_model(partition, n_features, seed, range_b=1.0, activation="tanh",
     return FeatureModel(partition=partition, weights=weights,
                         activation=activation, pou_kind=pou_kind)
 
-
-# -- scalar operations ----------------------------------------------------
-
-def normalize_to_box(y, box):
-    """Map ``y`` into box coordinates, box onto [-1, 1]^d."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (box.dim,):
-        raise ValueError(f"expected a {box.dim}-vector, got shape {y.shape}")
-    return (y - box.center) / box.radius
-
-
-def pou_univariate(kind, z):
-    """Univariate window. ``phi_a`` is the indicator of |z| <= 1; ``phi_b``
-    is 1 on |z| <= 3/4, decays as (1 - sin(2 pi |z|)) / 2 up to |z| = 5/4,
-    and vanishes beyond.  Vectorized over ``z``."""
-    value, _ = _axis_pou(kind, np.asarray(z, dtype=float))
-    return value if value.ndim else float(value)
-
-
-def pou_tensor_normalized(partition, kind, y):
-    """Normalized bump weights at ``y``; the M entries sum to one."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (partition.dim,):
-        raise ValueError(f"expected a {partition.dim}-vector, got shape {y.shape}")
-    psi_t, _ = pou_normalized_batch(partition, kind, y[None, :])
-    return psi_t[0]
-
-
-def feature_eval(model, i, j, y):
-    """Value and gradient of neuron (i, j) at ``y``.
-
-    The gradient applies the chain rule through the box-normalization map,
-    so it is taken with respect to the raw coordinates.
-    """
-    if not (0 <= i < model.n_boxes and 0 <= j < model.n_features):
-        raise ValueError("feature index out of range")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.dim,):
-        raise ValueError(f"expected a {model.dim}-vector, got shape {y.shape}")
-    box = model.partition.boxes[i]
-    z = normalize_to_box(y, box)
-    t = float(model.weights.w[i, j] @ z + model.weights.b[i, j])
-    val, dval = _activation(model.activation, np.asarray(t))
-    grad = float(dval) * model.weights.w[i, j] / box.radius
-    return float(val), grad
-
-
-def model_eval(model, coeffs, y):
-    """Evaluate ``sum_i psi~_i(y) sum_j c_ij phi_ij(y)``; linear in coeffs."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (model.n_columns,):
-        raise ValueError(f"expected {model.n_columns} coefficients")
-    y = np.asarray(y, dtype=float)
-    return float(model_values(model, coeffs, y[None, :])[0])
-
-
-# -- vectorized internals (shared with assembly) ---------------------------
 
 def _axis_pou(kind, z):
     """Window value and d/dz, elementwise.  At the piecewise joints of

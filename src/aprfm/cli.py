@@ -40,12 +40,14 @@ from . import collocation
 from .errors import AprfmError, NoConvergenceError, NonFiniteInputError
 from .method import METHODS, solve
 from .problems import PROBLEM_IDS, catalog
-from .reference import (FDM_RESOLUTION_1D, FDM_RESOLUTION_2D, GridField,
-                        exact_field, fdm_density, fdm_reference, phase_field,
-                        relative_l2)
+from .reference import (GridField, _fdm_meta, exact_field, fdm_density,
+                        fdm_reference, phase_field, relative_l2)
 
-FDM_SWEEP_TOL = 1e-10
-FDM_MAX_ITERS = 200_000
+# dump headers: f on the evaluation phase grid by spatial dimension, and
+# the density on the 2D spatial grid
+F_COLUMNS = {1: ("x", "v", "f_approx", "f_ref"),
+             2: ("x1", "x2", "v", "f_approx", "f_ref")}
+RHO_COLUMNS = ("x1", "x2", "rho_approx", "rho_ref")
 
 
 @dataclasses.dataclass
@@ -80,6 +82,7 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         counts = [self.mx, self.mv, self.mx1, self.mx2, self.nx, self.nv,
                   self.nx1, self.nx2, self.nq, self.seeds]
+        counts += [c for c in (self.j, self.jrho, self.jg) if c is not None]
         if any(int(c) < 1 for c in counts):
             raise ValueError("all counts must be positive")
         if self.b_range <= 0:
@@ -114,13 +117,14 @@ def _problem_epsilon(config):
 
 @dataclasses.dataclass
 class RunResult:
+    """A run's report and its field dump (the scored field: f in 1D, the
+    density in 2D), plus the f dump on the phase grid when the run has an
+    f reference (every 1D run, and 2D runs with an exact f), else None."""
+
     report: dict
     field_columns: tuple
     field_rows: np.ndarray
-    phase: tuple = None
-    f_pair: tuple = None
-    spatial: np.ndarray = None
-    rho_pair: tuple = None
+    f_rows: np.ndarray = None
 
 
 def _cached_reference(kind, spec, cache, compute):
@@ -137,19 +141,11 @@ def _cached_reference(kind, spec, cache, compute):
         return cache[key]
 
 
-def _fdm_meta(spec):
-    resolution = ((FDM_RESOLUTION_1D,) if spec.spatial_dim == 1
-                  else FDM_RESOLUTION_2D)
-    return {"kind": "fdm", "resolution": resolution,
-            "sweep_tol": FDM_SWEEP_TOL}
-
-
 def _reference_f(spec, grid, cache=None):
     def compute():
         if spec.exact_f is not None:
             return exact_field(spec, grid), {"kind": "exact"}
-        return (fdm_reference(spec, sweep_tol=FDM_SWEEP_TOL,
-                              max_iters=FDM_MAX_ITERS), _fdm_meta(spec))
+        return fdm_reference(spec), _fdm_meta(spec)
     return _cached_reference("f", spec, cache, compute)
 
 
@@ -159,8 +155,7 @@ def _reference_rho(spec, cache=None):
             xs = collocation.evaluation_spatial_grid(spec)
             return GridField(points=xs, values=spec.exact_rho(xs)), \
                 {"kind": "exact"}
-        return (fdm_density(spec, sweep_tol=FDM_SWEEP_TOL,
-                            max_iters=FDM_MAX_ITERS), _fdm_meta(spec))
+        return fdm_density(spec), _fdm_meta(spec)
     return _cached_reference("rho", spec, cache, compute)
 
 
@@ -177,42 +172,32 @@ def run(config, reference_cache=None):
 
     t_eval = time.perf_counter()
     eval_x, eval_v = collocation.evaluation_grid(spec)
-    result = RunResult(report={}, field_columns=(), field_rows=None)
-    f_error = None
     if spec.spatial_dim == 1:
         approx = phase_field(eval_x, eval_v,
                              method.f_values(coeffs, eval_x, eval_v))
         t_ref = time.perf_counter()
         ref, ref_meta = _reference_f(spec, (eval_x, eval_v), reference_cache)
-        reference_s = time.perf_counter() - t_ref
-        error = relative_l2(approx, ref)
-        error_kind = "f-phase"
-        result.phase = (eval_x, eval_v)
-        result.f_pair = (approx.values, ref.values)
-        result.field_columns = ("x", "v", "f_approx", "f_ref")
-        result.field_rows = np.column_stack(
-            [eval_x[:, 0], eval_v, approx.values, ref.values])
+        field_columns, error_kind = F_COLUMNS[1], "f-phase"
     else:
         xs = collocation.evaluation_spatial_grid(spec)
-        approx_rho = GridField(
+        approx = GridField(
             points=xs, values=method.rho_values(coeffs, solution.rule, xs))
         t_ref = time.perf_counter()
-        ref_rho, ref_meta = _reference_rho(spec, reference_cache)
-        reference_s = time.perf_counter() - t_ref
-        error = relative_l2(approx_rho, ref_rho)
-        error_kind = "rho-spatial"
-        if spec.exact_f is not None:
-            f_approx = method.f_values(coeffs, eval_x, eval_v)
-            f_ref = spec.exact_f(eval_x, eval_v)
-            f_error = float(np.sqrt(np.sum((f_approx - f_ref) ** 2)
-                                    / np.sum(f_ref ** 2)))
-            result.phase = (eval_x, eval_v)
-            result.f_pair = (f_approx, f_ref)
-        result.spatial = xs
-        result.rho_pair = (approx_rho.values, ref_rho.values)
-        result.field_columns = ("x1", "x2", "rho_approx", "rho_ref")
-        result.field_rows = np.column_stack(
-            [xs[:, 0], xs[:, 1], approx_rho.values, ref_rho.values])
+        ref, ref_meta = _reference_rho(spec, reference_cache)
+        field_columns, error_kind = RHO_COLUMNS, "rho-spatial"
+    reference_s = time.perf_counter() - t_ref
+    error = relative_l2(approx, ref)
+    result = RunResult(report={}, field_columns=field_columns,
+                       field_rows=_dump(approx, ref))
+    f_error = None
+    if spec.spatial_dim == 1:
+        result.f_rows = result.field_rows
+    elif spec.exact_f is not None:
+        f_ref = exact_field(spec, (eval_x, eval_v))
+        f_approx = GridField(points=f_ref.points,
+                             values=method.f_values(coeffs, eval_x, eval_v))
+        f_error = relative_l2(f_approx, f_ref)
+        result.f_rows = _dump(f_approx, f_ref)
 
     end = time.perf_counter()
     lam = solution.lam
@@ -247,6 +232,11 @@ def run(config, reference_cache=None):
     return result
 
 
+def _dump(approx, ref):
+    """Field dump rows: the grid points, then approximation and reference."""
+    return np.column_stack([ref.points, approx.values, ref.values])
+
+
 def _config_dict(config):
     data = dataclasses.asdict(config)
     data["epsilon"] = (data["epsilon"] if isinstance(data["epsilon"], str)
@@ -278,50 +268,45 @@ def write_run_outputs(result, out):
 
 # -- sweeps -----------------------------------------------------------------
 
+EPS_ROWS = [1e-2, 1e-4, 1e-8, 1e-16]
+# Each benchmark table: what every cell sets, the epsilon of each row, the
+# column header, the fields a column sets and each column's values.
+TABLES = {
+    "T1": (dict(problem="ex1", method="rfm", nx=64, nv=128), EPS_ROWS,
+           "J", ("j",), [16, 32, 64, 128, 256]),
+    "T2": (dict(problem="ex1", method="rfm", j=128), EPS_ROWS,
+           "(Nx,Nv)", ("nx", "nv"), [(16, 32), (32, 64), (64, 128),
+                                     (128, 256)]),
+    "T3": (dict(problem="ex1", method="rfm", j=128, nx=64, nv=128), EPS_ROWS,
+           "(Mx,Mv)", ("mx", "mv"), [(1, 1), (2, 1), (1, 2), (4, 1),
+                                     (1, 4)]),
+    "T4": (dict(problem="ex1", method="aprfm", nx=128, nv=256), EPS_ROWS,
+           "J", ("j",), [8, 16, 32, 64, 128]),
+    "T5": (dict(problem="ex1", method="aprfm", j=128), EPS_ROWS,
+           "(Nx,Nv)", ("nx", "nv"), [(16, 32), (32, 64), (64, 128),
+                                     (128, 256)]),
+    "T6": (dict(problem="ex5", method="aprfm", jrho=64, jg=128, nx1=32,
+                nx2=32, nv=32), [1.0, 1e-1],
+           "(Mx1,Mx2,Mv)", ("mx1", "mx2", "mv"), [(1, 1, 1), (1, 1, 2),
+                                                  (1, 1, 4), (1, 1, 8)]),
+}
+
+
 def _table_cells(table, base):
-    """Cell configs plus (row, column) labels for one benchmark table."""
-    eps_rows = [1e-2, 1e-4, 1e-8, 1e-16]
-    if table == "T1":
-        cols = [16, 32, 64, 128, 256]
-        return ([dataclasses.replace(base, problem="ex1", method="rfm",
-                                     epsilon=e, j=j, nx=64, nv=128)
-                 for e in eps_rows for j in cols],
-                "epsilon", eps_rows, "J", cols)
-    if table == "T2":
-        cols = [(16, 32), (32, 64), (64, 128), (128, 256)]
-        return ([dataclasses.replace(base, problem="ex1", method="rfm",
-                                     epsilon=e, j=128, nx=nx, nv=nv)
-                 for e in eps_rows for nx, nv in cols],
-                "epsilon", eps_rows, "(Nx,Nv)", cols)
-    if table == "T3":
-        cols = [(1, 1), (2, 1), (1, 2), (4, 1), (1, 4)]
-        return ([dataclasses.replace(base, problem="ex1", method="rfm",
-                                     epsilon=e, j=128, nx=64, nv=128,
-                                     mx=mx, mv=mv)
-                 for e in eps_rows for mx, mv in cols],
-                "epsilon", eps_rows, "(Mx,Mv)", cols)
-    if table == "T4":
-        cols = [8, 16, 32, 64, 128]
-        return ([dataclasses.replace(base, problem="ex1", method="aprfm",
-                                     epsilon=e, j=j, nx=128, nv=256)
-                 for e in eps_rows for j in cols],
-                "epsilon", eps_rows, "J", cols)
-    if table == "T5":
-        cols = [(16, 32), (32, 64), (64, 128), (128, 256)]
-        return ([dataclasses.replace(base, problem="ex1", method="aprfm",
-                                     epsilon=e, j=128, nx=nx, nv=nv)
-                 for e in eps_rows for nx, nv in cols],
-                "epsilon", eps_rows, "(Nx,Nv)", cols)
-    if table == "T6":
-        eps_rows = [1.0, 1e-1]
-        cols = [(1, 1, 1), (1, 1, 2), (1, 1, 4), (1, 1, 8)]
-        return ([dataclasses.replace(base, problem="ex5", method="aprfm",
-                                     epsilon=e, jrho=64, jg=128,
-                                     nx1=32, nx2=32, nv=32,
-                                     mx1=m1, mx2=m2, mv=mv)
-                 for e in eps_rows for m1, m2, mv in cols],
-                "epsilon", eps_rows, "(Mx1,Mx2,Mv)", cols)
-    raise ValueError(f"unknown table {table!r}")
+    """Cell configs of one benchmark table, row-major, with each cell's
+    column label, and the row and column names and values."""
+    if table not in TABLES:
+        raise ValueError(f"unknown table {table!r}")
+    fixed, rows, col_name, fields, cols = TABLES[table]
+    cells, labels = [], []
+    for eps in rows:
+        for col in cols:
+            values = col if isinstance(col, tuple) else (col,)
+            cells.append(dataclasses.replace(base, epsilon=eps, **fixed,
+                                             **dict(zip(fields, values))))
+            labels.append(col if len(values) == 1
+                          else f"({','.join(map(str, values))})")
+    return cells, labels, "epsilon", rows, col_name, cols
 
 
 def sweep(table, base_config, out=None):
@@ -329,7 +314,8 @@ def sweep(table, base_config, out=None):
     averaging each cell over seeds."""
     base_config.validate()
     if isinstance(table, str):
-        cells, row_name, rows, col_name, cols = _table_cells(table, base_config)
+        cells, labels, row_name, rows, col_name, cols = _table_cells(
+            table, base_config)
     else:
         cells = [cell.validate() for cell in table]
         row_name, rows, col_name, cols = "cell", None, "config", None
@@ -354,9 +340,9 @@ def sweep(table, base_config, out=None):
     if rows is not None:
         table_rows = [[row] + means[i * len(cols):(i + 1) * len(cols)]
                       for i, row in enumerate(rows)]
-        tidy_rows = [[cell.epsilon, _cell_column_label(table, cell), mean]
-                     + [float(e) for e in errs]
-                     for cell, errs, mean in zip(cells, per_cell, means)]
+        tidy_rows = [[cell.epsilon, label, mean] + [float(e) for e in errs]
+                     for cell, label, errs, mean
+                     in zip(cells, labels, per_cell, means)]
     else:
         table_rows = [[i, mean] for i, mean in enumerate(means)]
         tidy_rows = [[f"{cell.problem}/{cell.method}", cell.epsilon, mean]
@@ -385,16 +371,6 @@ def sweep(table, base_config, out=None):
     return table_rows
 
 
-def _cell_column_label(table, cell):
-    if table in ("T1", "T4"):
-        return cell.resolved().j
-    if table in ("T2", "T5"):
-        return f"({cell.nx},{cell.nv})"
-    if table == "T3":
-        return f"({cell.mx},{cell.mv})"
-    return f"({cell.mx1},{cell.mx2},{cell.mv})"
-
-
 # -- plot data ---------------------------------------------------------------
 
 DOF_LADDER = {"rfm": (8, 16, 32, 64, 128), "aprfm": (4, 8, 16, 32, 64)}
@@ -413,24 +389,17 @@ def emit_plot_data(config, kind, out):
         return rows
     result = run(config)
     if kind == "heatmap-f":
-        if result.f_pair is None:
+        if result.f_rows is None:
             raise ValueError("no phase-space field available for this run")
-        x, v = result.phase
-        rows = np.column_stack([x[:, 0], x[:, 1], v, *result.f_pair]) \
-            if x.shape[1] == 2 else \
-            np.column_stack([x[:, 0], v, *result.f_pair])
-        header = (["x1", "x2", "v", "f_approx", "f_ref"] if x.shape[1] == 2
-                  else ["x", "v", "f_approx", "f_ref"])
-        write_csv(f"{out}.csv", header, rows)
-        return rows
-    if kind == "heatmap-rho":
-        if result.rho_pair is None:
+        header, rows = F_COLUMNS[result.f_rows.shape[1] - 3], result.f_rows
+    elif kind == "heatmap-rho":
+        if result.field_columns != RHO_COLUMNS:
             raise ValueError("density heatmaps need a 2D run")
-        xs = result.spatial
-        rows = np.column_stack([xs[:, 0], xs[:, 1], *result.rho_pair])
-        write_csv(f"{out}.csv", ["x1", "x2", "rho_approx", "rho_ref"], rows)
-        return rows
-    raise ValueError(f"unknown plot kind {kind!r}")
+        header, rows = result.field_columns, result.field_rows
+    else:
+        raise ValueError(f"unknown plot kind {kind!r}")
+    write_csv(f"{out}.csv", header, rows)
+    return rows
 
 
 # -- command line -----------------------------------------------------------
@@ -501,7 +470,7 @@ def main(argv=None):
     _add_common_flags(p_run)
     p_sweep = sub.add_parser("sweep", help="run a benchmark table")
     p_sweep.add_argument("--table", required=True,
-                         choices=["T1", "T2", "T3", "T4", "T5", "T6"])
+                         choices=list(TABLES))
     _add_common_flags(p_sweep)
     p_plot = sub.add_parser("plotdata", help="emit tidy plot CSVs")
     p_plot.add_argument("--kind", required=True,

@@ -19,33 +19,59 @@ EVAL_GRID_1D = (128, 256)
 EVAL_GRID_2D = (64, 64, 32)
 
 
+def _tensor(xs, vs):
+    """Space-major tensor product of spatial nodes (S, d) and velocities
+    (L,): X (S * L, d) and V (S * L,), each node repeated over every
+    velocity."""
+    return np.repeat(xs, vs.size, axis=0), np.tile(vs, xs.shape[0])
+
+
+def _phase(x, v):
+    """Phase points (n, d + 1) from spatial points x (n, d) and v (n,)."""
+    return np.concatenate([x, np.asarray(v)[:, None]], axis=1)
+
+
 @dataclass(frozen=True)
 class CollocationSet:
     """Interior and inflow-boundary collocation for one problem.
 
     The interior is the tensor product of ``spatial_nodes`` (S, d) and
     ``velocity_nodes`` (L,), flattened space-major, which assembly relies
-    on to reuse angular quadrature caches across velocity nodes.
+    on to reuse angular quadrature caches across velocity nodes;
+    ``interior_x`` and ``interior_v`` are derived from the two factors.
     """
 
-    interior_x: np.ndarray
-    interior_v: np.ndarray
+    spatial_nodes: np.ndarray
+    velocity_nodes: np.ndarray
     boundary_x: np.ndarray
     boundary_v: np.ndarray
     boundary_value: np.ndarray
-    spatial_nodes: np.ndarray
-    velocity_nodes: np.ndarray
 
     def __post_init__(self):
-        for name in ("interior_x", "interior_v", "boundary_x", "boundary_v",
-                     "boundary_value", "spatial_nodes", "velocity_nodes"):
+        for name in ("spatial_nodes", "velocity_nodes", "boundary_x",
+                     "boundary_v", "boundary_value"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def _interior(self, axis):
+        arr = _tensor(self.spatial_nodes, self.velocity_nodes)[axis]
+        arr.setflags(write=False)
+        return arr
+
+    @property
+    def interior_x(self):
+        """Spatial coordinates (N, d) of the interior points."""
+        return self._interior(0)
+
+    @property
+    def interior_v(self):
+        """Velocities (N,) of the interior points."""
+        return self._interior(1)
+
     @property
     def n_interior(self):
-        return self.interior_x.shape[0]
+        return self.spatial_nodes.shape[0] * self.velocity_nodes.size
 
     @property
     def n_boundary(self):
@@ -84,16 +110,16 @@ def spatial_cells(spec, n_spatial):
     return points[spec.in_domain(points)]
 
 
-def interior_grid(spec, n_spatial, n_velocity):
-    """Interior collocation points as arrays X (N, d) and V (N,)."""
+def _nodes(spec, n_spatial, n_velocity):
+    """Tensor factors of the interior: spatial (S, d), velocity (L,)."""
     if int(n_velocity) < 2 or any(int(n) < 2 for n in np.atleast_1d(n_spatial)):
         raise ValueError("per-axis counts must be at least 2")
-    xs = spatial_cells(spec, n_spatial)
-    vs = velocity_cells(spec, n_velocity)
-    n_x, n_v = xs.shape[0], vs.size
-    x_rep = np.repeat(xs, n_v, axis=0)
-    v_rep = np.tile(vs, n_x)
-    return x_rep, v_rep
+    return spatial_cells(spec, n_spatial), velocity_cells(spec, n_velocity)
+
+
+def interior_grid(spec, n_spatial, n_velocity):
+    """Interior collocation points as arrays X (N, d) and V (N,)."""
+    return _tensor(*_nodes(spec, n_spatial, n_velocity))
 
 
 def _faces(spec, n_face):
@@ -148,18 +174,13 @@ def inflow_boundary(spec, n_face, n_velocity):
             np.concatenate(val_out))
 
 
-def build_collocation(spec, n_spatial, n_velocity, n_face=None):
+def build_collocation(spec, n_spatial, n_velocity):
     """Assemble the full collocation set for one solver run."""
-    xs = spatial_cells(spec, n_spatial)
-    vs = velocity_cells(spec, n_velocity)
-    x_int, v_int = interior_grid(spec, n_spatial, n_velocity)
-    if n_face is None:
-        n_face = n_spatial
-    x_b, v_b, val_b = inflow_boundary(spec, n_face, n_velocity)
-    return CollocationSet(interior_x=x_int, interior_v=v_int,
+    xs, vs = _nodes(spec, n_spatial, n_velocity)
+    x_b, v_b, val_b = inflow_boundary(spec, n_spatial, n_velocity)
+    return CollocationSet(spatial_nodes=xs, velocity_nodes=vs,
                           boundary_x=x_b, boundary_v=v_b,
-                          boundary_value=val_b,
-                          spatial_nodes=xs, velocity_nodes=vs)
+                          boundary_value=val_b)
 
 
 def evaluation_counts(spec):

@@ -17,12 +17,6 @@ class DegenerateCoverError(AprfmError, ValueError):
     code = "degenerate-cover"
 
 
-class InvalidKernelError(AprfmError, ValueError):
-    """Collision kernel produced a negative value."""
-
-    code = "invalid-kernel"
-
-
 class InvalidProblemError(AprfmError, ValueError):
     """Problem definition is missing data required by the operation."""
 

@@ -19,33 +19,30 @@ from . import collocation
 from .assemble import (ROW_MACRO, assemble_aprfm, assemble_rfm,
                        reconstruct_f, rescale_rows)
 from .basis import make_model, model_values, uniform_partition
+from .collocation import _phase
 from .quadrature import angular_rule
 from .solve import lstsq
 
 METHODS = ("rfm", "aprfm")
 
-# Cap, in doubles, on a row block together with the feature columns it is
-# assembled from; it sets how many spatial nodes (or inflow points) one
-# block covers.
+# Budget, in doubles, of the cost model that sizes the row blocks: a
+# block's matrix plus the phase-model columns it is assembled from.  It
+# sets how many spatial nodes (or inflow points) one block covers.  It
+# does not bound assembly's temporaries, which hold several arrays of the
+# columns' size at once: one traced aprfm block of the annulus benchmark
+# allocates about 25 MB against the budget's 16 MB.  Other slab boundaries
+# reorder the QR folds, which moves truncated-rank errors at roundoff.
 _CHUNK_BUDGET = 2_000_000
-
-
-def _phase(x, v):
-    return np.concatenate([x, v[:, None]], axis=1)
 
 
 def _restrict(colloc, nodes, inflow):
     """The part of ``colloc`` at the spatial nodes ``nodes`` (a slice, with
     every velocity) and the inflow points ``inflow`` (a slice)."""
-    n_v = colloc.velocity_nodes.size
-    interior = slice(nodes.start * n_v, nodes.stop * n_v)
     return dataclasses.replace(
-        colloc, interior_x=colloc.interior_x[interior],
-        interior_v=colloc.interior_v[interior],
+        colloc, spatial_nodes=colloc.spatial_nodes[nodes],
         boundary_x=colloc.boundary_x[inflow],
         boundary_v=colloc.boundary_v[inflow],
-        boundary_value=colloc.boundary_value[inflow],
-        spatial_nodes=colloc.spatial_nodes[nodes])
+        boundary_value=colloc.boundary_value[inflow])
 
 
 @dataclass(frozen=True)
@@ -94,10 +91,12 @@ class Method:
     def blocks(self, colloc, rule):
         """The weighted system on ``colloc`` as row blocks, in row order:
         slabs of spatial nodes (each with every velocity), then the inflow
-        rows.  A block and the phase-model columns behind it (values and
-        transport derivatives at every velocity and rule node of a spatial
-        node; values at an inflow point) hold at most ``_CHUNK_BUDGET``
-        doubles together (at least one node or point each).
+        rows.  Blocks are sized by a cost model: a block's matrix plus the
+        phase-model columns behind it (values and transport derivatives at
+        every velocity and rule node of a spatial node; values at an
+        inflow point) count at most ``_CHUNK_BUDGET`` doubles together (at
+        least one node or point each).  The model bounds the block and the
+        columns, not the temporaries assembly allocates beside them.
 
         Each block's weights rescale its rows to unit max-abs entries; an
         aprfm macro row, which stands for the n_v identical rows of its

@@ -38,8 +38,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import UnsupportedProblemError
-
 PROBLEM_IDS = ("ex1", "ex2", "ex3", "ex4", "ex5", "ex6")
 
 HOLE_HALF_WIDTH = 1.0 / 3.0
@@ -281,56 +279,3 @@ def v_dot(spatial_dim, v, grad):
     """Transport direction dotted with a spatial gradient (..., d)."""
     return np.sum(direction(spatial_dim, v) * np.asarray(grad, dtype=float),
                   axis=-1)
-
-
-def micro_macro_residuals(spec, x, v, rho_val, rho_grad, g_val, g_grad,
-                          avg_v_grad_g, g_collision):
-    """Residuals of the macro and micro equations at one phase point.
-
-    The caller supplies the angular pieces evaluated at (x, v):
-    ``avg_v_grad_g`` is the angular average of v . grad_x g at x, and
-    ``g_collision`` is the scattering operator applied to g.  For the
-    mixed-scale problem ``g_grad`` and ``avg_v_grad_g`` must already refer
-    to the product eps(x) g (expanded via the product rule), and
-    ``g_collision`` is unused.
-    """
-    x = _as_x(x)
-    sig_a = spec.sigma_a(x)
-    transport = v_dot(spec.spatial_dim, v, g_grad)
-    macro = avg_v_grad_g + sig_a * rho_val - spec.macro_source(x)
-    if spec.mixed_scale:
-        micro = (v_dot(spec.spatial_dim, v, rho_grad)
-                 + (transport - avg_v_grad_g) + g_val)
-        return macro, micro
-    eps = spec.epsilon_at(x)
-    micro = (v_dot(spec.spatial_dim, v, rho_grad)
-             + eps * (transport - avg_v_grad_g)
-             - spec.sigma_s(x) * g_collision
-             + eps * eps * sig_a * g_val
-             - spec.micro_source(x, v))
-    return macro, micro
-
-
-def exact_micro_macro_pair(spec, rule):
-    """Exact (rho, g) derived from the exact solution, for verification.
-
-    rho is the angular average of the exact f (by the supplied rule) and
-    g = (f - rho) / eps.  Only available when the problem has an exact
-    solution and a constant eps.
-    """
-    if spec.exact_f is None:
-        raise UnsupportedProblemError(f"{spec.id} has no exact solution")
-    if not spec.epsilon_is_constant:
-        raise UnsupportedProblemError("exact pair needs a constant epsilon")
-    eps = float(spec.epsilon)
-
-    def rho(x):
-        x = _as_x(x)
-        samples = np.stack([spec.exact_f(x, np.full(x.shape[:-1], node))
-                            for node in rule.nodes], axis=-1)
-        return samples @ rule.weights
-
-    def g(x, v):
-        return (spec.exact_f(x, v) - rho(x)) / eps
-
-    return rho, g

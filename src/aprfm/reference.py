@@ -34,12 +34,17 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import collocation
+from .collocation import _phase, _tensor
 from .errors import (NoConvergenceError, NonFiniteInputError,
                      UndefinedMetricError, UnsupportedProblemError)
 from .quadrature import angular_rule
 
 FDM_RESOLUTION_1D = 512
 FDM_RESOLUTION_2D = (128, 128)
+# 2D defaults: GMRES relative-residual tolerance and the limit on
+# transport-operator applications
+FDM_SWEEP_TOL = 1e-10
+FDM_MAX_ITERS = 200_000
 # Krylov vectors GMRES keeps before it restarts (scipy's default is 20,
 # which needs 890 sweeps on ex5 at 128 x 128 and eps = 1e-2, against 261)
 _GMRES_RESTART = 60
@@ -69,8 +74,7 @@ class GridField:
 
 def phase_field(x, v, values):
     """GridField over phase points given X (I, d) and V (I,)."""
-    return GridField(points=np.concatenate([x, np.asarray(v)[:, None]], axis=1),
-                     values=values)
+    return GridField(points=_phase(x, v), values=values)
 
 
 def exact_field(spec, grid):
@@ -95,8 +99,8 @@ def relative_l2(approx, ref):
 
 # -- finite-difference oracle ----------------------------------------------
 
-def fdm_reference(spec, resolution=None, sweep_tol=1e-10, max_iters=200_000,
-                  rule=None, velocity_nodes=None):
+def fdm_reference(spec, resolution=None, sweep_tol=FDM_SWEEP_TOL,
+                  max_iters=FDM_MAX_ITERS, rule=None, velocity_nodes=None):
     """Upwind discrete-ordinates reference f on the evaluation grid.
 
     ``resolution`` sets the internal spatial mesh (cells per axis); the
@@ -109,41 +113,51 @@ def fdm_reference(spec, resolution=None, sweep_tol=1e-10, max_iters=200_000,
     GMRES does not reach ``sweep_tol`` within ``max_iters`` applications,
     or when the 1D solve gives a non-finite density.
     """
-    rule = rule or angular_rule(spec.spatial_dim, 16)
     if velocity_nodes is None:
         _, n_velocity = collocation.evaluation_counts(spec)
         velocity_nodes = collocation.velocity_cells(spec, n_velocity)
     velocity_nodes = np.asarray(velocity_nodes, dtype=float)
-    eval_x = collocation.evaluation_spatial_grid(spec)
-    if spec.spatial_dim == 1:
-        out = _solve_1d(spec, resolution or FDM_RESOLUTION_1D, rule,
-                        velocity_nodes)
-        f_eval = _interp_1d(spec, out["x"], out["f_out"], eval_x[:, 0])
-    else:
-        out = _solve_2d(spec, resolution or FDM_RESOLUTION_2D, sweep_tol,
-                        max_iters, rule, velocity_nodes)
-        f_eval = _interp_2d(spec, out, out["f_out"], eval_x)
-    n_x, n_v = eval_x.shape[0], velocity_nodes.size
-    x_rep = np.repeat(eval_x, n_v, axis=0)
-    v_rep = np.tile(velocity_nodes, n_x)
-    return phase_field(x_rep, v_rep, f_eval.T.reshape(n_x * n_v))
+    eval_x, f_eval = _oracle(spec, resolution, sweep_tol, max_iters, rule,
+                             velocity_nodes)
+    return phase_field(*_tensor(eval_x, velocity_nodes), f_eval.T.ravel())
 
 
-def fdm_density(spec, resolution=None, sweep_tol=1e-10, max_iters=200_000,
-                rule=None):
+def fdm_density(spec, resolution=None, sweep_tol=FDM_SWEEP_TOL,
+                max_iters=FDM_MAX_ITERS, rule=None):
     """Angular average of the oracle on the spatial eval grid; the
     arguments are those of :func:`fdm_reference`."""
+    eval_x, rho = _oracle(spec, resolution, sweep_tol, max_iters, rule, None)
+    return GridField(points=eval_x, values=rho[0])
+
+
+def _fdm_meta(spec):
+    """The ``reference`` entry of a run report scored against the oracle
+    at its defaults."""
+    resolution = ((FDM_RESOLUTION_1D,) if spec.spatial_dim == 1
+                  else FDM_RESOLUTION_2D)
+    return {"kind": "fdm", "resolution": resolution,
+            "sweep_tol": FDM_SWEEP_TOL}
+
+
+def _oracle(spec, resolution, sweep_tol, max_iters, rule, velocity_nodes):
+    """The spatial evaluation grid (S, d) and the oracle on it: the
+    angular flux at ``velocity_nodes`` (L, S), or with None the density
+    (1, S).  Defaults: the 16-node rule and the FDM_RESOLUTION_* mesh."""
     rule = rule or angular_rule(spec.spatial_dim, 16)
     eval_x = collocation.evaluation_spatial_grid(spec)
     if spec.spatial_dim == 1:
         out = _solve_1d(spec, resolution or FDM_RESOLUTION_1D, rule,
-                        velocity_nodes=None)
-        rho = np.interp(eval_x[:, 0], out["x"], out["rho"])
+                        velocity_nodes)
     else:
         out = _solve_2d(spec, resolution or FDM_RESOLUTION_2D, sweep_tol,
-                        max_iters, rule, velocity_nodes=None)
-        rho = _interp_2d(spec, out, out["rho"][None, :, :], eval_x)[0]
-    return GridField(points=eval_x, values=rho)
+                        max_iters, rule, velocity_nodes)
+    fields = out["rho"][None] if velocity_nodes is None else out["f_out"]
+    if spec.spatial_dim == 1:
+        values = np.stack([np.interp(eval_x[:, 0], out["x"], field)
+                           for field in fields])
+    else:
+        values = _interp_2d(spec, out, fields, eval_x)
+    return eval_x, values
 
 
 def _native_fields(spec, x):
@@ -219,10 +233,6 @@ def _solve_1d(spec, n_cells, rule, velocity_nodes):
             f_out[m] = oriented(f, neg)
         result["f_out"] = f_out
     return result
-
-
-def _interp_1d(spec, x_fine, f_out, x_eval):
-    return np.stack([np.interp(x_eval, x_fine, row) for row in f_out])
 
 
 class _SweepGroup:

@@ -8,14 +8,18 @@ writes each macro row once per velocity, unweighted, as the reference for
 the weighted single macro row; ``dense_column_batch``,
 ``dense_model_values`` and ``dense_assembly`` evaluate every box at every
 point with full gradients, as references for the support-restricted
-directional kernel."""
+directional kernel; ``micro_macro_residuals`` and
+``exact_micro_macro_pair`` state the micro-macro equations pointwise, as
+references for the problem sources."""
 
 import numpy as np
 import scipy.linalg
 
 from aprfm import assemble, basis, cli, collocation, reference
+from aprfm.collocation import _phase, _tensor
+from aprfm.errors import UnsupportedProblemError
 from aprfm.method import Method, solve
-from aprfm.problems import direction
+from aprfm.problems import direction, v_dot
 from aprfm.solve import SolveReport
 
 
@@ -63,8 +67,7 @@ def stack_blocks(blocks):
         row_kind=np.concatenate([b.row_kind for b in blocks]),
         lam=np.concatenate([b.lam for b in blocks]),
         n_interior=sum(b.n_interior for b in blocks),
-        n_boundary=sum(b.n_boundary for b in blocks),
-        n_rho_columns=blocks[0].n_rho_columns)
+        n_boundary=sum(b.n_boundary for b in blocks))
 
 
 def weighted(system):
@@ -88,8 +91,7 @@ def repeated_macro_blocks(meth, colloc, rule):
         yield assemble.rescale_rows(assemble.LinearSystem(
             matrix=block.matrix[order], rhs=block.rhs[order],
             row_kind=block.row_kind[order], lam=np.ones(order.size),
-            n_interior=n_int, n_boundary=block.n_boundary,
-            n_rho_columns=block.n_rho_columns))
+            n_interior=n_int, n_boundary=block.n_boundary))
 
 
 def dense_lstsq(system, rank_tol=1e-12):
@@ -226,7 +228,7 @@ def dense_assembly(meth, colloc, rule):
     phase = meth.models[-1]
 
     def node_columns(nodes):
-        chi, dchi = dense_column_batch(phase, assemble._phase_points(xs, nodes))
+        chi, dchi = dense_column_batch(phase, _phase(*_tensor(xs, nodes)))
         return (chi.reshape(n_x, nodes.size, -1),
                 dchi.reshape(n_x, nodes.size, phase.n_columns, dim + 1))
 
@@ -270,6 +272,58 @@ def dense_assembly(meth, colloc, rule):
          spec.epsilon_at(colloc.boundary_x)[:, None] * chi_b], axis=1)
     return np.concatenate([macro, micro.reshape(-1, micro.shape[-1]),
                            boundary])
+
+
+# -- the micro-macro equations pointwise: the sources' reference ------------
+
+def micro_macro_residuals(spec, x, v, rho_val, rho_grad, g_val, g_grad,
+                          avg_v_grad_g, g_collision):
+    """Residuals of the macro and micro equations at phase points (x, v).
+
+    The caller supplies the angular pieces evaluated at (x, v):
+    ``avg_v_grad_g`` is the angular average of v . grad_x g at x, and
+    ``g_collision`` is the scattering operator applied to g.  For the
+    mixed-scale problem ``g_grad`` and ``avg_v_grad_g`` must already refer
+    to the product eps(x) g (expanded via the product rule), and
+    ``g_collision`` is unused.
+    """
+    x = np.asarray(x, dtype=float)
+    sig_a = spec.sigma_a(x)
+    transport = v_dot(spec.spatial_dim, v, g_grad)
+    macro = avg_v_grad_g + sig_a * rho_val - spec.macro_source(x)
+    if spec.mixed_scale:
+        micro = (v_dot(spec.spatial_dim, v, rho_grad)
+                 + (transport - avg_v_grad_g) + g_val)
+        return macro, micro
+    eps = spec.epsilon_at(x)
+    micro = (v_dot(spec.spatial_dim, v, rho_grad)
+             + eps * (transport - avg_v_grad_g)
+             - spec.sigma_s(x) * g_collision
+             + eps * eps * sig_a * g_val
+             - spec.micro_source(x, v))
+    return macro, micro
+
+
+def exact_micro_macro_pair(spec, rule):
+    """Exact (rho, g) derived from the exact solution: rho is the angular
+    average of the exact f by ``rule`` and g = (f - rho) / eps.  Needs an
+    exact solution and a constant eps."""
+    if spec.exact_f is None:
+        raise UnsupportedProblemError(f"{spec.id} has no exact solution")
+    if not spec.epsilon_is_constant:
+        raise UnsupportedProblemError("exact pair needs a constant epsilon")
+    eps = float(spec.epsilon)
+
+    def rho(x):
+        x = np.asarray(x, dtype=float)
+        samples = np.stack([spec.exact_f(x, np.full(x.shape[:-1], node))
+                            for node in rule.nodes], axis=-1)
+        return samples @ rule.weights
+
+    def g(x, v):
+        return (spec.exact_f(x, v) - rho(x)) / eps
+
+    return rho, g
 
 
 # -- plain source iteration, the reference for the oracle's fast solves ------

@@ -7,7 +7,8 @@ from aprfm import assemble, basis, collocation, problems, quadrature, solve
 from aprfm.errors import DegenerateRowError
 from aprfm.method import Method
 from helpers import (build_f_model, build_models, dense_assembly,
-                     exact_field_for, rfm_f_error, run_config, weighted)
+                     dense_column_batch, dense_model_values, rfm_f_error,
+                     run_config, weighted)
 
 EPS_PROFILE_AT_HALF = 0.7715941559557649
 
@@ -82,35 +83,40 @@ class TestOneShotOperator:
 
     def test_interior_rows_match_pointwise_operator(self):
         # row k dotted with coefficients == operator applied to the model,
-        # with gradients replaced by central differences of model_eval
+        # with gradients replaced by central differences of the dense
+        # model evaluation
         spec, rule, colloc, _, g_model = small_setup(eps=0.45, j_g=6)
         model = build_f_model(spec, 6, (1,), 1, seed=3)
         system = assemble.assemble_rfm(spec, model, colloc, rule)
         rng = np.random.default_rng(8)
         coeffs = rng.standard_normal(model.n_columns)
+
+        def f_at(pt, node):
+            return dense_model_values(model, coeffs, [[pt, node]])[0]
+
         h = 1e-6
         for k in rng.integers(0, colloc.n_interior, size=12):
             x, v = colloc.interior_x[k], colloc.interior_v[k]
-            up = basis.model_eval(model, coeffs, np.array([x[0] + h, v]))
-            dn = basis.model_eval(model, coeffs, np.array([x[0] - h, v]))
-            dfdx = (up - dn) / (2 * h)
-            f_here = basis.model_eval(model, coeffs, np.array([x[0], v]))
-            avg = sum(w * basis.model_eval(model, coeffs, np.array([x[0], node]))
+            dfdx = (f_at(x[0] + h, v) - f_at(x[0] - h, v)) / (2 * h)
+            f_here = f_at(x[0], v)
+            avg = sum(w * f_at(x[0], node)
                       for node, w in zip(rule.nodes, rule.weights))
             expected = 0.45 * v * dfdx - avg + f_here
             assert system.matrix[k] @ coeffs == pytest.approx(expected,
                                                               abs=5e-6)
 
 
-def limit_rows_by_single_point_ops(spec, rule, colloc, rho_model, g_model):
-    """Independent assembly of the vanishing-scale interior system from the
-    public single-point operations.  Both models must be single-box, so the
-    normalized bump is identically one and the analytic neuron gradient is
-    the full column gradient."""
+def limit_rows_pointwise(spec, rule, colloc, rho_model, g_model):
+    """Independent assembly of the vanishing-scale interior system, point
+    by point, from the dense columns and gradients of ``helpers``.  Both
+    models must be single-box, so the normalized bump is identically one
+    and the neuron gradient is the full column gradient."""
     assert rho_model.n_boxes == 1 and g_model.n_boxes == 1
-    np.testing.assert_allclose(
-        basis.pou_tensor_normalized(rho_model.partition, rho_model.pou_kind,
-                                    colloc.interior_x[0]), [1.0])
+
+    def column(model, j, point):
+        chi, grad = dense_column_batch(model, np.array([point]))
+        return chi[0, j], grad[0, j]
+
     z_r, z_g = rho_model.n_features, g_model.n_features
     n_x = colloc.spatial_nodes.shape[0]
     n_v = colloc.velocity_nodes.size
@@ -123,17 +129,15 @@ def limit_rows_by_single_point_ops(spec, rule, colloc, rho_model, g_model):
         sig_s = spec.sigma_s(x[None, :])[0]
         sig_a = spec.sigma_a(x[None, :])[0]
         for j in range(z_r):
-            val, grad = basis.feature_eval(rho_model, 0, j, x)
+            val, grad = column(rho_model, j, x)
             rows[macro, j] = sig_a * val
             rows[micro, j] = v * grad[0]
         for j in range(z_g):
-            val_here, _ = basis.feature_eval(g_model, 0, j,
-                                             np.array([x[0], v]))
+            val_here, _ = column(g_model, j, [x[0], v])
             avg_transport = 0.0
             avg_val = 0.0
             for node, w in zip(rule.nodes, rule.weights):
-                val_q, grad_q = basis.feature_eval(g_model, 0, j,
-                                                   np.array([x[0], node]))
+                val_q, grad_q = column(g_model, j, [x[0], node])
                 avg_transport += w * node * grad_q[0]
                 avg_val += w * val_q
             rows[macro, z_r + j] = avg_transport
@@ -152,8 +156,7 @@ class TestVanishingScaleLimit:
         n_rows = tiny.n_rows - colloc.n_boundary
         np.testing.assert_allclose(tiny.matrix[:n_rows],
                                    at_zero.matrix[:n_rows], atol=1e-15)
-        limit = limit_rows_by_single_point_ops(spec, rule, colloc,
-                                               rho_model, g_model)
+        limit = limit_rows_pointwise(spec, rule, colloc, rho_model, g_model)
         frob = np.linalg.norm(tiny.matrix[:n_rows] - limit)
         assert frob / np.linalg.norm(limit) < 1e-12
         frob_exact = np.linalg.norm(at_zero.matrix[:n_rows]
@@ -201,18 +204,18 @@ class TestMicroMacroRows:
         system = assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule)
         rng = np.random.default_rng(14)
         coeffs = rng.standard_normal(system.n_columns)
-        c_rho, c_g = assemble.split_coefficients(system, coeffs)
+        c_rho, c_g = np.split(coeffs, [rho_model.n_columns])
         n_x, n_v = colloc.spatial_nodes.shape[0], colloc.velocity_nodes.size
+
+        def rho_at(pt):
+            return dense_model_values(rho_model, c_rho, [[pt]])[0]
+
+        def g_at(pt, node):
+            return dense_model_values(g_model, c_g, [[pt, node]])[0]
+
         h = 1e-6
         for k in rng.integers(0, colloc.n_interior, size=8):
             x, v = colloc.interior_x[k], colloc.interior_v[k]
-
-            def rho_at(pt):
-                return basis.model_eval(rho_model, c_rho, np.array([pt]))
-
-            def g_at(pt, node):
-                return basis.model_eval(g_model, c_g, np.array([pt, node]))
-
             drho = (rho_at(x[0] + h) - rho_at(x[0] - h)) / (2 * h)
             dg = (g_at(x[0] + h, v) - g_at(x[0] - h, v)) / (2 * h)
             avg_t = sum(w * node * (g_at(x[0] + h, node)
@@ -234,19 +237,21 @@ class TestMicroMacroRows:
         system = assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule)
         rng = np.random.default_rng(21)
         coeffs = rng.standard_normal(system.n_columns)
-        c_rho, c_g = assemble.split_coefficients(system, coeffs)
+        c_rho, c_g = np.split(coeffs, [rho_model.n_columns])
         n_x, n_v = colloc.spatial_nodes.shape[0], colloc.velocity_nodes.size
+
+        def g_at(pt, node):
+            return dense_model_values(g_model, c_g, [[pt, node]])[0]
+
+        def eps_g(pt, node):
+            return problems.epsilon_profile(pt) * g_at(pt, node)
+
+        def rho_at(pt):
+            return dense_model_values(rho_model, c_rho, [[pt]])[0]
+
         h = 1e-6
         for k in rng.integers(0, colloc.n_interior, size=6):
             x, v = colloc.interior_x[k], colloc.interior_v[k]
-
-            def eps_g(pt, node):
-                return problems.epsilon_profile(pt) * basis.model_eval(
-                    g_model, c_g, np.array([pt, node]))
-
-            def rho_at(pt):
-                return basis.model_eval(rho_model, c_rho, np.array([pt]))
-
             d_eps_g = (eps_g(x[0] + h, v) - eps_g(x[0] - h, v)) / (2 * h)
             avg_t = sum(w * node * (eps_g(x[0] + h, node)
                                     - eps_g(x[0] - h, node)) / (2 * h)
@@ -254,7 +259,7 @@ class TestMicroMacroRows:
             macro = avg_t
             micro = (v * (rho_at(x[0] + h) - rho_at(x[0] - h)) / (2 * h)
                      + (v * d_eps_g - avg_t)
-                     + basis.model_eval(g_model, c_g, np.array([x[0], v])))
+                     + g_at(x[0], v))
             assert system.matrix[k // n_v] @ coeffs == pytest.approx(
                 macro, abs=5e-6)
             assert system.matrix[n_x + k] @ coeffs == pytest.approx(
@@ -297,7 +302,7 @@ class TestRescaleRows:
             matrix=np.array([[2.0, 4.0, -8.0], [1.0, 0.5, 0.25]]),
             rhs=np.array([16.0, 1.0]),
             row_kind=[assemble.ROW_RFM, assemble.ROW_BOUNDARY],
-            lam=np.ones(2), n_interior=1, n_boundary=1, n_rho_columns=0)
+            lam=np.ones(2), n_interior=1, n_boundary=1)
 
     def test_direct_arithmetic(self):
         tiny = self.make_tiny()
@@ -332,7 +337,7 @@ class TestRescaleRows:
         system = assemble.LinearSystem(
             matrix=matrix, rhs=matrix @ truth,
             row_kind=np.full(12, assemble.ROW_RFM), lam=np.ones(12),
-            n_interior=12, n_boundary=0, n_rho_columns=0)
+            n_interior=12, n_boundary=0)
         before = solve.lstsq([system]).coeffs
         after = solve.lstsq([assemble.rescale_rows(system)]).coeffs
         np.testing.assert_allclose(before, truth, atol=1e-10)
@@ -343,7 +348,7 @@ class TestRescaleRows:
             matrix=np.array([[1.0, 2.0], [0.0, 0.0]]),
             rhs=np.zeros(2),
             row_kind=[assemble.ROW_RFM, assemble.ROW_BOUNDARY],
-            lam=np.ones(2), n_interior=1, n_boundary=1, n_rho_columns=0)
+            lam=np.ones(2), n_interior=1, n_boundary=1)
         with pytest.raises(DegenerateRowError) as err:
             assemble.rescale_rows(system)
         assert err.value.row_index == 1

@@ -10,52 +10,56 @@ def unit_square_partition(counts=(1, 1)):
     return basis.uniform_partition([(0.0, 1.0), (-1.0, 1.0)], counts)
 
 
+def window(kind, z):
+    return basis._axis_pou(kind, np.asarray(z, dtype=float))[0]
+
+
 class TestNormalizeToBox:
+    """The kernels map box i onto [-1, 1]^d by z = (y - c_i) / r_i, with
+    the partition's centers and half-widths."""
+
     def test_midpoint_maps_to_zero(self):
-        box = basis.Box(np.array([0.2, -1.0]), np.array([0.8, 3.0]))
-        np.testing.assert_allclose(
-            basis.normalize_to_box(box.center, box), [0.0, 0.0])
+        part = basis.uniform_partition([(0.2, 0.8), (-1.0, 3.0)], (1, 1))
+        np.testing.assert_allclose(part.centers, [[0.5, 1.0]])
+        np.testing.assert_allclose(part.radii, [[0.3, 2.0]])
 
     def test_unit_interval_endpoints(self):
-        box = basis.Box(np.array([0.0]), np.array([1.0]))
-        assert basis.normalize_to_box(np.array([0.0]), box)[0] == -1.0
-        assert basis.normalize_to_box(np.array([1.0]), box)[0] == 1.0
-        assert basis.normalize_to_box(np.array([0.75]), box)[0] == 0.5
-
-    def test_dimension_mismatch(self):
-        box = basis.Box(np.array([0.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            basis.normalize_to_box(np.array([0.0, 1.0]), box)
+        part = basis.uniform_partition([(0.0, 1.0)], (1,))
+        assert part.centers[0, 0] == 0.5 and part.radii[0, 0] == 0.5
+        # z = -1, 1 and 0.5: half weight on the faces, flat inside
+        psi, _ = basis.pou_raw_batch(part, "phi_b",
+                                     np.array([[0.0], [1.0], [0.75]]))
+        np.testing.assert_allclose(psi[:, 0], [0.5, 0.5, 1.0], atol=1e-15)
 
 
 class TestPouUnivariate:
     def test_bump_values(self):
-        assert basis.pou_univariate("phi_b", 0.0) == 1.0
-        assert basis.pou_univariate("phi_b", 1.0) == pytest.approx(0.5)
-        assert basis.pou_univariate("phi_b", -1.0) == pytest.approx(0.5)
-        assert basis.pou_univariate("phi_b", 2.0) == 0.0
-        assert basis.pou_univariate("phi_a", 0.5) == 1.0
-        assert basis.pou_univariate("phi_a", -1.0) == 1.0
-        assert basis.pou_univariate("phi_a", 1.0 + 1e-12) == 0.0
+        assert window("phi_b", 0.0) == 1.0
+        assert window("phi_b", 1.0) == pytest.approx(0.5)
+        assert window("phi_b", -1.0) == pytest.approx(0.5)
+        assert window("phi_b", 2.0) == 0.0
+        assert window("phi_a", 0.5) == 1.0
+        assert window("phi_a", -1.0) == 1.0
+        assert window("phi_a", 1.0 + 1e-12) == 0.0
 
     def test_bump_continuity_at_joints(self):
         for joint in (0.75, 1.25, -0.75, -1.25):
-            lo = basis.pou_univariate("phi_b", joint - 1e-9)
-            hi = basis.pou_univariate("phi_b", joint + 1e-9)
+            lo = window("phi_b", joint - 1e-9)
+            hi = window("phi_b", joint + 1e-9)
             assert abs(lo - hi) < 1e-7
 
     def test_indicator_support(self):
         z = np.linspace(-2, 2, 401)
-        vals = basis.pou_univariate("phi_a", z)
-        np.testing.assert_array_equal(vals, (np.abs(z) <= 1).astype(float))
+        np.testing.assert_array_equal(window("phi_a", z),
+                                      (np.abs(z) <= 1).astype(float))
 
 
 class TestPouTensorNormalized:
     def test_single_box_is_one(self):
         part = unit_square_partition((1, 1))
-        for y in ([0.5, 0.0], [0.01, -0.99], [0.99, 0.73]):
-            np.testing.assert_allclose(
-                basis.pou_tensor_normalized(part, "phi_b", np.array(y)), [1.0])
+        pts = np.array([[0.5, 0.0], [0.01, -0.99], [0.99, 0.73]])
+        psi, _ = basis.pou_normalized_batch(part, "phi_b", pts)
+        np.testing.assert_allclose(psi, 1.0)
 
     @pytest.mark.parametrize("kind", ["phi_a", "phi_b"])
     @pytest.mark.parametrize("counts", [(1, 1), (2, 2), (4, 2), (8, 8)])
@@ -70,14 +74,14 @@ class TestPouTensorNormalized:
         part = unit_square_partition((2, 2))
         # deep inside box (0, 0): |z| <= 3/4 on both axes, so the bump of
         # every other box vanishes there
-        y = np.array([0.25, -0.5])
-        weights = basis.pou_tensor_normalized(part, "phi_b", y)
-        np.testing.assert_allclose(weights, [1.0, 0.0, 0.0, 0.0], atol=0)
+        psi, _ = basis.pou_normalized_batch(part, "phi_b",
+                                            np.array([[0.25, -0.5]]))
+        np.testing.assert_allclose(psi[0], [1.0, 0.0, 0.0, 0.0], atol=0)
 
     def test_degenerate_cover(self):
         part = unit_square_partition((1, 1))
         with pytest.raises(DegenerateCoverError):
-            basis.pou_tensor_normalized(part, "phi_a", np.array([5.0, 0.0]))
+            basis.pou_normalized_batch(part, "phi_a", np.array([[5.0, 0.0]]))
 
     def test_support(self):
         part = unit_square_partition((2, 2))
@@ -90,15 +94,18 @@ class TestPouTensorNormalized:
 
 
 class TestFeatureEval:
+    """Single neurons through ``column_batch``, the kernel assembly uses."""
+
     def test_zero_weights(self):
         part = unit_square_partition((1, 1))
         weights = basis.FeatureWeights(w=np.zeros((1, 1, 2)),
                                        b=np.zeros((1, 1)),
                                        range_b=1.0, seed=0)
         model = basis.FeatureModel(partition=part, weights=weights)
-        value, grad = basis.feature_eval(model, 0, 0, np.array([0.3, 0.2]))
-        assert value == 0.0
-        np.testing.assert_array_equal(grad, [0.0, 0.0])
+        for axis in range(2):
+            chi, dchi = basis.column_batch(model, np.array([[0.3, 0.2]]),
+                                           np.eye(2)[axis])
+            assert chi[0, 0] == 0.0 and dchi[0, 0] == 0.0
 
     def test_sine_activation_peak(self):
         part = unit_square_partition((1, 1))
@@ -107,37 +114,31 @@ class TestFeatureEval:
                                        range_b=1.0, seed=0)
         model = basis.FeatureModel(partition=part, weights=weights,
                                    activation="sine-pi")
-        value, _ = basis.feature_eval(model, 0, 0, np.array([0.5, 0.0]))
-        assert value == pytest.approx(1.0, abs=1e-15)
-
-    def test_index_out_of_range(self):
-        model = basis.make_model(unit_square_partition((1, 1)), 4, seed=0)
-        with pytest.raises(ValueError):
-            basis.feature_eval(model, 0, 4, np.array([0.5, 0.0]))
+        chi, _ = basis.column_batch(model, np.array([[0.5, 0.0]]))
+        assert chi[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("activation", ["tanh", "sine-pi"])
     def test_gradient_matches_finite_differences(self, activation):
+        # the derivative along full (x, v) directions, velocity included,
+        # off the window joints
         part = basis.uniform_partition([(0.0, 1.0), (-1.0, 1.0)], (2, 2))
         model = basis.make_model(part, 5, seed=11, range_b=2.0,
                                  activation=activation)
         rng = np.random.default_rng(3)
+        pts = rng.uniform([0, -1], [1, 1], size=(200, 2))
+        az = np.abs((pts[:, None, :] - part.centers) / part.radii)
+        off = np.all(np.abs(az[..., None] - [0.75, 1.25]) > 1e-3,
+                     axis=(1, 2, 3))
+        pts = pts[off][:100]
+        dirs = rng.standard_normal(pts.shape)
         h = 1e-6
-        checked = 0
-        while checked < 100:
-            y = rng.uniform([0, -1], [1, 1])
-            i = rng.integers(model.n_boxes)
-            j = rng.integers(model.n_features)
-            _, grad = basis.feature_eval(model, i, j, y)
-            fd = np.empty_like(y)
-            for axis in range(2):
-                step = np.zeros(2)
-                step[axis] = h
-                up, _ = basis.feature_eval(model, i, j, y + step)
-                dn, _ = basis.feature_eval(model, i, j, y - step)
-                fd[axis] = (up - dn) / (2 * h)
-            scale = max(np.abs(fd).max(), 1.0)
-            np.testing.assert_allclose(grad, fd, atol=1e-6 * scale)
-            checked += 1
+        _, grad = basis.column_batch(model, pts, dirs)
+        up, _ = basis.column_batch(model, pts + h * dirs)
+        dn, _ = basis.column_batch(model, pts - h * dirs)
+        fd = (up - dn) / (2 * h)
+        scale = np.maximum(np.abs(fd).max(axis=1, keepdims=True), 1.0)
+        assert len(pts) == 100
+        assert np.all(np.abs(grad - fd) <= 1e-6 * scale)
 
 
 # phase-space partitions: space x velocity in 2D, space^2 x angle in 3D
@@ -249,44 +250,51 @@ class TestFeatureWeights:
 class TestModelEval:
     def test_zero_coefficients(self):
         model = basis.make_model(unit_square_partition((2, 1)), 3, seed=0)
-        assert basis.model_eval(model, np.zeros(6), np.array([0.4, 0.1])) == 0.0
+        out = basis.model_values(model, np.zeros(6), np.array([[0.4, 0.1]]))
+        assert out[0] == 0.0
 
     def test_single_feature_factorization(self):
         part = unit_square_partition((1, 1))
         model = basis.make_model(part, 1, seed=8)
-        y = np.array([0.3, -0.4])
+        y = np.array([[0.3, -0.4]])
         c = 2.5
-        psi = basis.pou_tensor_normalized(part, "phi_b", y)[0]
-        phi, _ = basis.feature_eval(model, 0, 0, y)
-        assert basis.model_eval(model, np.array([c]), y) == \
-            pytest.approx(psi * c * phi, rel=1e-15)
+        psi, _ = basis.pou_normalized_batch(part, "phi_b", y)
+        z = (y[0] - part.centers[0]) / part.radii[0]
+        phi = np.tanh(model.weights.w[0, 0] @ z + model.weights.b[0, 0])
+        assert basis.model_values(model, np.array([c]), y)[0] == \
+            pytest.approx(psi[0, 0] * c * phi, rel=1e-15)
 
     def test_linearity(self):
         model = basis.make_model(unit_square_partition((2, 2)), 6, seed=2)
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            c1 = rng.standard_normal(model.n_columns)
-            c2 = rng.standard_normal(model.n_columns)
-            y = rng.uniform([0, -1], [1, 1])
-            lhs = basis.model_eval(model, c1 + c2, y)
-            rhs = basis.model_eval(model, c1, y) + basis.model_eval(model, c2, y)
-            assert lhs == pytest.approx(rhs, abs=1e-13)
+        c1 = rng.standard_normal(model.n_columns)
+        c2 = rng.standard_normal(model.n_columns)
+        pts = rng.uniform([0, -1], [1, 1], size=(20, 2))
+        lhs = basis.model_values(model, c1 + c2, pts)
+        rhs = (basis.model_values(model, c1, pts)
+               + basis.model_values(model, c2, pts))
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13)
 
     def test_length_mismatch(self):
         model = basis.make_model(unit_square_partition((1, 1)), 4, seed=0)
         with pytest.raises(ValueError):
-            basis.model_eval(model, np.zeros(3), np.array([0.5, 0.0]))
+            basis.model_values(model, np.zeros(3), np.array([[0.5, 0.0]]))
 
 
 class TestPartitionConstruction:
     def test_shared_faces(self):
         part = basis.uniform_partition([(0.0, 1.0)], (4,))
-        for left, right in zip(part.boxes[:-1], part.boxes[1:]):
-            assert left.hi[0] == right.lo[0]
+        hi = part.centers + part.radii
+        lo = part.centers - part.radii
+        np.testing.assert_array_equal(hi[:-1], lo[1:])
+        assert lo[0, 0] == 0.0 and hi[-1, 0] == 1.0
 
     def test_invalid_box(self):
-        with pytest.raises(ValueError):
-            basis.Box(np.array([1.0]), np.array([0.0]))
+        for bounds, counts in (([(1.0, 0.0)], (1,)), ([(0.5, 0.5)], (2,)),
+                               ([(0.0, 1.0), (1.0, 0.0)], (1, 1)),
+                               ([(0.0, 1.0)], (0,))):
+            with pytest.raises(ValueError):
+                basis.uniform_partition(bounds, counts)
 
     def test_weight_shape_checked(self):
         part = unit_square_partition((2, 1))

@@ -132,9 +132,23 @@ class TestMain:
         assert code == 2
         assert "invalid-config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--j", "0"],
+                                      ["--jrho", "0", "--jg", "4"],
+                                      ["--jrho", "4", "--jg", "0"]],
+                             ids=["j", "jrho", "jg"])
+    def test_feature_count_below_one_exit_two(self, tmp_path, capsys, flag):
+        code = cli.main(["run", "--problem", "ex1", "--epsilon", "0.5",
+                         "--nx", "8", "--nv", "16",
+                         "--out", str(tmp_path / "x")] + flag)
+        assert code == 2
+        assert "invalid-config" in capsys.readouterr().err
+
     def test_numerical_failure_exit_three(self, tmp_path, capsys,
                                           monkeypatch):
-        monkeypatch.setattr(cli, "FDM_MAX_ITERS", 1)
+        # an oracle allowed a single sweep cannot converge
+        fdm_density = cli.fdm_density
+        monkeypatch.setattr(cli, "fdm_density",
+                            lambda spec: fdm_density(spec, max_iters=1))
         code = cli.main(["run", "--problem", "ex5", "--method", "aprfm",
                          "--epsilon", "1", "--j", "4", "--nx1", "8",
                          "--nx2", "8", "--nv", "8",
@@ -182,9 +196,12 @@ class TestSweep:
         base = cli.RunConfig()
         for table, n_cells in [("T1", 20), ("T2", 16), ("T3", 20),
                                ("T4", 20), ("T5", 16), ("T6", 8)]:
-            cells, _, rows, _, cols = cli._table_cells(table, base)
+            cells, labels, _, rows, _, cols = cli._table_cells(table, base)
             assert len(cells) == n_cells
-            assert len(cells) == len(rows) * len(cols)
+            assert len(cells) == len(rows) * len(cols) == len(labels)
+        cells, labels, *_ = cli._table_cells("T6", base)
+        assert labels[1] == "(1,1,2)" and cells[1].mv == 2
+        assert cli._table_cells("T4", base)[1][:2] == [8, 16]
 
     def test_custom_grid(self, tmp_path):
         base = cli.RunConfig(seeds=2, seed=5)
@@ -256,6 +273,24 @@ class TestPlotData:
         config = tiny_config()
         rows = cli.emit_plot_data(config, "heatmap-f", str(tmp_path / "hf"))
         assert len(rows) == 128 * 256
+
+    def test_heatmap_f_2d(self, tmp_path):
+        config = tiny_config(problem="ex4", epsilon=1.0, j=4, nx1=8, nx2=8,
+                             nv=8)
+        rows = cli.emit_plot_data(config, "heatmap-f", str(tmp_path / "hf"))
+        assert rows.shape == (64 * 64 * 32, 5)
+        np.testing.assert_allclose(rows[:, 4],
+                                   np.exp(-rows[:, 0] - rows[:, 1]),
+                                   rtol=1e-15)
+        lines = (tmp_path / "hf.csv").read_text().splitlines()
+        assert lines[0] == "x1,x2,v,f_approx,f_ref"
+        assert len(lines) == 1 + 64 * 64 * 32
+
+    def test_heatmap_f_rejected_without_f_reference(self, tmp_path):
+        config = tiny_config(problem="ex5", epsilon=1.0, j=4, nx1=8, nx2=8,
+                             nv=8)
+        with pytest.raises(ValueError):
+            cli.emit_plot_data(config, "heatmap-f", str(tmp_path / "bad"))
 
     def test_heatmap_rho_annulus_omits_hole(self, tmp_path):
         config = tiny_config(problem="ex6", epsilon=1.0, j=4, nx1=8, nx2=8,

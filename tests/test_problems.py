@@ -3,6 +3,7 @@ import pytest
 
 from aprfm import problems, quadrature
 from aprfm.errors import UnsupportedProblemError
+from helpers import exact_micro_macro_pair, micro_macro_residuals
 
 # frozen with 30-digit arithmetic
 EPS_PROFILE_AT_0 = 0.010121134251688328
@@ -121,6 +122,9 @@ def _residual_pieces(spec, rule, rho_fn, g_fn, x, v, h=1e-6):
 
 
 class TestMicroMacroResiduals:
+    """The sources of each problem against the pointwise micro-macro
+    equations of ``helpers``."""
+
     def test_exact_pair_ex1(self):
         spec = problems.catalog("ex1", 0.7)
         rule = quadrature.angular_rule(1, 16)
@@ -130,7 +134,7 @@ class TestMicroMacroResiduals:
         pieces = _residual_pieces(spec, rule,
                                   lambda x: 1.0 - x[..., 0],
                                   lambda x, v: np.zeros(x.shape[0]), x, v)
-        macro, micro = problems.micro_macro_residuals(spec, x, v, **pieces)
+        macro, micro = micro_macro_residuals(spec, x, v, **pieces)
         np.testing.assert_allclose(macro, 0.0, atol=1e-10)
         np.testing.assert_allclose(micro, 0.0, atol=1e-10)
 
@@ -139,19 +143,19 @@ class TestMicroMacroResiduals:
     def test_exact_pair_planar(self, pid, eps):
         spec = problems.catalog(pid, eps)
         rule = quadrature.angular_rule(2, 16)
-        rho_fn, g_fn = problems.exact_micro_macro_pair(spec, rule)
+        rho_fn, g_fn = exact_micro_macro_pair(spec, rule)
         rng = np.random.default_rng(11)
         x = rng.uniform(0.4, 0.95, size=(150, 2))  # inside any geometry
         v = rng.uniform(0, 2 * np.pi, size=150)
         pieces = _residual_pieces(spec, rule, rho_fn, g_fn, x, v)
-        macro, micro = problems.micro_macro_residuals(spec, x, v, **pieces)
+        macro, micro = micro_macro_residuals(spec, x, v, **pieces)
         np.testing.assert_allclose(macro, 0.0, atol=1e-10)
         np.testing.assert_allclose(micro, 0.0, atol=1e-10)
 
     def test_exact_pair_has_zero_mean_fluctuation(self):
         spec = problems.catalog("ex4", 0.5)
         rule = quadrature.angular_rule(2, 16)
-        _, g_fn = problems.exact_micro_macro_pair(spec, rule)
+        _, g_fn = exact_micro_macro_pair(spec, rule)
         rng = np.random.default_rng(2)
         x = rng.uniform(-0.9, 0.9, size=(50, 2))
         samples = np.stack([g_fn(x, np.full(50, node)) for node in rule.nodes],
@@ -166,7 +170,7 @@ class TestMicroMacroResiduals:
         pieces = _residual_pieces(spec, rule,
                                   lambda x: np.full(x.shape[0], 2.0),
                                   lambda x, v: np.zeros(x.shape[0]), x, v)
-        macro, micro = problems.micro_macro_residuals(spec, x, v, **pieces)
+        macro, micro = micro_macro_residuals(spec, x, v, **pieces)
         np.testing.assert_allclose(macro, 0.0, atol=1e-12)
         np.testing.assert_allclose(micro, 0.0, atol=1e-12)
 
@@ -179,7 +183,7 @@ class TestMicroMacroResiduals:
         pieces = _residual_pieces(spec, rule,
                                   lambda x: np.full(x.shape[0], 0.25),
                                   lambda x, v: np.zeros(x.shape[0]), x, v)
-        macro, micro = problems.micro_macro_residuals(spec, x, v, **pieces)
+        macro, micro = micro_macro_residuals(spec, x, v, **pieces)
         np.testing.assert_allclose(macro, 0.0, atol=1e-12)
         np.testing.assert_allclose(micro, 0.0, atol=1e-12)
 
@@ -187,4 +191,4 @@ class TestMicroMacroResiduals:
         spec = problems.catalog("ex2", 1.0)
         rule = quadrature.angular_rule(1, 8)
         with pytest.raises(UnsupportedProblemError):
-            problems.exact_micro_macro_pair(spec, rule)
+            exact_micro_macro_pair(spec, rule)

@@ -12,7 +12,7 @@ def plain_system(matrix, rhs):
         matrix=matrix, rhs=np.asarray(rhs, dtype=float),
         row_kind=np.full(matrix.shape[0], assemble.ROW_RFM),
         lam=np.ones(matrix.shape[0]),
-        n_interior=matrix.shape[0], n_boundary=0, n_rho_columns=0)
+        n_interior=matrix.shape[0], n_boundary=0)
 
 
 def blocks(matrix, rhs):
