@@ -19,15 +19,27 @@ problem has one and from the finite-difference oracle otherwise.
 ``--epsilon`` must be positive and finite (``profile`` for ex3, which
 ignores it); anything else exits 2 with ``invalid-config``.  All flags can
 also be given in a config file (one ``key = value`` per line, ``#``
-comments); command-line flags win.  ``APRFM_THREADS`` caps the number of
-worker threads used for sweep cells; the threads share one reference
-cache and compute each reference once.
+comments); command-line flags win.  ``-v`` logs at INFO level, one record
+per finished sweep run among them.
+
+A sweep runs its cells side by side, one per CPU unless ``APRFM_THREADS``
+says otherwise, sharing one reference cache, and every BLAS call in it
+uses one thread: its errors do not depend on the worker count, and
+``OPENBLAS_NUM_THREADS=1 aprfm run`` with a cell's settings reproduces the
+cell's error bit for bit.  ``run`` and ``plotdata`` keep the process's BLAS
+threads.  A failing sweep run is recorded and the others go on (see
+:func:`sweep`).
 """
 
 import argparse
 import concurrent.futures
+import contextlib
+import ctypes
 import dataclasses
+import functools
+import glob
 import json
+import logging
 import os
 import resource
 import sys
@@ -35,6 +47,7 @@ import threading
 import time
 
 import numpy as np
+import scipy
 
 from . import collocation
 from .errors import AprfmError, NoConvergenceError, NonFiniteInputError
@@ -42,6 +55,9 @@ from .method import METHODS, solve
 from .problems import PROBLEM_IDS, catalog
 from .reference import (GridField, _fdm_meta, exact_field, fdm_density,
                         fdm_reference, phase_field, relative_l2)
+
+# named, not __name__, which is "__main__" under ``python -m aprfm.cli``
+logger = logging.getLogger("aprfm.cli")
 
 # dump headers: f on the evaluation phase grid by spatial dimension, and
 # the density on the 2D spatial grid
@@ -249,14 +265,22 @@ def _config_dict(config):
 def _fmt(value):
     if isinstance(value, (float, np.floating)):
         return f"{value:.6e}"
-    return str(value)
+    if value is None:  # a sweep cell with a failed run has no mean
+        return ""
+    text = str(value)
+    # a label with commas in it, such as T6's (1,1,2), is one quoted field
+    return f'"{text}"' if "," in text else text
+
+
+def _csv_line(row):
+    return ",".join(_fmt(v) for v in row) + "\n"
 
 
 def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
+        handle.write(_csv_line(header))
         for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+            handle.write(_csv_line(row))
 
 
 def write_run_outputs(result, out):
@@ -309,65 +333,159 @@ def _table_cells(table, base):
     return cells, labels, "epsilon", rows, col_name, cols
 
 
+# The OpenBLAS copies bundled with scipy (LAPACK: the QR folds and the
+# SVD) and numpy (@ and norm): the package, its library file and the
+# suffix of its thread-count symbols.
+_OPENBLAS = ((scipy, "libscipy_openblas-*.so", ""),
+             (np, "libscipy_openblas64_-*.so", "64_"))
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) thread-count functions of both bundled OpenBLAS copies,
+    or None when either cannot be found."""
+    controls = []
+    for package, pattern, suffix in _OPENBLAS:
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs")
+        paths = glob.glob(os.path.join(libs, pattern))
+        if len(paths) != 1:
+            return None
+        try:
+            lib = ctypes.CDLL(paths[0])
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            return None
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        controls.append((get, put))
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with both OpenBLAS copies on one thread and restore
+    their counts after it; yields False, changing nothing, when they
+    cannot be set.
+
+    Only sweeps use it: the roundoff of the QR folds depends on the BLAS
+    thread count, and one thread per cell keeps a table's errors the same
+    for any number of workers.  A lone ``run`` keeps the process's threads,
+    because the second one pays off there (ex3 solve, Z = 1152, 2-core
+    box, median of 5: 1.03 s on two threads, 1.30 s on one)."""
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield False
+        return
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield True
+    finally:
+        for (_, put), count in zip(controls, previous):
+            put(count)
+
+
+def _shown(outcome):
+    """A sweep run's error, or the error code of the exception it raised."""
+    if isinstance(outcome, AprfmError):
+        return outcome.code
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__
+    return outcome
+
+
 def sweep(table, base_config, out=None):
     """Run a benchmark table (T1..T6) or a custom list of cell configs,
-    averaging each cell over seeds."""
+    averaging each cell over seeds.
+
+    Cells run on ``APRFM_THREADS`` worker threads (default: the CPUs this
+    process may use), one BLAS thread each, or one at a time when the BLAS
+    thread count cannot be set.  Each finished (cell, seed) is appended to
+    ``<out>_cells.csv`` with its error, or the error code of its failure,
+    and logged.  Once every run has finished, the outputs are rewritten in
+    table order, a cell with a failed run has no mean (``null`` in the
+    JSON), and the first failure in table order is raised.
+    """
     base_config.validate()
     if isinstance(table, str):
         cells, labels, row_name, rows, col_name, cols = _table_cells(
             table, base_config)
+        keys = [(cell.epsilon, label) for cell, label in zip(cells, labels)]
     else:
         cells = [cell.validate() for cell in table]
-        row_name, rows, col_name, cols = "cell", None, "config", None
-    n_seeds = int(base_config.seeds)
+        rows = cols = None
+        row_name, col_name = "problem/method", "epsilon"
+        keys = [(f"{cell.problem}/{cell.method}", cell.epsilon)
+                for cell in cells]
+    seeds = [base_config.seed + k for k in range(int(base_config.seeds))]
+    header = [row_name, col_name, "seed", "error"]
     cache = {}
+    # per cell and seed: the error, or the exception the run raised
+    outcomes = [[None] * len(seeds) for _ in cells]
+    lock = threading.Lock()
+    if out:
+        write_csv(f"{out}_cells.csv", header, [])
 
-    def run_cell(cell):
-        errors = []
-        for k in range(n_seeds):
-            cfg = dataclasses.replace(cell, seed=base_config.seed + k)
-            errors.append(run(cfg, reference_cache=cache).report["error"])
-        return errors
+    def run_cell(index):
+        for k, seed in enumerate(seeds):
+            start = time.perf_counter()
+            try:
+                outcome = run(dataclasses.replace(cells[index], seed=seed),
+                              reference_cache=cache).report["error"]
+            except Exception as exc:  # recorded; the other runs go on
+                outcome = exc
+            outcomes[index][k] = outcome
+            logger.info("%s=%s %s=%s seed %d: %s (%.2f s)", row_name,
+                        keys[index][0], col_name, keys[index][1], seed,
+                        _fmt(_shown(outcome)), time.perf_counter() - start)
+            if out:
+                with lock, open(f"{out}_cells.csv", "a",
+                                encoding="utf-8") as handle:
+                    handle.write(_csv_line([*keys[index], seed,
+                                            _shown(outcome)]))
 
-    max_workers = max(1, int(os.environ.get("APRFM_THREADS", "1")))
-    if max_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers) as pool:
-            per_cell = list(pool.map(run_cell, cells))
-    else:
-        per_cell = [run_cell(cell) for cell in cells]
+    with _one_blas_thread() as one_thread:
+        workers = 1
+        if one_thread:
+            workers = int(os.environ.get("APRFM_THREADS",
+                                         len(os.sched_getaffinity(0))))
+            workers = max(1, min(workers, len(cells)))
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run_cell, range(len(cells))))
 
-    means = [float(np.mean(errs)) for errs in per_cell]
+    failures = [o for row in outcomes for o in row if isinstance(o, Exception)]
+    means = [None if any(isinstance(o, Exception) for o in row)
+             else float(np.mean(row)) for row in outcomes]
     if rows is not None:
         table_rows = [[row] + means[i * len(cols):(i + 1) * len(cols)]
                       for i, row in enumerate(rows)]
-        tidy_rows = [[cell.epsilon, label, mean] + [float(e) for e in errs]
-                     for cell, label, errs, mean
-                     in zip(cells, labels, per_cell, means)]
     else:
         table_rows = [[i, mean] for i, mean in enumerate(means)]
-        tidy_rows = [[f"{cell.problem}/{cell.method}", cell.epsilon, mean]
-                     + [float(e) for e in errs]
-                     for cell, errs, mean in zip(cells, per_cell, means)]
-        row_name, col_name = "problem/method", "epsilon"
     if out:
         if rows is not None:
             write_csv(f"{out}.csv",
                       [row_name] + [str(c) for c in cols], table_rows)
         else:
             write_csv(f"{out}.csv", ["cell", "mean_error"], table_rows)
-        write_csv(f"{out}_cells.csv",
-                  [row_name, col_name, "mean_error"]
-                  + [f"error_seed{k}" for k in range(n_seeds)], tidy_rows)
+        write_csv(f"{out}_cells.csv", header,
+                  [[*key, seed, _shown(outcome)]
+                   for key, row in zip(keys, outcomes)
+                   for seed, outcome in zip(seeds, row)])
         report = {"table": table if isinstance(table, str) else "custom",
                   "mean_errors": means,
                   # each cell's first run, at the base seed
                   "cells": [_config_dict(dataclasses.replace(
                       cell, seed=base_config.seed).resolved())
                       for cell in cells],
-                  "seeds": n_seeds, "base_seed": base_config.seed}
+                  "seeds": len(seeds), "base_seed": base_config.seed}
         with open(f"{out}.json", "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
+    if failures:
+        raise failures[0]
     return table_rows
 
 
@@ -387,17 +505,19 @@ def emit_plot_data(config, kind, out):
             rows.append([rep["Z"], rep["error"]])
         write_csv(f"{out}.csv", ["Z", "error"], rows)
         return rows
+    if kind not in ("heatmap-f", "heatmap-rho"):
+        raise ValueError(f"unknown plot kind {kind!r}")
+    # what the run can dump follows from the problem, so reject before solving
+    spec = catalog(config.problem, _problem_epsilon(config))
+    if kind == "heatmap-rho" and spec.spatial_dim == 1:
+        raise ValueError("density heatmaps need a 2D problem")
+    if kind == "heatmap-f" and spec.spatial_dim == 2 and spec.exact_f is None:
+        raise ValueError(f"{spec.id} has no phase-space reference field")
     result = run(config)
     if kind == "heatmap-f":
-        if result.f_rows is None:
-            raise ValueError("no phase-space field available for this run")
-        header, rows = F_COLUMNS[result.f_rows.shape[1] - 3], result.f_rows
-    elif kind == "heatmap-rho":
-        if result.field_columns != RHO_COLUMNS:
-            raise ValueError("density heatmaps need a 2D run")
-        header, rows = result.field_columns, result.field_rows
+        header, rows = F_COLUMNS[spec.spatial_dim], result.f_rows
     else:
-        raise ValueError(f"unknown plot kind {kind!r}")
+        header, rows = result.field_columns, result.field_rows
     write_csv(f"{out}.csv", header, rows)
     return rows
 
@@ -423,6 +543,8 @@ def _add_common_flags(parser):
             parser.add_argument(flag, type=str, default=None)
     parser.add_argument("--config", type=str, default=None,
                         help="key = value config file; flags override it")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log progress at INFO level")
 
 
 def _read_config_file(path):
@@ -483,6 +605,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"invalid-config: {exc}", file=sys.stderr)
         return 2
+    if args.verbose:
+        logging.basicConfig(format="%(name)s: %(message)s")
+        logging.getLogger("aprfm").setLevel(logging.INFO)
 
     try:
         if args.command == "run":

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from aprfm import basis
+from aprfm import assemble, basis, collocation, problems
 from aprfm.errors import DegenerateCoverError
-from helpers import dense_column_batch, dense_model_values
+from helpers import build_models, dense_column_batch, dense_model_values
 
 
 def unit_square_partition(counts=(1, 1)):
@@ -279,6 +281,35 @@ class TestModelEval:
         model = basis.make_model(unit_square_partition((1, 1)), 4, seed=0)
         with pytest.raises(ValueError):
             basis.model_values(model, np.zeros(3), np.array([[0.5, 0.0]]))
+
+    def test_values_do_not_depend_on_chunks(self):
+        model = basis.make_model(unit_square_partition((3, 2)), 40, seed=3)
+        coeffs = np.random.default_rng(1).standard_normal(model.n_columns)
+        axes = np.meshgrid(np.linspace(0, 1, 101), np.linspace(-1, 1, 101),
+                           indexing="ij")
+        pts = np.stack(axes, axis=-1).reshape(-1, 2)
+        # the grid spans several chunks, and its halves end mid-chunk
+        assert pts.shape[0] > 2 * basis._EVAL_CHUNK // model.n_columns
+        half = pts.shape[0] // 2
+        np.testing.assert_array_equal(
+            basis.model_values(model, coeffs, pts),
+            np.concatenate([basis.model_values(model, coeffs, pts[:half]),
+                            basis.model_values(model, coeffs, pts[half:])]))
+
+    def test_annulus_f_evaluation_memory(self):
+        # f of ex6 at acceptance criterion 6 size on the 64 x 64 x 32 grid
+        spec = problems.catalog("ex6", 1.0)
+        rho, g = build_models(spec, 64, 128, (1, 1), 4, seed=0)
+        coeffs = np.random.default_rng(2).standard_normal(
+            rho.n_columns + g.n_columns)
+        x, v = collocation.evaluation_grid(spec)
+        tracemalloc.start()
+        try:
+            assemble.reconstruct_f(spec, rho, g, coeffs, x, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestPartitionConstruction:

@@ -1,5 +1,8 @@
+import csv
 import json
+import logging
 import sys
+import threading
 import time
 
 import numpy as np
@@ -15,6 +18,27 @@ def tiny_config(**overrides):
                 nx=8, nv=16, seed=1, out="run")
     base.update(overrides)
     return cli.RunConfig(**base)
+
+
+def four_cells():
+    """ex1 aprfm cells; on a 2-core OpenBLAS box the errors of the j = 64
+    ones move with the BLAS thread count (at nx = 32, nv = 64 none do)."""
+    return [tiny_config(epsilon=eps, j=j, nx=64, nv=128)
+            for eps in (1e-2, 1e-8) for j in (16, 64)]
+
+
+def no_run(*args, **kwargs):
+    pytest.fail("the pipeline ran")
+
+
+def stand_in_run(record):
+    """A ``cli.run`` stand-in that calls ``record(config)`` and reports an
+    error of 1."""
+    def fake_run(config, reference_cache=None):
+        record(config)
+        return cli.RunResult(report={"error": 1.0}, field_columns=(),
+                             field_rows=None)
+    return fake_run
 
 
 class TestRun:
@@ -156,6 +180,40 @@ class TestMain:
         assert code == 3
         assert "no-convergence" in capsys.readouterr().err
 
+    def test_failing_sweep_cell_keeps_the_others(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the middle cell's oracle is allowed a single sweep
+        fdm_density = cli.fdm_density
+        monkeypatch.setattr(cli, "fdm_density",
+                            lambda spec: fdm_density(spec, max_iters=1))
+        monkeypatch.setitem(cli.TABLES, "TX", (
+            dict(method="aprfm", j=4, nx1=8, nx2=8, nv=8), [1.0], "problem",
+            ("problem",), ["ex4", "ex5", "ex6"]))
+        out = tmp_path / "tx"
+        code = cli.main(["sweep", "--table", "TX", "--seeds", "1",
+                         "--out", str(out)])
+        assert code == 3
+        assert "no-convergence" in capsys.readouterr().err
+        lines = (tmp_path / "tx_cells.csv").read_text().splitlines()
+        assert lines[0] == "epsilon,problem,seed,error"
+        fields = [line.split(",") for line in lines[1:]]
+        assert [f[1] for f in fields] == ["ex4", "ex5", "ex6"]
+        assert fields[1][3] == "no-convergence"
+        assert 0 < float(fields[0][3]) < 1 and 0 < float(fields[2][3]) < 1
+        means = json.loads((tmp_path / "tx.json").read_text())["mean_errors"]
+        assert means[1] is None and means[0] > 0 and means[2] > 0
+
+    def test_verbose_logs_at_info(self, tmp_path):
+        logger = logging.getLogger("aprfm")
+        level = logger.level
+        try:
+            assert cli.main(["run", "--problem", "ex1", "--epsilon", "0.5",
+                             "--j", "4", "--nx", "8", "--nv", "16", "-v",
+                             "--out", str(tmp_path / "x")]) == 0
+            assert logger.level == logging.INFO
+        finally:
+            logger.setLevel(level)
+
     def test_non_finite_field_exit_three(self, tmp_path, capsys,
                                          monkeypatch):
         monkeypatch.setattr(Method, "f_values",
@@ -210,9 +268,11 @@ class TestSweep:
         rows = cli.sweep(cells, base, out=out)
         assert len(rows) == 2
         cell_lines = (tmp_path / "mini_cells.csv").read_text().splitlines()
-        assert cell_lines[0] == \
-            "problem/method,epsilon,mean_error,error_seed0,error_seed1"
-        assert len(cell_lines) == 3
+        assert cell_lines[0] == "problem/method,epsilon,seed,error"
+        # a row per (cell, seed), in table order
+        assert [line.split(",")[1:3] for line in cell_lines[1:]] == [
+            ["5.000000e-01", "5"], ["5.000000e-01", "6"],
+            ["2.500000e-01", "5"], ["2.500000e-01", "6"]]
         report = json.loads((tmp_path / "mini.json").read_text())
         assert report["seeds"] == 2 and report["table"] == "custom"
 
@@ -223,6 +283,7 @@ class TestSweep:
         cell = json.loads((tmp_path / "replay.json").read_text())["cells"][0]
         assert cell["seed"] == 5
         lines = (tmp_path / "replay_cells.csv").read_text().splitlines()
+        assert lines[1].split(",")[2] == "5"
         seed0_error = float(lines[1].split(",")[3])
         replayed = cli.run(cli.RunConfig(**cell)).report["error"]
         assert replayed == pytest.approx(seed0_error, rel=1e-6)
@@ -248,14 +309,101 @@ class TestSweep:
             sys.setswitchinterval(interval)
         assert calls == ["ex5"]
 
+    def test_errors_do_not_depend_on_worker_count(self, monkeypatch):
+        means = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("APRFM_THREADS", threads)
+            means[threads] = [mean for _, mean in
+                              cli.sweep(four_cells(), cli.RunConfig(seeds=1))]
+        assert means["1"] == means["2"]
+
+    def test_cell_replays_bitwise_on_one_blas_thread(self, tmp_path):
+        out = tmp_path / "replay"
+        cli.sweep(four_cells(), cli.RunConfig(seeds=1), out=str(out))
+        report = json.loads((tmp_path / "replay.json").read_text())
+        with cli._one_blas_thread() as one_thread:
+            assert one_thread
+            replayed = cli.run(cli.RunConfig(**report["cells"][1]))
+        assert replayed.report["error"] == report["mean_errors"][1]
+
+    def test_blas_threads_one_inside_and_restored_after(self, monkeypatch):
+        controls = cli._blas_thread_controls()
+        assert controls is not None
+
+        def counts():
+            return [get() for get, _ in controls]
+
+        original = counts()
+        seen = []
+
+        def record(config):
+            seen.append(counts())
+            if config.j == 5:
+                raise RuntimeError("stand-in failure")
+
+        monkeypatch.setattr(cli, "run", stand_in_run(record))
+        try:
+            for _, put in controls:
+                put(2)
+            before = counts()
+            cli.sweep([tiny_config(j=4)], cli.RunConfig(seeds=1))
+            assert counts() == before
+            with pytest.raises(RuntimeError):
+                cli.sweep([tiny_config(j=j) for j in (4, 5)],
+                          cli.RunConfig(seeds=1))
+            assert counts() == before
+        finally:
+            for (_, put), count in zip(controls, original):
+                put(count)
+        assert seen == [[1, 1]] * 3
+
+    @pytest.mark.parametrize("lookup, expected", [
+        (cli._blas_thread_controls, 4), (lambda: None, 1)],
+        ids=["concurrent", "serial-without-blas-control"])
+    def test_worker_count(self, monkeypatch, lookup, expected):
+        monkeypatch.setattr(cli, "_blas_thread_controls", lookup)
+        monkeypatch.setenv("APRFM_THREADS", "4")
+        lock = threading.Lock()
+        active, most = [0], [0]
+
+        def record(config):
+            with lock:
+                active[0] += 1
+                most[0] = max(most[0], active[0])
+            time.sleep(0.2)  # keep every worker busy while the others start
+            with lock:
+                active[0] -= 1
+
+        monkeypatch.setattr(cli, "run", stand_in_run(record))
+        cli.sweep([tiny_config(j=j) for j in range(3, 9)],
+                  cli.RunConfig(seeds=1))
+        assert most[0] == expected
+
+    def test_logs_each_run(self, caplog):
+        caplog.set_level(logging.INFO, logger="aprfm")
+        cli.sweep([tiny_config(epsilon=0.5), tiny_config(epsilon=0.25)],
+                  cli.RunConfig(seeds=2, seed=5))
+        messages = sorted(r.getMessage() for r in caplog.records
+                          if r.name == "aprfm.cli")
+        assert len(messages) == 4
+        assert [m.split(":")[0] for m in messages] == [
+            f"problem/method=ex1/aprfm epsilon={eps} seed {seed}"
+            for eps in (0.25, 0.5) for seed in (5, 6)]
+
+    def test_labels_with_commas_stay_one_field(self, tmp_path):
+        path = tmp_path / "t6.csv"
+        cli.write_csv(path, ["epsilon", "(Mx1,Mx2,Mv)"], [[1.0, "(1,1,2)"]])
+        with open(path, newline="") as handle:
+            assert list(csv.reader(handle)) == [
+                ["epsilon", "(Mx1,Mx2,Mv)"], ["1.000000e+00", "(1,1,2)"]]
+
     def test_cell_errors_are_seed_averaged(self, tmp_path):
         base = cli.RunConfig(seeds=2, seed=5)
         cells = [tiny_config(epsilon=0.5)]
         rows = cli.sweep(cells, base, out=str(tmp_path / "avg"))
         lines = (tmp_path / "avg_cells.csv").read_text().splitlines()
-        _, _, mean, e0, e1 = lines[1].split(",")
-        assert float(mean) == pytest.approx((float(e0) + float(e1)) / 2,
-                                            rel=1e-6)
+        e0, e1 = (float(line.split(",")[3]) for line in lines[1:])
+        assert rows[0][1] == pytest.approx((e0 + e1) / 2, rel=1e-6)
 
 
 class TestPlotData:
@@ -286,7 +434,9 @@ class TestPlotData:
         assert lines[0] == "x1,x2,v,f_approx,f_ref"
         assert len(lines) == 1 + 64 * 64 * 32
 
-    def test_heatmap_f_rejected_without_f_reference(self, tmp_path):
+    def test_heatmap_f_rejected_without_f_reference(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "run", no_run)
         config = tiny_config(problem="ex5", epsilon=1.0, j=4, nx1=8, nx2=8,
                              nv=8)
         with pytest.raises(ValueError):
@@ -301,7 +451,8 @@ class TestPlotData:
         coords = np.array([[r[0], r[1]] for r in np.asarray(rows)])
         assert np.all(np.max(np.abs(coords), axis=1) >= 1 / 3)
 
-    def test_heatmap_rho_rejected_in_1d(self, tmp_path):
+    def test_heatmap_rho_rejected_in_1d(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run", no_run)
         with pytest.raises(ValueError):
             cli.emit_plot_data(tiny_config(), "heatmap-rho",
                                str(tmp_path / "bad"))
