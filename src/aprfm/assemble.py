@@ -51,15 +51,12 @@ class LinearSystem:
     """Dense system A theta ~ b with per-row kind codes (see ``ROW_KINDS``)
     and row weights ``lam``: the least-squares problem is
     min ||diag(lam) (A theta - b)||, and ``matrix`` and ``rhs`` stay
-    unweighted.  ``n_interior`` counts the interior collocation points (one
-    rfm or micro row each); macro rows come on top of them."""
+    unweighted."""
 
     matrix: np.ndarray
     rhs: np.ndarray
     row_kind: np.ndarray
     lam: np.ndarray
-    n_interior: int
-    n_boundary: int
 
     def __post_init__(self):
         for name in ("matrix", "rhs", "lam"):
@@ -73,9 +70,6 @@ class LinearSystem:
         if self.rhs.shape != (n,) or self.row_kind.shape != (n,) \
                 or self.lam.shape != (n,):
             raise ValueError("row metadata does not match the matrix")
-        n_macro = np.count_nonzero(kinds == ROW_MACRO)
-        if n != n_macro + self.n_interior + self.n_boundary:
-            raise ValueError("row count does not match interior/boundary counts")
 
     @property
     def n_rows(self):
@@ -144,8 +138,7 @@ def assemble_rfm(spec, model, colloc, rule):
     row_kind = np.concatenate([np.full(n_int, ROW_RFM, dtype=np.uint8),
                                np.full(n_bdy, ROW_BOUNDARY, dtype=np.uint8)])
     return LinearSystem(matrix=matrix, rhs=rhs, row_kind=row_kind,
-                        lam=np.ones(n_int + n_bdy),
-                        n_interior=n_int, n_boundary=n_bdy)
+                        lam=np.ones(n_int + n_bdy))
 
 
 def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
@@ -211,8 +204,7 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
     row_kind = np.repeat(np.array([ROW_MACRO, ROW_MICRO, ROW_BOUNDARY],
                                   dtype=np.uint8), [n_x, n_int, n_bdy])
     return LinearSystem(matrix=matrix, rhs=rhs, row_kind=row_kind,
-                        lam=np.ones(n_rows),
-                        n_interior=n_int, n_boundary=n_bdy)
+                        lam=np.ones(n_rows))
 
 
 def rescale_rows(system, first_row=0):

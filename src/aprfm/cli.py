@@ -16,18 +16,21 @@ runs report the density error on the spatial grid, which is what the
 benchmark tables quote.  References come from exact solutions when the
 problem has one and from the finite-difference oracle otherwise.
 
-``--epsilon`` must be positive and finite (``profile`` for ex3, which
-ignores it); anything else exits 2 with ``invalid-config``.  All flags can
-also be given in a config file (one ``key = value`` per line, ``#``
-comments); command-line flags win.  ``-v`` logs at INFO level, one record
+There is one flag per :class:`RunConfig` field, and each can also be given
+in a config file (one ``key = value`` per line, ``#`` comments);
+command-line flags win.  File and flag values are read as text and go
+through the same parser, so a value that does not parse (``--j abc``)
+exits 2 with ``invalid-config`` wherever it comes from.  ``--epsilon``
+must be positive and finite (``profile`` for ex3, which ignores it);
+anything else exits 2 the same way.  ``-v`` logs at INFO level, one record
 per finished sweep run among them.
 
-A sweep runs its cells side by side, one per CPU unless ``APRFM_THREADS``
-says otherwise, sharing one reference cache, and every BLAS call in it
-uses one thread: its errors do not depend on the worker count, and
-``OPENBLAS_NUM_THREADS=1 aprfm run`` with a cell's settings reproduces the
-cell's error bit for bit.  ``run`` and ``plotdata`` keep the process's BLAS
-threads.  A failing sweep run is recorded and the others go on (see
+A sweep runs its cells side by side, one per CPU the process may use
+(``taskset`` narrows them), sharing one reference cache, and every BLAS
+call in it uses one thread: its errors do not depend on the worker count,
+and ``OPENBLAS_NUM_THREADS=1 aprfm run`` with a cell's settings reproduces
+the cell's error bit for bit.  ``run`` and ``plotdata`` keep the process's
+BLAS threads.  A failing sweep run is recorded and the others go on (see
 :func:`sweep`).
 """
 
@@ -115,11 +118,7 @@ class RunConfig:
 
 
 def _parse_epsilon(value):
-    if isinstance(value, str):
-        if value == "profile":
-            return value
-        return float(value)
-    return float(value)
+    return value if value == "profile" else float(value)
 
 
 def _problem_epsilon(config):
@@ -401,9 +400,9 @@ def sweep(table, base_config, out=None):
     """Run a benchmark table (T1..T6) or a custom list of cell configs,
     averaging each cell over seeds.
 
-    Cells run on ``APRFM_THREADS`` worker threads (default: the CPUs this
-    process may use), one BLAS thread each, or one at a time when the BLAS
-    thread count cannot be set.  Each finished (cell, seed) is appended to
+    Cells run on one worker thread per CPU this process may use (capped at
+    the number of cells), one BLAS thread each, or one at a time when the
+    BLAS thread count cannot be set.  Each finished (cell, seed) is appended to
     ``<out>_cells.csv`` with its error, or the error code of its failure,
     and logged.  Once every run has finished, the outputs are rewritten in
     table order, a cell with a failed run has no mean (``null`` in the
@@ -450,9 +449,7 @@ def sweep(table, base_config, out=None):
     with _one_blas_thread() as one_thread:
         workers = 1
         if one_thread:
-            workers = int(os.environ.get("APRFM_THREADS",
-                                         len(os.sched_getaffinity(0))))
-            workers = max(1, min(workers, len(cells)))
+            workers = max(1, min(len(os.sched_getaffinity(0)), len(cells)))
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             list(pool.map(run_cell, range(len(cells))))
 
@@ -524,23 +521,15 @@ def emit_plot_data(config, kind, out):
 
 # -- command line -----------------------------------------------------------
 
-_FLAGS = ("problem", "method", "epsilon", "j", "jrho", "jg", "mx", "mv",
-          "mx1", "mx2", "nx", "nv", "nx1", "nx2", "nq", "b_range", "seed",
-          "activation", "pou", "rank_tol", "out", "seeds")
-_INT_FLAGS = {"j", "jrho", "jg", "mx", "mv", "mx1", "mx2", "nx", "nv",
-              "nx1", "nx2", "nq", "seed", "seeds"}
-_FLOAT_FLAGS = {"b_range", "rank_tol"}
+# one flag and config-file key per RunConfig field, with the parser of its
+# text: the field's type, or _parse_epsilon
+_PARSERS = {field.name: field.type for field in dataclasses.fields(RunConfig)}
+_PARSERS["epsilon"] = _parse_epsilon
 
 
 def _add_common_flags(parser):
-    for name in _FLAGS:
-        flag = "--" + name.replace("_", "-")
-        if name in _INT_FLAGS:
-            parser.add_argument(flag, type=int, default=None)
-        elif name in _FLOAT_FLAGS:
-            parser.add_argument(flag, type=float, default=None)
-        else:
-            parser.add_argument(flag, type=str, default=None)
+    for name in _PARSERS:
+        parser.add_argument("--" + name.replace("_", "-"))
     parser.add_argument("--config", type=str, default=None,
                         help="key = value config file; flags override it")
     parser.add_argument("-v", "--verbose", action="store_true",
@@ -558,29 +547,21 @@ def _read_config_file(path):
                 raise ValueError(f"{path}:{line_no}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in _FLAGS:
+            if key not in _PARSERS:
                 raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-            if key in _INT_FLAGS:
-                values[key] = int(value)
-            elif key in _FLOAT_FLAGS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = value.strip()
     return values
 
 
 def _config_from_args(args):
-    values = {}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    for name in _FLAGS:
-        given = getattr(args, name)
-        if given is not None:
-            values[name] = given
-    if "epsilon" in values:
-        values["epsilon"] = _parse_epsilon(values["epsilon"])
-    return RunConfig(**values).validate()
+    """The run config from the config file's text values, overridden by
+    the flags', each through its field's parser."""
+    text = _read_config_file(args.config) if args.config else {}
+    for name in _PARSERS:
+        if getattr(args, name) is not None:
+            text[name] = getattr(args, name)
+    return RunConfig(**{name: _PARSERS[name](value)
+                        for name, value in text.items()}).validate()
 
 
 def main(argv=None):

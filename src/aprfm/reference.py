@@ -6,16 +6,19 @@ The oracle discretizes the native form of each benchmark,
     eps(x) v . grad_x f + (sigma_s + eps(x)^2 sigma_a) f
         = sigma_s <f> + rfm_source,
 
-with first-order upwind differences on cell-centered grids over the same
-Gauss-Legendre ordinates the solvers use.  Inflow values are injected as
-ghost values on the upwind side of boundary faces.  Eliminating f leaves a
-linear system (I - K) rho = b for the angular average rho = <f>, where K
-is one transport sweep of the scattering source:
+with first-order upwind differences on cell-centered grids over the
+16-node Gauss-Legendre rule.  Inflow values are injected as ghost values
+on the upwind side of boundary faces.  Eliminating f leaves a linear
+system (I - K) rho = b for the angular average rho = <f>, where K is one
+transport sweep of the scattering source.  There is one entry point per
+dimension, for the field each dimension's runs are scored on:
 
-- in 1D, K is formed densely from the per-ordinate upwind propagators and
-  the system is solved directly;
-- in 2D, K is applied by the wavefront sweep and the system is solved by
-  GMRES (Krylov-accelerated source iteration, Adams & Larsen 2002).
+- :func:`fdm_reference` (1D) forms K densely from the per-ordinate upwind
+  propagators, solves the system directly, and sweeps once more at the
+  evaluation velocities for f;
+- :func:`fdm_density` (2D) applies K by the wavefront sweep and solves the
+  system by GMRES (Krylov-accelerated source iteration, Adams & Larsen
+  2002) for rho.
 
 Plain source iteration needs about 1/eps^2 sweeps; GMRES needs far fewer
 but still more as the optical thickness grows.  The oracle is meant for eps
@@ -41,7 +44,7 @@ from .quadrature import angular_rule
 
 FDM_RESOLUTION_1D = 512
 FDM_RESOLUTION_2D = (128, 128)
-# 2D defaults: GMRES relative-residual tolerance and the limit on
+# 2D: GMRES relative-residual tolerance and the default limit on
 # transport-operator applications
 FDM_SWEEP_TOL = 1e-10
 FDM_MAX_ITERS = 200_000
@@ -99,35 +102,49 @@ def relative_l2(approx, ref):
 
 # -- finite-difference oracle ----------------------------------------------
 
-def fdm_reference(spec, resolution=None, sweep_tol=FDM_SWEEP_TOL,
-                  max_iters=FDM_MAX_ITERS, rule=None, velocity_nodes=None):
-    """Upwind discrete-ordinates reference f on the evaluation grid.
+def fdm_reference(spec, resolution=None):
+    """Upwind discrete-ordinates reference f of a 1D problem on its
+    evaluation phase grid; ``resolution`` sets the internal mesh (cells).
 
-    ``resolution`` sets the internal spatial mesh (cells per axis); the
-    returned field lives on the problem's evaluation phase grid, except
-    that ``velocity_nodes`` overrides the velocity axis when given.
-
-    In 2D, ``sweep_tol`` is the GMRES relative-residual tolerance and
-    ``max_iters`` the limit on transport-operator applications; the 1D
-    direct solve ignores both.  Raises :class:`NoConvergenceError` when
-    GMRES does not reach ``sweep_tol`` within ``max_iters`` applications,
-    or when the 1D solve gives a non-finite density.
+    Raises :class:`NoConvergenceError` when the direct solve gives a
+    non-finite density, and :class:`UnsupportedProblemError` for a 2D
+    problem (see :func:`fdm_density`).
     """
-    if velocity_nodes is None:
-        _, n_velocity = collocation.evaluation_counts(spec)
-        velocity_nodes = collocation.velocity_cells(spec, n_velocity)
-    velocity_nodes = np.asarray(velocity_nodes, dtype=float)
-    eval_x, f_eval = _oracle(spec, resolution, sweep_tol, max_iters, rule,
-                             velocity_nodes)
-    return phase_field(*_tensor(eval_x, velocity_nodes), f_eval.T.ravel())
+    if spec.spatial_dim != 1:
+        raise UnsupportedProblemError(
+            f"{spec.id}: the f oracle is 1D only, use fdm_density")
+    eval_x = collocation.evaluation_spatial_grid(spec)
+    _, n_velocity = collocation.evaluation_counts(spec)
+    eval_v = collocation.velocity_cells(spec, n_velocity)
+    x, _, f = _solve_1d(spec, resolution or FDM_RESOLUTION_1D,
+                        angular_rule(1, 16), eval_v)
+    f_eval = np.stack([np.interp(eval_x[:, 0], x, row) for row in f])
+    return phase_field(*_tensor(eval_x, eval_v), f_eval.T.ravel())
 
 
-def fdm_density(spec, resolution=None, sweep_tol=FDM_SWEEP_TOL,
-                max_iters=FDM_MAX_ITERS, rule=None):
-    """Angular average of the oracle on the spatial eval grid; the
-    arguments are those of :func:`fdm_reference`."""
-    eval_x, rho = _oracle(spec, resolution, sweep_tol, max_iters, rule, None)
-    return GridField(points=eval_x, values=rho[0])
+def fdm_density(spec, resolution=None, max_iters=FDM_MAX_ITERS):
+    """Upwind discrete-ordinates density of a 2D problem on its spatial
+    evaluation grid; ``resolution`` sets the internal mesh (cells per
+    axis) and ``max_iters`` limits the transport sweeps.
+
+    Raises :class:`NoConvergenceError` when GMRES does not reach
+    ``FDM_SWEEP_TOL`` within ``max_iters`` sweeps, and
+    :class:`UnsupportedProblemError` for a 1D problem (see
+    :func:`fdm_reference`).
+    """
+    if spec.spatial_dim != 2:
+        raise UnsupportedProblemError(
+            f"{spec.id}: the density oracle is 2D only, use fdm_reference")
+    out = _solve_2d(spec, resolution or FDM_RESOLUTION_2D, max_iters,
+                    angular_rule(2, 16))
+    rho = out["rho"]
+    if spec.geometry == "annulus":
+        rho = _fill_holes(out["mask"], rho)
+    interp = RegularGridInterpolator((out["c1"], out["c2"]), rho,
+                                     method="linear", bounds_error=False,
+                                     fill_value=None)
+    eval_x = collocation.evaluation_spatial_grid(spec)
+    return GridField(points=eval_x, values=interp(eval_x))
 
 
 def _fdm_meta(spec):
@@ -139,27 +156,6 @@ def _fdm_meta(spec):
             "sweep_tol": FDM_SWEEP_TOL}
 
 
-def _oracle(spec, resolution, sweep_tol, max_iters, rule, velocity_nodes):
-    """The spatial evaluation grid (S, d) and the oracle on it: the
-    angular flux at ``velocity_nodes`` (L, S), or with None the density
-    (1, S).  Defaults: the 16-node rule and the FDM_RESOLUTION_* mesh."""
-    rule = rule or angular_rule(spec.spatial_dim, 16)
-    eval_x = collocation.evaluation_spatial_grid(spec)
-    if spec.spatial_dim == 1:
-        out = _solve_1d(spec, resolution or FDM_RESOLUTION_1D, rule,
-                        velocity_nodes)
-    else:
-        out = _solve_2d(spec, resolution or FDM_RESOLUTION_2D, sweep_tol,
-                        max_iters, rule, velocity_nodes)
-    fields = out["rho"][None] if velocity_nodes is None else out["f_out"]
-    if spec.spatial_dim == 1:
-        values = np.stack([np.interp(eval_x[:, 0], out["x"], field)
-                           for field in fields])
-    else:
-        values = _interp_2d(spec, out, fields, eval_x)
-    return eval_x, values
-
-
 def _native_fields(spec, x):
     eps = spec.epsilon_at(x)
     sig_s = spec.sigma_s(x)
@@ -167,48 +163,57 @@ def _native_fields(spec, x):
     return eps, sig_s, removal
 
 
-def _solve_1d(spec, n_cells, rule, velocity_nodes):
+def _upwind(ratio, q):
+    """The upwind recurrence f_i = ratio_i f_(i-1) + q_i from f_0 = q_0,
+    over the cells (axis 1) of each ordinate (axis 0) in crossing order;
+    trailing axes of ``q`` are swept alongside."""
+    f = np.empty(q.shape)
+    f[:, 0] = q[:, 0]
+    ratio = ratio.reshape(ratio.shape + (1,) * (q.ndim - 2))
+    for i in range(1, q.shape[1]):
+        f[:, i] = ratio[:, i] * f[:, i - 1] + q[:, i]
+    return f
+
+
+def _solve_1d(spec, n_cells, rule, velocities):
+    """Cell centers (n,), the density on them from one dense solve over
+    the ``rule`` ordinates, and the angular flux at ``velocities`` (L, n)
+    from one sweep each with that density's scattering source."""
     lo, hi = spec.x_lo[0], spec.x_hi[0]
     n = int(n_cells)
     h = (hi - lo) / n
     x = collocation.cell_centers(lo, hi, n)
     eps, sig_s, removal = _native_fields(spec, x[:, None])
 
-    def oriented(arr, negative):
-        return arr[::-1] if negative else arr
+    def sweep_terms(vs, scattering):
+        """Per ordinate: its cells in crossing order, the upwind ratio and
+        diagonal, and the recurrence source q for the scattering source
+        ``scattering`` (n,) with the inflow folded into q_0, all (K, n) in
+        crossing order.  The order, the identity or a reversal, is its own
+        inverse, so indexing by it also maps back."""
+        order = np.where(vs[:, None] < 0, np.arange(n)[::-1], np.arange(n))
+        a = eps[order] * np.abs(vs)[:, None] / h
+        den = a + removal[order]
+        ratio = a / den
+        src = np.stack([spec.rfm_source(x[:, None], np.full(n, v))
+                        for v in vs])
+        q = (np.take_along_axis(src, order, axis=1) + scattering[order]) / den
+        faces = np.where(vs < 0, hi, lo)[:, None]
+        q[:, 0] += ratio[:, 0] * spec.boundary_value(faces, vs)
+        return order, den, ratio, q
 
-    def sweep_setup(v):
-        neg = v < 0
-        a = oriented(eps, neg) * abs(v) / h
-        den = a + oriented(removal, neg)
-        r = a / den
-        face = np.array([[hi if neg else lo]])
-        inflow = float(spec.boundary_value(face, np.array([v]))[0])
-        src = oriented(np.asarray(spec.rfm_source(x[:, None], np.full(n, v))),
-                       neg)
-        return neg, den, r, inflow, src
-
-    # dense lower-triangular propagators for the quadrature ordinates
-    n_q = rule.n_nodes
-    setups = [sweep_setup(v) for v in rule.nodes]
-    prop = np.zeros((n_q, n, n))
-    prop[:, 0, 0] = 1.0
-    r_all = np.stack([s[2] for s in setups])
-    for i in range(1, n):
-        prop[:, i, :i] = r_all[:, i, None] * prop[:, i - 1, :i]
-        prop[:, i, i] = 1.0
-
-    # eliminate the angular flux: rho = K rho + b, with
-    # K = sum_m w_m O_m P_m diag(1/den_m) O_m diag(sig_s) and
-    # b = sum_m w_m O_m P_m q_m, where O_m reverses the order for v < 0
+    # the recurrence applied to the identity gives each ordinate's dense
+    # lower-triangular propagator P_m; eliminating the angular flux leaves
+    # rho = K rho + b, with K = sum_m w_m O_m P_m diag(1/den_m) O_m
+    # diag(sig_s) and b = sum_m w_m O_m P_m q_m, O_m the crossing order
+    order, den, ratio, q = sweep_terms(rule.nodes, np.zeros(n))
+    prop = _upwind(ratio, np.broadcast_to(np.eye(n), (rule.n_nodes, n, n)))
     kernel = np.zeros((n, n))
     rhs = np.zeros(n)
-    for m, (neg, den, r, inflow, src) in enumerate(setups):
-        q = src / den
-        q[0] += r[0] * inflow
-        block = prop[m] / den[None, :]
-        kernel += rule.weights[m] * (block[::-1, ::-1] if neg else block)
-        rhs += rule.weights[m] * oriented(prop[m] @ q, neg)
+    for m, weight in enumerate(rule.weights):
+        block = prop[m] / den[m][None, :]
+        kernel += weight * block[np.ix_(order[m], order[m])]
+        rhs += weight * (prop[m] @ q[m])[order[m]]
     kernel *= sig_s[None, :]
     rho = np.linalg.solve(np.eye(n) - kernel, rhs)
     if not np.all(np.isfinite(rho)):
@@ -218,21 +223,9 @@ def _solve_1d(spec, n_cells, rule, velocity_nodes):
     logger.info("%s: 1D source iteration converged in %d sweeps (n=%d)",
                 spec.id, 1, n)
 
-    result = {"x": x, "rho": rho, "iterations": 1}
-    if velocity_nodes is not None:
-        f_out = np.empty((velocity_nodes.size, n))
-        for m, v in enumerate(velocity_nodes):
-            neg, den, r, inflow, src = sweep_setup(v)
-            scat = oriented(sig_s * rho, neg)
-            q = (scat + src) / den
-            q[0] += r[0] * inflow
-            f = np.empty(n)
-            f[0] = q[0]
-            for i in range(1, n):
-                f[i] = r[i] * f[i - 1] + q[i]
-            f_out[m] = oriented(f, neg)
-        result["f_out"] = f_out
-    return result
+    order, _, ratio, q = sweep_terms(velocities, sig_s * rho)
+    f = np.take_along_axis(_upwind(ratio, q), order, axis=1)
+    return x, rho, f
 
 
 class _SweepGroup:
@@ -333,7 +326,10 @@ def _group_angles(angles):
             (groups[k] for k in sorted(groups))]
 
 
-def _solve_2d(spec, n_cells, sweep_tol, max_iters, rule, velocity_nodes):
+def _solve_2d(spec, n_cells, max_iters, rule):
+    """The cell centers per axis, the domain mask, the density on the cell
+    grid (zero in a hole) and the sweep count of one GMRES solve over the
+    ``rule`` ordinates."""
     n1, n2 = (int(n) for n in n_cells)
     (lo1, lo2), (hi1, hi2) = spec.x_lo, spec.x_hi
     h1, h2 = (hi1 - lo1) / n1, (hi2 - lo2) / n2
@@ -345,12 +341,10 @@ def _solve_2d(spec, n_cells, sweep_tol, max_iters, rule, velocity_nodes):
                                  _native_fields(spec, pts.reshape(-1, 2)))
     grid = (c1, c2, h1, h2, mask, removal_f, sig_s_f, eps_f)
 
-    def sources_for(angles):
-        return [np.asarray(spec.rfm_source(pts.reshape(-1, 2),
-                                           np.full(n1 * n2, angle))
-                           ).reshape(n1, n2) for angle in angles]
-
-    gl_groups = [(idx, _SweepGroup(spec, grid, ang), sources_for(ang))
+    gl_groups = [(idx, _SweepGroup(spec, grid, ang),
+                  [np.asarray(spec.rfm_source(pts.reshape(-1, 2),
+                                              np.full(n1 * n2, angle))
+                              ).reshape(n1, n2) for angle in ang])
                  for idx, ang in _group_angles(rule.nodes)]
 
     # GMRES on rho - (S(rho) - S(0)) = S(0), where S(rho) averages one
@@ -379,7 +373,7 @@ def _solve_2d(spec, n_cells, sweep_tol, max_iters, rule, velocity_nodes):
 
     b = sweep_average(np.zeros((n1, n2)))
     op = LinearOperator((n1 * n2, n1 * n2), matvec=matvec, dtype=float)
-    x, info = gmres(op, b.ravel(), rtol=sweep_tol, atol=0.0,
+    x, info = gmres(op, b.ravel(), rtol=FDM_SWEEP_TOL, atol=0.0,
                     restart=_GMRES_RESTART, maxiter=int(max_iters),
                     callback=record,
                     callback_type="pr_norm")
@@ -388,17 +382,8 @@ def _solve_2d(spec, n_cells, sweep_tol, max_iters, rule, velocity_nodes):
     rho = x.reshape(n1, n2)
     logger.info("%s: 2D source iteration converged in %d sweeps (%dx%d)",
                 spec.id, applications, n1, n2)
-
-    result = {"c1": c1, "c2": c2, "mask": mask, "rho": rho,
-              "iterations": applications}
-    if velocity_nodes is not None:
-        f_out = np.empty((velocity_nodes.size, n1, n2))
-        for idx, ang in _group_angles(velocity_nodes):
-            group = _SweepGroup(spec, grid, ang)
-            fields = [s + sig_s_f * rho for s in sources_for(ang)]
-            f_out[idx] = group.sweep(fields)
-        result["f_out"] = f_out
-    return result
+    return {"c1": c1, "c2": c2, "mask": mask, "rho": rho,
+            "iterations": applications}
 
 
 def _fill_holes(mask, field):
@@ -422,15 +407,3 @@ def _fill_holes(mask, field):
         filled[newly] = acc[newly] / cnt[newly]
         known |= newly
     return filled
-
-
-def _interp_2d(spec, out, fields, eval_x):
-    values = np.empty((fields.shape[0], eval_x.shape[0]))
-    for m, field in enumerate(fields):
-        if spec.geometry == "annulus":
-            field = _fill_holes(out["mask"], field)
-        interp = RegularGridInterpolator((out["c1"], out["c2"]), field,
-                                         method="linear", bounds_error=False,
-                                         fill_value=None)
-        values[m] = interp(eval_x)
-    return values

@@ -65,9 +65,7 @@ def stack_blocks(blocks):
         matrix=np.concatenate([b.matrix for b in blocks]),
         rhs=np.concatenate([b.rhs for b in blocks]),
         row_kind=np.concatenate([b.row_kind for b in blocks]),
-        lam=np.concatenate([b.lam for b in blocks]),
-        n_interior=sum(b.n_interior for b in blocks),
-        n_boundary=sum(b.n_boundary for b in blocks))
+        lam=np.concatenate([b.lam for b in blocks]))
 
 
 def weighted(system):
@@ -83,15 +81,14 @@ def repeated_macro_blocks(meth, colloc, rule):
     n_v = colloc.velocity_nodes.size
     for block in meth.blocks(colloc, rule):
         n_x = np.count_nonzero(block.row_kind == assemble.ROW_MACRO)
-        n_int = block.n_interior
+        n_int = np.count_nonzero(block.row_kind == assemble.ROW_MICRO)
         order = np.empty(2 * n_int, dtype=int)
         order[0::2] = np.repeat(np.arange(n_x), n_v)
         order[1::2] = n_x + np.arange(n_int)
         order = np.concatenate([order, np.arange(n_x + n_int, block.n_rows)])
         yield assemble.rescale_rows(assemble.LinearSystem(
             matrix=block.matrix[order], rhs=block.rhs[order],
-            row_kind=block.row_kind[order], lam=np.ones(order.size),
-            n_interior=n_int, n_boundary=block.n_boundary))
+            row_kind=block.row_kind[order], lam=np.ones(order.size)))
 
 
 def dense_lstsq(system, rank_tol=1e-12):

@@ -48,15 +48,6 @@ class TestShapes:
         assert np.all(system.row_kind[n_x:n_x + n_int] == assemble.ROW_MICRO)
         assert np.all(system.row_kind[n_x + n_int:] == assemble.ROW_BOUNDARY)
 
-    def test_row_count_checked(self):
-        spec, rule, colloc, rho_model, g_model = small_setup()
-        system = assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule)
-        for n_interior in (system.n_interior - 1, system.n_interior + 1):
-            with pytest.raises(ValueError):
-                dataclasses.replace(system, n_interior=n_interior)
-        with pytest.raises(ValueError):
-            dataclasses.replace(system, n_boundary=system.n_boundary + 1)
-
     def test_model_dimension_checked(self):
         spec, rule, colloc, rho_model, g_model = small_setup()
         with pytest.raises(ValueError):
@@ -302,7 +293,7 @@ class TestRescaleRows:
             matrix=np.array([[2.0, 4.0, -8.0], [1.0, 0.5, 0.25]]),
             rhs=np.array([16.0, 1.0]),
             row_kind=[assemble.ROW_RFM, assemble.ROW_BOUNDARY],
-            lam=np.ones(2), n_interior=1, n_boundary=1)
+            lam=np.ones(2))
 
     def test_direct_arithmetic(self):
         tiny = self.make_tiny()
@@ -336,8 +327,7 @@ class TestRescaleRows:
         truth = rng.standard_normal(4)
         system = assemble.LinearSystem(
             matrix=matrix, rhs=matrix @ truth,
-            row_kind=np.full(12, assemble.ROW_RFM), lam=np.ones(12),
-            n_interior=12, n_boundary=0)
+            row_kind=np.full(12, assemble.ROW_RFM), lam=np.ones(12))
         before = solve.lstsq([system]).coeffs
         after = solve.lstsq([assemble.rescale_rows(system)]).coeffs
         np.testing.assert_allclose(before, truth, atol=1e-10)
@@ -348,7 +338,7 @@ class TestRescaleRows:
             matrix=np.array([[1.0, 2.0], [0.0, 0.0]]),
             rhs=np.zeros(2),
             row_kind=[assemble.ROW_RFM, assemble.ROW_BOUNDARY],
-            lam=np.ones(2), n_interior=1, n_boundary=1)
+            lam=np.ones(2))
         with pytest.raises(DegenerateRowError) as err:
             assemble.rescale_rows(system)
         assert err.value.row_index == 1

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import os
 import sys
 import threading
 import time
@@ -25,6 +26,12 @@ def four_cells():
     ones move with the BLAS thread count (at nx = 32, nv = 64 none do)."""
     return [tiny_config(epsilon=eps, j=j, nx=64, nv=128)
             for eps in (1e-2, 1e-8) for j in (16, 64)]
+
+
+def cpus(monkeypatch, count):
+    """Let the process appear to run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
 
 
 def no_run(*args, **kwargs):
@@ -248,6 +255,17 @@ class TestMain:
         cfg.write_text("problme = ex1\n")
         assert cli.main(["run", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_unparsable_value_exit_two(self, tmp_path, capsys, monkeypatch,
+                                       source):
+        monkeypatch.setattr(cli, "run", no_run)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("j = abc\n")
+        argv = (["--j", "abc"] if source == "flag"
+                else ["--config", str(cfg)])
+        assert cli.main(["run"] + argv) == 2
+        assert "invalid-config" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_table_definitions(self):
@@ -298,7 +316,7 @@ class TestSweep:
 
         fdm_density = cli.fdm_density
         monkeypatch.setattr(cli, "fdm_density", slow_coarse_oracle)
-        monkeypatch.setenv("APRFM_THREADS", "4")  # more threads than cores
+        cpus(monkeypatch, 4)  # more threads than cores
         cells = [tiny_config(problem="ex5", epsilon=1.0, j=j, nx1=8, nx2=8,
                              nv=8) for j in (3, 4, 5, 6)]
         interval = sys.getswitchinterval()
@@ -311,11 +329,11 @@ class TestSweep:
 
     def test_errors_do_not_depend_on_worker_count(self, monkeypatch):
         means = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("APRFM_THREADS", threads)
+        for threads in (1, 2):
+            cpus(monkeypatch, threads)
             means[threads] = [mean for _, mean in
                               cli.sweep(four_cells(), cli.RunConfig(seeds=1))]
-        assert means["1"] == means["2"]
+        assert means[1] == means[2]
 
     def test_cell_replays_bitwise_on_one_blas_thread(self, tmp_path):
         out = tmp_path / "replay"
@@ -362,7 +380,7 @@ class TestSweep:
         ids=["concurrent", "serial-without-blas-control"])
     def test_worker_count(self, monkeypatch, lookup, expected):
         monkeypatch.setattr(cli, "_blas_thread_controls", lookup)
-        monkeypatch.setenv("APRFM_THREADS", "4")
+        cpus(monkeypatch, 4)
         lock = threading.Lock()
         active, most = [0], [0]
 

@@ -61,7 +61,8 @@ class TestBlocks:
         monkeypatch.setattr(method, "_CHUNK_BUDGET", 500)
         blocks = list(meth.blocks(colloc, rule))
         assert len(blocks) > 4
-        assert sum(b.n_boundary > 0 for b in blocks) > 1
+        assert sum(b.row_kind[-1] == assemble.ROW_BOUNDARY
+                   for b in blocks) > 1
         stacked = stack_blocks(blocks)
         whole = assemble.rescale_rows(meth.assemble(colloc, rule))
         # each slab has its macro rows, then its micro rows; the whole
@@ -80,8 +81,6 @@ class TestBlocks:
         np.testing.assert_allclose(stacked.rhs[order] * lam, whole_rhs,
                                    rtol=0,
                                    atol=1e-14 * np.max(np.abs(whole_rhs)))
-        assert (stacked.n_interior, stacked.n_boundary) == \
-            (whole.n_interior, whole.n_boundary)
 
     def test_blocks_stay_within_budget(self):
         meth, colloc, rule = setup("ex1", 1e-2, "aprfm", (128,), 256, j=64)
@@ -99,7 +98,7 @@ class TestBlocks:
 
         def zero_last_inflow_row(*args):
             part = assemble_rfm(*args)
-            if part.n_boundary:
+            if part.row_kind[-1] == assemble.ROW_BOUNDARY:
                 matrix = part.matrix.copy()
                 matrix[-1] = 0.0
                 part = dataclasses.replace(part, matrix=matrix)

@@ -109,8 +109,7 @@ class TestFdm1D:
         const = dataclasses.replace(
             spec, boundary_value=lambda x, v: np.ones(
                 np.broadcast_shapes(np.asarray(x).shape[:-1], np.shape(v))))
-        field = reference.fdm_reference(const, resolution=64,
-                                        sweep_tol=1e-13)
+        field = reference.fdm_reference(const, resolution=64)
         np.testing.assert_allclose(field.values, 1.0, atol=1e-12)
 
     def test_oracle_matches_exact_solution_small_eps(self):
@@ -124,20 +123,30 @@ class TestFdm1D:
         spec = problems.catalog(problem, eps)
         rule = quadrature.angular_rule(1, 16)
         ref = source_iteration_1d(spec, 128, rule, sweep_tol=1e-14)
-        rho = reference._solve_1d(spec, 128, rule, velocity_nodes=None)["rho"]
+        _, rho, _ = reference._solve_1d(spec, 128, rule, rule.nodes)
         assert np.max(np.abs(rho - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("problem,eps", [("ex1", 1e-2), ("ex2", 1e-1),
+                                             ("ex3", None)])
+    def test_flux_at_rule_nodes_averages_to_density(self, problem, eps):
+        # the final sweep and the propagators run the same recurrence, so
+        # f at the rule's own ordinates must average back to rho
+        spec = problems.catalog(problem, eps)
+        rule = quadrature.angular_rule(1, 16)
+        _, rho, f = reference._solve_1d(spec, 512, rule, rule.nodes)
+        assert np.max(np.abs(rule.weights @ f - rho)) <= \
+            1e-12 * np.max(np.abs(rho))
 
     def test_non_finite_density_raises(self):
         spec = dataclasses.replace(
             problems.catalog("ex2", 1.0),
             rfm_source=lambda x, v: np.full(np.shape(v), np.nan))
         with pytest.raises(NoConvergenceError):
-            reference.fdm_density(spec, resolution=64)
+            reference.fdm_reference(spec, resolution=64)
 
     def test_mixed_scale_profile_supported(self):
         spec = problems.catalog("ex3")
-        field = reference.fdm_reference(spec, resolution=128,
-                                        sweep_tol=1e-8)
+        field = reference.fdm_reference(spec, resolution=128)
         assert field.values.min() > -1e-8
         assert field.values.max() <= 0.5 + 1e-8
 
@@ -162,8 +171,7 @@ class TestFdm2D:
         spec = problems.catalog(problem, 1.0)
         rule = quadrature.angular_rule(2, 16)
         ref = source_iteration_2d(spec, (32, 32), rule, sweep_tol=1e-14)
-        rho = reference._solve_2d(spec, (32, 32), 1e-10, 200_000, rule,
-                                  velocity_nodes=None)["rho"]
+        rho = reference._solve_2d(spec, (32, 32), 200_000, rule)["rho"]
         assert np.max(np.abs(rho - ref)) <= 1e-8 * np.max(np.abs(ref))
 
     def test_gmres_past_default_restart_matches_source_iteration(self):
@@ -172,8 +180,7 @@ class TestFdm2D:
         spec = problems.catalog("ex5", 0.2)
         rule = quadrature.angular_rule(2, 8)
         ref = source_iteration_2d(spec, (32, 32), rule, sweep_tol=1e-14)
-        out = reference._solve_2d(spec, (32, 32), 1e-10, 200_000, rule,
-                                  velocity_nodes=None)
+        out = reference._solve_2d(spec, (32, 32), 200_000, rule)
         assert out["iterations"] > 20
         assert np.max(np.abs(out["rho"] - ref)) <= 1e-8 * np.max(np.abs(ref))
 
@@ -207,11 +214,10 @@ class TestFdm2D:
         exact = reference.GridField(points=xs, values=spec.exact_rho(xs))
         assert reference.relative_l2(rho, exact) < 5e-2
 
-    def test_velocity_node_override(self):
-        spec = problems.catalog("ex4", 1.0)
-        rule = quadrature.angular_rule(2, 8)
-        field = reference.fdm_reference(spec, resolution=(16, 16),
-                                        sweep_tol=1e-8,
-                                        velocity_nodes=rule.nodes)
-        xs = collocation.evaluation_spatial_grid(spec)
-        assert field.points.shape == (xs.shape[0] * 8, 3)
+
+@pytest.mark.parametrize("oracle,problem", [
+    (reference.fdm_reference, "ex4"), (reference.fdm_density, "ex2")],
+    ids=["f-in-2d", "density-in-1d"])
+def test_oracle_of_the_other_dimension_rejected(oracle, problem):
+    with pytest.raises(UnsupportedProblemError):
+        oracle(problems.catalog(problem, 1.0))

@@ -11,8 +11,7 @@ def plain_system(matrix, rhs):
     return assemble.LinearSystem(
         matrix=matrix, rhs=np.asarray(rhs, dtype=float),
         row_kind=np.full(matrix.shape[0], assemble.ROW_RFM),
-        lam=np.ones(matrix.shape[0]),
-        n_interior=matrix.shape[0], n_boundary=0)
+        lam=np.ones(matrix.shape[0]))
 
 
 def blocks(matrix, rhs):
