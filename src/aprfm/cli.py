@@ -25,13 +25,13 @@ must be positive and finite (``profile`` for ex3, which ignores it);
 anything else exits 2 the same way.  ``-v`` logs at INFO level, one record
 per finished sweep run among them.
 
-A sweep runs its cells side by side, one per CPU the process may use
-(``taskset`` narrows them), sharing one reference cache, and every BLAS
-call in it uses one thread: its errors do not depend on the worker count,
-and ``OPENBLAS_NUM_THREADS=1 aprfm run`` with a cell's settings reproduces
-the cell's error bit for bit.  ``run`` and ``plotdata`` keep the process's
-BLAS threads.  A failing sweep run is recorded and the others go on (see
-:func:`sweep`).
+A sweep runs its cells side by side, largest first, one per CPU the
+process may use (``taskset`` narrows them), sharing one reference cache,
+and every BLAS call in it uses one thread: its errors do not depend on the
+worker count, and ``OPENBLAS_NUM_THREADS=1 aprfm run`` with a cell's
+settings reproduces the cell's error bit for bit.  ``run`` and
+``plotdata`` keep the process's BLAS threads.  A failing sweep run is
+recorded and the others go on (see :func:`sweep`).
 """
 
 import argparse
@@ -387,6 +387,19 @@ def _one_blas_thread():
             put(count)
 
 
+def _cost(config):
+    """N Z^2 of a cell, counted from its settings (interior points times
+    the squared column count): the order of the work its solve does."""
+    cfg = config.resolved()
+    if catalog(cfg.problem, 1.0).spatial_dim == 1:
+        boxes, nodes = cfg.mx, cfg.nx
+    else:
+        boxes, nodes = cfg.mx1 * cfg.mx2, cfg.nx1 * cfg.nx2
+    z = boxes * (cfg.j * cfg.mv if cfg.method == "rfm"
+                 else cfg.jrho + cfg.jg * cfg.mv)
+    return nodes * cfg.nv * z * z
+
+
 def _shown(outcome):
     """A sweep run's error, or the error code of the exception it raised."""
     if isinstance(outcome, AprfmError):
@@ -402,11 +415,14 @@ def sweep(table, base_config, out=None):
 
     Cells run on one worker thread per CPU this process may use (capped at
     the number of cells), one BLAS thread each, or one at a time when the
-    BLAS thread count cannot be set.  Each finished (cell, seed) is appended to
-    ``<out>_cells.csv`` with its error, or the error code of its failure,
-    and logged.  Once every run has finished, the outputs are rewritten in
-    table order, a cell with a failed run has no mean (``null`` in the
-    JSON), and the first failure in table order is raised.
+    BLAS thread count cannot be set.  They are handed to the workers
+    largest first (by ``_cost``, ties in table order), so that no worker
+    is left alone with a large cell at the end.  Each finished (cell,
+    seed) is appended to ``<out>_cells.csv`` with its error, or the error
+    code of its failure, and logged.  Once every run has finished, the
+    outputs are rewritten in table order, a cell with a failed run has no
+    mean (``null`` in the JSON), and the first failure in table order is
+    raised.
     """
     base_config.validate()
     if isinstance(table, str):
@@ -451,7 +467,8 @@ def sweep(table, base_config, out=None):
         if one_thread:
             workers = max(1, min(len(os.sched_getaffinity(0)), len(cells)))
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run_cell, range(len(cells))))
+            list(pool.map(run_cell, sorted(
+                range(len(cells)), key=lambda i: -_cost(cells[i]))))
 
     failures = [o for row in outcomes for o in row if isinstance(o, Exception)]
     means = [None if any(isinstance(o, Exception) for o in row)

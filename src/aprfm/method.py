@@ -82,6 +82,24 @@ class Method:
                    (model(rho_part, config.jrho, 2 * config.seed),
                     model(phase_part, config.jg, 2 * config.seed + 1)))
 
+    @property
+    def box_columns(self):
+        """The columns of each spatial box k, as slices: the spatial-model
+        box k (aprfm) and the phase-model boxes k mv ... (k + 1) mv - 1,
+        the boxes over box k in the axis-major phase partition, whose last
+        axis is velocity.  A row is exactly zero in the columns of a box
+        whose window does not reach its point."""
+        phase = self.models[-1]
+        n_boxes = phase.n_boxes // phase.partition.dims[-1]
+        boxes = [[] for _ in range(n_boxes)]
+        offset = 0
+        for model in self.models:
+            width = model.n_columns // n_boxes
+            for k, box in enumerate(boxes):
+                box.append(slice(offset + k * width, offset + (k + 1) * width))
+            offset += model.n_columns
+        return tuple(map(tuple, boxes))
+
     def assemble(self, colloc, rule):
         """The unscaled least-squares system of this method."""
         if self.name == "rfm":
@@ -185,7 +203,8 @@ def solve(spec, config):
             scales.append(block.lam)
             yield block
 
-    report = lstsq(blocks(), rank_tol=config.rank_tol)
+    report = lstsq(blocks(), rank_tol=config.rank_tol,
+                   box_columns=method.box_columns)
     assembly_s = time.perf_counter() - start - report.wall_time
     return Solution(method, rule, colloc, report, assembly_s,
                     np.concatenate(scales))

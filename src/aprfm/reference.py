@@ -16,14 +16,14 @@ dimension, for the field each dimension's runs are scored on:
 - :func:`fdm_reference` (1D) forms K densely from the per-ordinate upwind
   propagators, solves the system directly, and sweeps once more at the
   evaluation velocities for f;
-- :func:`fdm_density` (2D) applies K by the wavefront sweep and solves the
-  system by GMRES (Krylov-accelerated source iteration, Adams & Larsen
-  2002) for rho.
+- :func:`fdm_density` (2D) applies K by one wavefront sweep over all
+  ordinates at once and solves the system by GMRES (Krylov-accelerated
+  source iteration, Adams & Larsen 2002) for rho.
 
 Plain source iteration needs about 1/eps^2 sweeps; GMRES needs far fewer
-but still more as the optical thickness grows.  The oracle is meant for eps
-down to about 1e-2; the exact-solution benchmarks carry the deep-diffusive
-checks instead.
+but still more as the optical thickness grows.  The 2D oracle refuses eps
+below ``FDM_MIN_EPSILON_2D`` (1e-2); the exact-solution benchmarks carry
+the deep-diffusive checks instead.
 
 The internal mesh resolution is independent of the error-measurement grid;
 results are interpolated onto the evaluation grid.
@@ -48,6 +48,10 @@ FDM_RESOLUTION_2D = (128, 128)
 # transport-operator applications
 FDM_SWEEP_TOL = 1e-10
 FDM_MAX_ITERS = 200_000
+# 2D: the smallest eps the oracle is used for.  Step differencing loses
+# the diffusion limit in optically thick cells (Larsen, Morel & Miller,
+# JCP 69, 1987), and nothing checks GMRES's answer below it.
+FDM_MIN_EPSILON_2D = 1e-2
 # Krylov vectors GMRES keeps before it restarts (scipy's default is 20,
 # which needs 890 sweeps on ex5 at 128 x 128 and eps = 1e-2, against 261)
 _GMRES_RESTART = 60
@@ -130,7 +134,8 @@ def fdm_density(spec, resolution=None, max_iters=FDM_MAX_ITERS):
     Raises :class:`NoConvergenceError` when GMRES does not reach
     ``FDM_SWEEP_TOL`` within ``max_iters`` sweeps, and
     :class:`UnsupportedProblemError` for a 1D problem (see
-    :func:`fdm_reference`).
+    :func:`fdm_reference`) or for eps below ``FDM_MIN_EPSILON_2D``
+    anywhere in the domain.
     """
     if spec.spatial_dim != 2:
         raise UnsupportedProblemError(
@@ -150,10 +155,11 @@ def fdm_density(spec, resolution=None, max_iters=FDM_MAX_ITERS):
 def _fdm_meta(spec):
     """The ``reference`` entry of a run report scored against the oracle
     at its defaults."""
-    resolution = ((FDM_RESOLUTION_1D,) if spec.spatial_dim == 1
-                  else FDM_RESOLUTION_2D)
-    return {"kind": "fdm", "resolution": resolution,
-            "sweep_tol": FDM_SWEEP_TOL}
+    if spec.spatial_dim == 1:
+        return {"kind": "fdm", "resolution": (FDM_RESOLUTION_1D,),
+                "solver": "direct"}
+    return {"kind": "fdm", "resolution": FDM_RESOLUTION_2D,
+            "solver": "gmres", "sweep_tol": FDM_SWEEP_TOL}
 
 
 def _native_fields(spec, x):
@@ -228,102 +234,96 @@ def _solve_1d(spec, n_cells, rule, velocities):
     return x, rho, f
 
 
-class _SweepGroup:
-    """Oriented wavefront data for one quadrant of 2D ordinates."""
+class _Sweep:
+    """Wavefront data of every 2D ordinate.  In its own frame, the grid
+    flipped along each axis it travels down, an ordinate crosses the cells
+    in fronts i + j = d, each front needing only the one before it.  The
+    sweep data of all ordinates is held cell by cell in that front order,
+    (cells, K), so one loop over the fronts sweeps every ordinate at once
+    and a front is one slice of rows.
+
+    Cells outside the domain are swept too, with zero coefficients, a unit
+    diagonal and a zero source, so they stay exactly zero; no domain cell
+    reads them, because an upwind neighbour outside the domain counts as
+    missing and gives the inflow value instead."""
 
     def __init__(self, spec, grid, angles):
-        c1, c2, h1, h2, mask, removal_f, sig_s_f, eps_f = grid
-        self.angles = np.asarray(angles, dtype=float)
-        self.flip1 = np.cos(self.angles[0]) < 0
-        self.flip2 = np.sin(self.angles[0]) < 0
+        c1, c2, h1, h2, mask, removal_f, eps_f = grid
+        angles = np.asarray(angles, dtype=float)
         n1, n2 = mask.shape
-        orient = self.orient
-        p1 = -1 if self.flip1 else 1
-        p2 = -1 if self.flip2 else 1
-        v1 = np.abs(np.cos(self.angles))
-        v2 = np.abs(np.sin(self.angles))
-        a1 = orient(eps_f)[None] * v1[:, None, None] / h1
-        a2 = orient(eps_f)[None] * v2[:, None, None] / h2
-        self.den = a1 + a2 + orient(removal_f)[None]
+        flip1 = np.cos(angles) < 0
+        flip2 = np.sin(angles) < 0
+        self.mask = mask
 
-        # upwind-value overrides where the upwind neighbour leaves the domain
-        idx1 = np.arange(n1)[:, None] - p1
-        idx2 = np.arange(n2)[None, :] - p2
-        missing1 = ((idx1 < 0) | (idx1 >= n1)
-                    | ~mask[np.clip(idx1, 0, n1 - 1),
-                            np.arange(n2)[None, :]]) & mask
-        missing2 = ((idx2 < 0) | (idx2 >= n2)
-                    | ~mask[np.arange(n1)[:, None],
-                            np.clip(idx2, 0, n2 - 1)]) & mask
-        face1 = np.stack(np.broadcast_arrays(c1[:, None] - p1 * h1 / 2.0,
-                                             c2[None, :]), axis=-1)
-        face2 = np.stack(np.broadcast_arrays(c1[:, None],
-                                             c2[None, :] - p2 * h2 / 2.0),
-                         axis=-1)
-        inflow1 = np.zeros((len(angles), n1, n2))
-        inflow2 = np.zeros((len(angles), n1, n2))
-        pts1 = face1[missing1]
-        pts2 = face2[missing2]
-        for m, angle in enumerate(self.angles):
-            if pts1.size:
-                inflow1[m][missing1] = spec.boundary_value(
-                    pts1, np.full(pts1.shape[0], angle))
-            if pts2.size:
-                inflow2[m][missing2] = spec.boundary_value(
-                    pts2, np.full(pts2.shape[0], angle))
+        # front order in the ordinates' own frame, and each front cell's
+        # flat index in the grid for every ordinate
+        ii, jj = np.divmod(np.argsort(np.add.outer(np.arange(n1),
+                                                   np.arange(n2)).ravel(),
+                                      kind="stable"), n2)
+        self.bounds = np.searchsorted(ii + jj, np.arange(n1 + n2)).tolist()
+        self.cells = (np.where(flip1[:, None], n1 - 1 - ii, ii) * n2
+                      + np.where(flip2[:, None], n2 - 1 - jj, jj))
+        # front positions of the upwind neighbours (any cell on the first
+        # row or column, where the inflow value is used instead)
+        position = np.empty(n1 * n2, dtype=int)
+        position[ii * n2 + jj] = np.arange(n1 * n2)
+        self.up1 = position[np.maximum(ii - 1, 0) * n2 + jj]
+        self.up2 = position[ii * n2 + np.maximum(jj - 1, 0)]
 
-        mask_or = orient(mask)
-        self.b1 = orient(missing1)
-        self.b2 = orient(missing2)
-        self.v1 = orient(inflow1)
-        self.v2 = orient(inflow2)
-        self.a1 = a1
-        self.a2 = a2
+        v1 = np.abs(np.cos(angles))
+        v2 = np.abs(np.sin(angles))
+        eps = self.frontal(eps_f)
+        a1 = eps * v1 / h1
+        a2 = eps * v2 / h2
+        den = a1 + a2 + self.frontal(removal_f)
+        inside = self.frontal(mask)
+        self.a1 = np.where(inside, a1, 0.0)
+        self.a2 = np.where(inside, a2, 0.0)
+        self.den = np.where(inside, den, 1.0)
 
-        # wavefronts over oriented domain cells: i + j ascending
-        ii, jj = np.nonzero(mask_or)
-        order = np.argsort(ii + jj, kind="stable")
-        ii, jj = ii[order], jj[order]
-        fronts = []
-        for d in range(n1 + n2 - 1):
-            sel = (ii + jj) == d
-            if np.any(sel):
-                fronts.append((ii[sel], jj[sel]))
-        self.fronts = fronts
+        # upwind-value overrides where the upwind neighbour leaves the
+        # domain, and the inflow on the face towards it
+        self.b1 = inside & ((ii == 0)[:, None] | ~inside[self.up1])
+        self.b2 = inside & ((jj == 0)[:, None] | ~inside[self.up2])
+        self.v1 = np.zeros(inside.shape)
+        self.v2 = np.zeros(inside.shape)
+        i, j = np.divmod(self.cells.T, n2)
+        faces = ((self.b1, self.v1, c1[i] - np.where(flip1, -h1, h1) / 2.0,
+                  c2[j]),
+                 (self.b2, self.v2, c1[i],
+                  c2[j] - np.where(flip2, -h2, h2) / 2.0))
+        for missing, inflow, x1, x2 in faces:
+            for m, angle in enumerate(angles):
+                rows = missing[:, m]
+                if rows.any():
+                    inflow[rows, m] = spec.boundary_value(
+                        np.stack([x1[rows, m], x2[rows, m]], axis=-1),
+                        np.full(np.count_nonzero(rows), angle))
 
-    def orient(self, arr):
-        """``arr`` flipped over its last two axes into the group's sweep
-        frame, or back: the flips are their own inverse."""
-        out = arr
-        if self.flip1:
-            out = np.flip(out, axis=-2)
-        if self.flip2:
-            out = np.flip(out, axis=-1)
-        return np.ascontiguousarray(out)
+    def frontal(self, field):
+        """``field`` ((n1, n2), or (K, n1, n2) per ordinate) in front
+        order, (cells, K)."""
+        n_ord = self.cells.shape[0]
+        flat = np.broadcast_to(field, (n_ord,) + self.mask.shape)
+        return np.ascontiguousarray(np.take_along_axis(
+            flat.reshape(n_ord, -1), self.cells, axis=1).T)
 
-    def sweep(self, source_fields):
-        """Solve the oriented transport sweep; sources in original frame."""
-        src = np.stack([self.orient(s) for s in source_fields])
+    def sweep(self, sources):
+        """The angular flux (K, n1, n2) of one transport sweep of every
+        ordinate with the sources (K, n1, n2)."""
+        src = self.frontal(np.where(self.mask, sources, 0.0))
         f = np.zeros_like(src)
-        for ii, jj in self.fronts:
-            u1 = np.where(self.b1[ii, jj][None],
-                          self.v1[:, ii, jj], f[:, ii - 1, jj])
-            u2 = np.where(self.b2[ii, jj][None],
-                          self.v2[:, ii, jj], f[:, ii, jj - 1])
-            f[:, ii, jj] = (self.a1[:, ii, jj] * u1 + self.a2[:, ii, jj] * u2
-                            + src[:, ii, jj]) / self.den[:, ii, jj]
-        return np.stack([self.orient(fm) for fm in f])
-
-
-def _group_angles(angles):
-    """Split ordinates into the four sign quadrants of (cos, sin)."""
-    angles = np.asarray(angles, dtype=float)
-    groups = {}
-    for m, angle in enumerate(angles):
-        key = (np.cos(angle) < 0, np.sin(angle) < 0)
-        groups.setdefault(key, []).append(m)
-    return [(np.array(idx), angles[np.array(idx)]) for idx in
-            (groups[k] for k in sorted(groups))]
+        a1, a2, den, b1, b2, v1, v2, up1, up2 = (
+            self.a1, self.a2, self.den, self.b1, self.b2, self.v1, self.v2,
+            self.up1, self.up2)
+        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+            u1 = np.where(b1[lo:hi], v1[lo:hi], f.take(up1[lo:hi], axis=0))
+            u2 = np.where(b2[lo:hi], v2[lo:hi], f.take(up2[lo:hi], axis=0))
+            f[lo:hi] = (a1[lo:hi] * u1 + a2[lo:hi] * u2
+                        + src[lo:hi]) / den[lo:hi]
+        out = np.empty(self.cells.shape)
+        np.put_along_axis(out, self.cells, f.T, axis=1)
+        return out.reshape(sources.shape)
 
 
 def _solve_2d(spec, n_cells, max_iters, rule):
@@ -339,13 +339,15 @@ def _solve_2d(spec, n_cells, max_iters, rule):
     mask = spec.in_domain(pts)
     eps_f, sig_s_f, removal_f = (arr.reshape(n1, n2) for arr in
                                  _native_fields(spec, pts.reshape(-1, 2)))
-    grid = (c1, c2, h1, h2, mask, removal_f, sig_s_f, eps_f)
-
-    gl_groups = [(idx, _SweepGroup(spec, grid, ang),
-                  [np.asarray(spec.rfm_source(pts.reshape(-1, 2),
-                                              np.full(n1 * n2, angle))
-                              ).reshape(n1, n2) for angle in ang])
-                 for idx, ang in _group_angles(rule.nodes)]
+    if eps_f[mask].min() < FDM_MIN_EPSILON_2D:
+        raise UnsupportedProblemError(
+            f"{spec.id}: the 2D oracle is validated for eps down to "
+            f"{FDM_MIN_EPSILON_2D:g}, not {eps_f[mask].min():g}")
+    sweep = _Sweep(spec, (c1, c2, h1, h2, mask, removal_f, eps_f),
+                   rule.nodes)
+    sources = np.stack([np.asarray(spec.rfm_source(
+        pts.reshape(-1, 2), np.full(n1 * n2, angle))).reshape(n1, n2)
+        for angle in rule.nodes])
 
     # GMRES on rho - (S(rho) - S(0)) = S(0), where S(rho) averages one
     # transport sweep of every ordinate with scattering source sig_s rho;
@@ -358,9 +360,7 @@ def _solve_2d(spec, n_cells, max_iters, rule):
         if applications >= max_iters:
             raise NoConvergenceError("GMRES stalled", residual)
         applications += 1
-        f_all = np.empty((rule.n_nodes, n1, n2))
-        for idx, group, src in gl_groups:
-            f_all[idx] = group.sweep([s + sig_s_f * rho for s in src])
+        f_all = sweep.sweep(sources + sig_s_f * rho)
         return np.einsum("q,qij->ij", rule.weights, f_all)
 
     def matvec(x):

@@ -3,7 +3,9 @@
 The solver helpers map their arguments onto a ``cli.RunConfig`` and solve
 through ``aprfm.method``, the path the CLI ships.  ``stack_blocks`` and
 ``dense_lstsq`` rebuild the whole matrix and solve it the pre-streaming
-way, as references for the streamed solve; ``repeated_macro_blocks``
+way, as references for the streamed solve, and ``single_factor_lstsq``
+folds every row into one full-width factor, as the reference for the
+factors per signature; ``repeated_macro_blocks``
 writes each macro row once per velocity, unweighted, as the reference for
 the weighted single macro row; ``dense_column_batch``,
 ``dense_model_values`` and ``dense_assembly`` evaluate every box at every
@@ -14,6 +16,7 @@ references for the problem sources."""
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtpqrt
 
 from aprfm import assemble, basis, cli, collocation, reference
 from aprfm.collocation import _phase, _tensor
@@ -89,6 +92,35 @@ def repeated_macro_blocks(meth, colloc, rule):
         yield assemble.rescale_rows(assemble.LinearSystem(
             matrix=block.matrix[order], rhs=block.rhs[order],
             row_kind=block.row_kind[order], lam=np.ones(order.size)))
+
+
+def single_factor_lstsq(blocks, rank_tol=1e-12):
+    """The streamed solve before factors per signature: every block's
+    weighted rows folded at full width into one factor of [A | b], then
+    gelsd on it, with rank, condition estimate and residual taken the same
+    way as ``lstsq``."""
+    r = None
+    for block in blocks:
+        z = block.n_columns
+        if r is None:
+            r = np.zeros((z + 1, z + 1), order="F")
+        rows = np.empty((block.n_rows, z + 1), order="F")
+        rows[:, :z] = block.matrix
+        rows[:, :z] *= block.lam[:, None]
+        np.multiply(block.rhs, block.lam, out=rows[:, z])
+        r, _, _, info = dtpqrt(0, min(16, z + 1), r, rows, overwrite_a=1,
+                               overwrite_b=1)
+        assert info == 0
+    coeffs, _, rank, sing = scipy.linalg.lstsq(
+        r[:z, :z], r[:z, z], cond=rank_tol, lapack_driver="gelsd",
+        check_finite=False)
+    residual = float(np.hypot(np.linalg.norm(r[:z, :z] @ coeffs - r[:z, z]),
+                              r[z, z]))
+    retained = sing[sing > rank_tol * sing[0]]
+    return SolveReport(coeffs=coeffs, residual_norm=residual, rank=int(rank),
+                       condition_estimate=float(sing[0] / retained[-1]),
+                       singular_tail=tuple(map(float, retained[-8:])),
+                       wall_time=0.0)
 
 
 def dense_lstsq(system, rank_tol=1e-12):
@@ -376,18 +408,16 @@ def source_iteration_2d(spec, n_cells, rule, sweep_tol, max_iters=10_000):
     mask = spec.in_domain(pts)
     eps, sig_s, removal = (arr.reshape(n1, n2) for arr in
                            reference._native_fields(spec, pts.reshape(-1, 2)))
-    grid = (c1, c2, (hi1 - lo1) / n1, (hi2 - lo2) / n2, mask, removal, sig_s,
-            eps)
-    groups = [(idx, reference._SweepGroup(spec, grid, angles),
-               [spec.rfm_source(pts.reshape(-1, 2), np.full(n1 * n2, angle)
-                                ).reshape(n1, n2) for angle in angles])
-              for idx, angles in reference._group_angles(rule.nodes)]
+    sweep = reference._Sweep(spec, (c1, c2, (hi1 - lo1) / n1,
+                                    (hi2 - lo2) / n2, mask, removal, eps),
+                             rule.nodes)
+    src = np.stack([spec.rfm_source(pts.reshape(-1, 2),
+                                    np.full(n1 * n2, angle)).reshape(n1, n2)
+                    for angle in rule.nodes])
     rho = np.zeros((n1, n2))
     f = np.zeros((rule.n_nodes, n1, n2))
     for _ in range(max_iters):
-        f_new = np.empty_like(f)
-        for idx, group, src in groups:
-            f_new[idx] = group.sweep([s + sig_s * rho for s in src])
+        f_new = sweep.sweep(src + sig_s * rho)
         change = np.max(np.abs(f_new - f))
         f = f_new
         rho = np.einsum("q,qij->ij", rule.weights, f)

@@ -82,6 +82,15 @@ class TestRun:
         csv_lines = (tmp_path / "run.csv").read_text().splitlines()
         assert csv_lines[0] == "x,v,f_approx,f_ref"
         assert len(csv_lines) == 1 + 128 * 256
+        # the reference entry names how the reference was made: the 1D
+        # oracle is one direct solve, with no tolerance, the 2D one GMRES
+        assert report["reference"] == {"kind": "exact"}
+        oracle = cli.run(tiny_config(problem="ex2")).report["reference"]
+        assert oracle == {"kind": "fdm", "resolution": (512,),
+                          "solver": "direct"}
+        assert cli._fdm_meta(problems.catalog("ex5", 1.0)) == {
+            "kind": "fdm", "resolution": (128, 128), "solver": "gmres",
+            "sweep_tol": 1e-10}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config_a = tiny_config(out=str(tmp_path / "a"))
@@ -173,6 +182,14 @@ class TestMain:
                          "--out", str(tmp_path / "x")] + flag)
         assert code == 2
         assert "invalid-config" in capsys.readouterr().err
+
+    def test_oracle_below_its_eps_range_exit_two(self, tmp_path, capsys):
+        code = cli.main(["run", "--problem", "ex5", "--method", "aprfm",
+                         "--epsilon", "1e-3", "--j", "4", "--nx1", "8",
+                         "--nx2", "8", "--nv", "8",
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "unsupported-problem" in capsys.readouterr().err
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys,
                                           monkeypatch):
@@ -343,6 +360,47 @@ class TestSweep:
             assert one_thread
             replayed = cli.run(cli.RunConfig(**report["cells"][1]))
         assert replayed.report["error"] == report["mean_errors"][1]
+
+    def test_partitioned_cells_replay_bitwise_on_one_blas_thread(
+            self, tmp_path):
+        # T3's cells with two and four spatial boxes, whose rows are folded
+        # into one factor per set of boxes they touch
+        cells, labels, *_ = cli._table_cells("T3", cli.RunConfig())
+        cells = [cell for cell, label in zip(cells, labels)
+                 if cell.epsilon == 1e-2 and cell.mx > 1]
+        assert [cell.mx for cell in cells] == [2, 4]
+        cli.sweep(cells, cli.RunConfig(seeds=1), out=str(tmp_path / "t3"))
+        report = json.loads((tmp_path / "t3.json").read_text())
+        with cli._one_blas_thread() as one_thread:
+            assert one_thread
+            replayed = [cli.run(cli.RunConfig(**cell)).report["error"]
+                        for cell in report["cells"]]
+        assert replayed == report["mean_errors"]
+
+    def test_cells_start_largest_first_and_report_in_table_order(
+            self, tmp_path, monkeypatch):
+        cpus(monkeypatch, 1)  # one worker runs the cells as submitted
+        started = []
+
+        def fake_run(config, reference_cache=None):
+            started.append((config.j, config.nv))
+            return cli.RunResult(report={"error": float(config.j)},
+                                 field_columns=(), field_rows=None)
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        cells = [tiny_config(j=j, nv=nv)
+                 for j, nv in ((4, 16), (8, 16), (6, 16), (4, 64))]
+        rows = cli.sweep(cells, cli.RunConfig(seeds=1),
+                         out=str(tmp_path / "order"))
+        # N Z^2 = nx nv (2 j)^2: 8192, 32768, 18432, 32768 (a tie, kept in
+        # table order)
+        assert [cli._cost(cell) for cell in cells] == [8192, 32768, 18432,
+                                                       32768]
+        assert started == [(8, 16), (4, 64), (6, 16), (4, 16)]
+        assert rows == [[0, 4.0], [1, 8.0], [2, 6.0], [3, 4.0]]
+        lines = (tmp_path / "order_cells.csv").read_text().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == [
+            "4.000000e+00", "8.000000e+00", "6.000000e+00", "4.000000e+00"]
 
     def test_blas_threads_one_inside_and_restored_after(self, monkeypatch):
         controls = cli._blas_thread_controls()

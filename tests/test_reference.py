@@ -185,7 +185,7 @@ class TestFdm2D:
         assert np.max(np.abs(out["rho"] - ref)) <= 1e-8 * np.max(np.abs(ref))
 
     def test_sweep_groups_freed_without_cycle_collection(self):
-        # the quadrant groups hold the sweep's large arrays; they must go
+        # the sweep object holds the large oriented arrays; they must go
         # with the solve by reference counting, not wait for a collection
         spec = problems.catalog("ex5", 1.0)
         gc.collect()
@@ -193,12 +193,19 @@ class TestFdm2D:
         try:
             reference.fdm_density(spec, resolution=(32, 32))
             left = [obj for obj in gc.get_objects()
-                    if isinstance(obj, reference._SweepGroup)]
+                    if isinstance(obj, reference._Sweep)]
             freed = gc.collect()
         finally:
             gc.enable()
         assert not left
         assert freed == 0
+
+    def test_eps_below_the_validated_range_rejected(self):
+        with pytest.raises(UnsupportedProblemError, match="0.001"):
+            reference.fdm_density(problems.catalog("ex5", 1e-3))
+        rho = reference.fdm_density(problems.catalog("ex5", 1e-2),
+                                    resolution=(16, 16))
+        assert rho.values.max() > 0
 
     def test_planar_oracle_against_exact(self):
         spec = problems.catalog("ex4", 1.0)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtpqrt
 
+import helpers
 from aprfm import assemble, collocation, problems, quadrature, solve
 from aprfm.errors import NonFiniteInputError
+from aprfm.method import Method
 from helpers import build_models
 
 
@@ -173,3 +176,85 @@ class TestConditionReport:
         cond_scaled = condition(assemble.rescale_rows(system))
         assert cond_raw > 1e8
         assert cond_scaled < 1e2
+
+
+# (problem, eps, method, spatial nodes, velocities, boxes per axis,
+# velocity boxes, features): small partitioned systems whose factors per
+# signature include one over every column (ex2), none (ex2 rfm over three
+# boxes, ex4 over 2 x 2) and rows touching three boxes (ex4)
+PARTITIONED = {
+    "ex2-aprfm-mx2": ("ex2", 1.0, "aprfm", (32,), 32, (2,), 2,
+                      dict(jrho=2, jg=4)),
+    "ex2-rfm-mx3": ("ex2", 1.0, "rfm", (32,), 32, (3,), 2, dict(j=3)),
+    "ex4-aprfm-2x2": ("ex4", 1.0, "aprfm", (8, 8), 8, (2, 2), 2,
+                      dict(jrho=2, jg=2)),
+}
+
+
+def method_blocks(problem, eps, method, n_spatial, n_velocity, m_spatial,
+                  m_velocity, features):
+    """A ``Method`` on the problem and its weighted row blocks."""
+    spec = problems.catalog(problem, eps)
+    config = helpers.run_config(spec, method, n_spatial, n_velocity,
+                                m_spatial, m_velocity, seed=0, **features)
+    meth = Method.build(spec, config)
+    colloc = collocation.build_collocation(spec, n_spatial, n_velocity)
+    rule = quadrature.angular_rule(spec.spatial_dim, 16)
+    return meth, list(meth.blocks(colloc, rule))
+
+
+class TestFactorsPerSignature:
+    @pytest.mark.parametrize("case", PARTITIONED.values(),
+                             ids=list(PARTITIONED))
+    def test_matches_one_full_width_factor(self, case):
+        # full rank and well conditioned (estimates 8.6-126), so the
+        # reordered QR agrees with the single factor to roundoff
+        meth, parts = method_blocks(*case)
+        report = solve.lstsq(parts, box_columns=meth.box_columns)
+        ref = helpers.single_factor_lstsq(parts)
+        assert report.rank == ref.rank == meth.box_columns[-1][-1].stop
+        np.testing.assert_allclose(report.coeffs, ref.coeffs, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref.coeffs).max())
+        assert report.residual_norm == pytest.approx(ref.residual_norm,
+                                                     rel=1e-12)
+        np.testing.assert_allclose(report.singular_tail, ref.singular_tail,
+                                   rtol=1e-12)
+
+    def test_one_box_is_the_single_factor_bit_for_bit(self):
+        meth, parts = method_blocks("ex2", 1e-1, "aprfm", (32,), 32, (1,), 2,
+                                    dict(jrho=8, jg=16))
+        assert len(meth.box_columns) == 1
+        report = solve.lstsq(parts, box_columns=meth.box_columns)
+        ref = helpers.single_factor_lstsq(parts)
+        assert np.array_equal(report.coeffs, ref.coeffs)
+        assert report.residual_norm == ref.residual_norm
+        assert report.singular_tail == ref.singular_tail
+        assert report.condition_estimate == ref.condition_estimate
+
+    def test_rows_fold_at_their_signature_width(self, monkeypatch):
+        # each row is folded over the columns of the boxes it touches plus
+        # the rhs; rows touching one box must not be folded at full width
+        meth, parts = method_blocks(*PARTITIONED["ex2-aprfm-mx2"])
+        folded = {}
+        merges = []
+
+        def recording_dtpqrt(l, nb, a, b, **kwargs):
+            if l == 0:
+                folded[b.shape[1]] = folded.get(b.shape[1], 0) + b.shape[0]
+            else:
+                merges.append(b.shape)
+            return dtpqrt(l, nb, a, b, **kwargs)
+
+        monkeypatch.setattr(solve, "dtpqrt", recording_dtpqrt)
+        solve.lstsq(parts, box_columns=meth.box_columns)
+        matrix = helpers.stack_blocks(parts).matrix
+        touch = np.stack([np.any(matrix[:, np.r_[box]] != 0, axis=1)
+                          for box in meth.box_columns], axis=1)
+        widths = [sum(s.stop - s.start for k, box in
+                      enumerate(meth.box_columns) if row[k] for s in box) + 1
+                  for row in touch]
+        expected = dict(zip(*np.unique(widths, return_counts=True)))
+        assert folded == {int(w): int(n) for w, n in expected.items()}
+        z = meth.box_columns[-1][-1].stop
+        assert set(folded) == {z // 2 + 1, z + 1}
+        assert len(merges) == 2  # the one-box factors, into the full one
