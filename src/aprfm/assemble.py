@@ -22,11 +22,14 @@ and adds g itself to the micro row.
 
 The phase model's transport terms come straight from
 ``basis.column_batch`` as the derivative of each column along the
-transport direction of its velocity, v . grad_x chi; v . grad_x rho comes
-from the d axis derivatives of the small spatial model.  Angular averages
-are evaluated with the supplied quadrature rule; because interior grids
-are space-major tensor products, each distinct spatial node is swept over
-the quadrature nodes exactly once.  An assembler builds the rows of
+transport direction of its velocity, v . grad_x chi, from one call on the
+spatial nodes and the velocities (or the quadrature nodes) as factors;
+v . grad_x rho comes from the d axis derivatives of the small spatial
+model.  Angular averages are evaluated with the supplied quadrature rule;
+because interior grids are space-major tensor products, each distinct
+spatial node is swept over the quadrature nodes exactly once.  The micro
+(aprfm) and interior (rfm) rows are written into the matrix in place,
+with the column arrays as scratch.  An assembler builds the rows of
 whatever collocation set it is given; :mod:`aprfm.method` bounds the
 memory of a run by assembling it slab by slab.
 """
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import column_batch, model_values
-from .collocation import _phase, _tensor
+from .collocation import _phase
 from .errors import DegenerateRowError, InvalidProblemError
 from .problems import direction
 
@@ -97,14 +100,12 @@ def _check_spatial_model(spec, model, role):
 def _node_columns(model, xs, vs, transport=True):
     """Columns of a phase-space model at every (spatial node, velocity)
     pair, (S, L, Z), and with ``transport`` their derivative along each
-    velocity's transport direction, v . grad_x chi (else None).  Callers
-    bound the work by assembling slabs of spatial nodes (see
-    ``aprfm.method``)."""
-    n_x, n_v = xs.shape[0], vs.size
-    shape = (n_x, n_v, model.n_columns)
-    dirs = (np.tile(direction(xs.shape[1], vs), (n_x, 1)) if transport
-            else None)
-    chi, dchi = column_batch(model, _phase(*_tensor(xs, vs)), dirs)
+    velocity's transport direction, v . grad_x chi (else None), from one
+    call of the kernel on the two factors.  Callers bound the work by
+    assembling slabs of spatial nodes (see ``aprfm.method``)."""
+    shape = (xs.shape[0], vs.size, model.n_columns)
+    dirs = direction(xs.shape[1], vs) if transport else None
+    chi, dchi = column_batch(model, xs, dirs, velocities=vs)
     return chi.reshape(shape), (None if dchi is None else dchi.reshape(shape))
 
 
@@ -125,11 +126,13 @@ def assemble_rfm(spec, model, colloc, rule):
     chi, transport = _node_columns(model, xs, vs)
     chi_q, _ = _node_columns(model, xs, rule.nodes, transport=False)
     avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
-    rows = (spec.epsilon_at(xs)[:, None, None] * transport
-            - avg_chi[:, None, :] + chi)
 
     matrix = np.empty((n_int + n_bdy, z))
-    matrix[:n_int] = rows.reshape(-1, z)
+    # eps v . grad_x chi - mean_v chi + chi, written in place
+    rows = matrix[:n_int].reshape(chi.shape)
+    np.multiply(spec.epsilon_at(xs)[:, None, None], transport, out=rows)
+    rows -= avg_chi[:, None, :]
+    rows += chi
     matrix[n_int:] = _boundary_columns(model, colloc)
     rhs = np.concatenate([spec.rfm_source(colloc.interior_x,
                                           colloc.interior_v),
@@ -160,12 +163,20 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
         raise InvalidProblemError(
             "mixed-scale assembly supports 1D problems with sigma_a = 0")
 
+    n_rows = n_x + n_int + n_bdy
+    bdy = n_x + n_int
+    matrix = np.empty((n_rows, z_r + z_g))
+    # the micro rows of every (node, velocity) pair, as a view; their
+    # terms are written into it in place
+    micro = matrix[n_x:bdy].reshape(n_x, n_v, z_r + z_g)
+    micro_r, micro_g = micro[:, :, :z_r], micro[:, :, z_r:]
+
     # v . grad_x rho at every velocity from the d axis derivatives of the
     # small spatial model
-    trans_r = np.zeros((n_x, n_v, z_r))
+    micro_r[...] = 0.0
     for axis, along in enumerate(direction(dim, vs).T):
         chi_r, d_axis = column_batch(rho_model, xs, np.eye(dim)[axis])
-        trans_r += along[None, :, None] * d_axis[:, None, :]
+        micro_r += along[None, :, None] * d_axis[:, None, :]
     chi, trans_c = _node_columns(g_model, xs, vs)
     chi_q, trans_q = _node_columns(g_model, xs, rule.nodes)
     if spec.mixed_scale:
@@ -173,25 +184,28 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
         # rule to eps'(x) v g + eps(x) (v dg/dx)
         eps_p = spec.epsilon_prime_at(xs)[:, None, None]
         trans_q = eps_p * rule.nodes[None, :, None] * chi_q + eps * trans_q
-        trans_c = eps_p * vs[None, :, None] * chi + eps * trans_c
     avg_trans = np.einsum("q,sqz->sz", rule.weights, trans_q)
     avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
     if spec.mixed_scale:
-        micro_g = trans_c - avg_trans[:, None, :] + chi
+        # (eps' v chi + eps trans) - mean_v(...) + chi
+        trans_c *= eps
+        np.multiply(eps_p * vs[None, :, None], chi, out=micro_g)
+        micro_g += trans_c
+        micro_g -= avg_trans[:, None, :]
+        micro_g += chi
     else:
-        micro_g = (eps * (trans_c - avg_trans[:, None, :])
-                   + sig_s * (chi - avg_chi[:, None, :])
-                   + (eps * eps) * sig_a[:, None, None] * chi)
+        # eps (trans - mean_v trans) + sig_s (chi - mean_v chi)
+        # + eps^2 sig_a chi; chi and trans_c serve as scratch
+        np.subtract(trans_c, avg_trans[:, None, :], out=micro_g)
+        micro_g *= eps
+        np.multiply((eps * eps) * sig_a[:, None, None], chi, out=trans_c)
+        chi -= avg_chi[:, None, :]
+        chi *= sig_s
+        micro_g += chi
+        micro_g += trans_c
 
-    n_rows = n_x + n_int + n_bdy
-    bdy = n_x + n_int
-    matrix = np.empty((n_rows, z_r + z_g))
     matrix[:n_x, :z_r] = sig_a[:, None] * chi_r
     matrix[:n_x, z_r:] = avg_trans
-    # the micro rows of every (node, velocity) pair, as a view
-    micro = matrix[n_x:bdy].reshape(n_x, n_v, z_r + z_g)
-    micro[:, :, :z_r] = trans_r
-    micro[:, :, z_r:] = micro_g
     chi_rb, _ = column_batch(rho_model, colloc.boundary_x)
     matrix[bdy:, :z_r] = chi_rb
     matrix[bdy:, z_r:] = (spec.epsilon_at(colloc.boundary_x)[:, None]
@@ -226,14 +240,15 @@ def rescale_rows(system, first_row=0):
     return dataclasses.replace(system, lam=system.lam / row_max)
 
 
-def reconstruct_f(spec, rho_model, g_model, coeffs, x, v):
-    """Rebuild f = rho + eps g (eps(x) g for the mixed variant) pointwise."""
+def reconstruct_f(spec, rho_model, g_model, coeffs, xs, vs):
+    """f = rho + eps g (eps(x) g for the mixed variant) at the space-major
+    product of the spatial points xs (S, d) and velocities vs (L,), (S L,);
+    rho is evaluated once per spatial point."""
     coeffs = np.asarray(coeffs, dtype=float)
     z_r = rho_model.n_columns
     if coeffs.shape != (z_r + g_model.n_columns,):
         raise ValueError("coefficient length does not match the models")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    rho = model_values(rho_model, coeffs[:z_r], x)
-    g = model_values(g_model, coeffs[z_r:], _phase(x, v))
-    return rho + spec.epsilon_at(x) * g
+    xs = np.asarray(xs, dtype=float)
+    rho = model_values(rho_model, coeffs[:z_r], xs)
+    g = model_values(g_model, coeffs[z_r:], xs, vs).reshape(xs.shape[0], -1)
+    return (rho[:, None] + spec.epsilon_at(xs)[:, None] * g).ravel()

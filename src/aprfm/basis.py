@@ -13,11 +13,16 @@ column ``c = i * J + j``.
 
 The batched kernels use the compact support of the windows: ``phi_b``
 reaches an eighth of its box's width past each face, so a point of a
-uniform partition lies in at most two boxes per axis.  ``column_batch`` and ``model_values`` evaluate box i only
-at the points where psi~_i (or its derivative) is non-zero, found from the
-cheap (n, M) window arrays, and ``column_batch`` returns the derivative
-along one given direction, not the gradient, so no batched array carries a
-gradient axis.
+uniform partition lies in at most two boxes per axis.  ``column_batch`` and
+``model_values`` evaluate box i only where psi~_i (or its derivative) is
+non-zero, and ``column_batch`` returns the derivative along one given
+direction, not the gradient.  Both take either phase points or the tensor
+product of spatial points (S, d) and velocities (L,), which is how
+assembly and evaluation grids come: on a tensor partition the window and
+the pre-activation of a box split into a spatial and a velocity part, so
+windows, their gradients and the pre-activation parts are evaluated on
+S + L rows, and sine-pi's sines and cosines too, by angle addition; only
+tanh and the products run over the S L rows.
 """
 
 from dataclasses import dataclass
@@ -187,30 +192,30 @@ def _axis_pou(kind, z):
     raise ValueError(f"unknown pou kind {kind!r}")
 
 
-def pou_raw_batch(partition, kind, points, direction=None):
-    """Raw bump values psi (n, M) and, given ``direction`` (n, k), their
-    derivative along it over the first k coordinates (n, M), else None.
-    The tensor product is built one axis at a time, its derivative by the
-    product rule, so no array carries a gradient axis."""
+def pou_raw_batch(partition, kind, points, n_grad=0):
+    """Raw bump values psi (n, M) and, for ``n_grad`` > 0, their gradient
+    over the first n_grad coordinates (n, M, n_grad), else None.  The
+    tensor product is built one axis at a time, its gradient by the
+    product rule."""
     points = np.asarray(points, dtype=float)
     psi = np.ones((points.shape[0], partition.n_boxes))
-    dpsi = None if direction is None else np.zeros_like(psi)
+    grad = np.zeros(psi.shape + (n_grad,)) if n_grad else None
     for axis in range(partition.dim):
         radius = partition.radii[:, axis]
         u, du_dz = _axis_pou(kind, (points[:, axis, None]
                                     - partition.centers[:, axis]) / radius)
-        if dpsi is not None:
-            dpsi *= u
-            if axis < direction.shape[1]:
-                dpsi += psi * du_dz * (direction[:, axis, None] / radius)
+        if grad is not None:
+            grad *= u[:, :, None]
+            if axis < n_grad:
+                grad[:, :, axis] = psi * (du_dz / radius)
         psi *= u
-    return psi, dpsi
+    return psi, grad
 
 
-def pou_normalized_batch(partition, kind, points, direction=None):
-    """Normalized bump values psi~ (n, M) and, given ``direction``, their
-    derivative along it (quotient rule), as in ``pou_raw_batch``."""
-    psi, dpsi = pou_raw_batch(partition, kind, points, direction)
+def pou_normalized_batch(partition, kind, points, n_grad=0):
+    """Normalized bump values psi~ (n, M) and, for ``n_grad`` > 0, their
+    gradient (quotient rule), as in ``pou_raw_batch``."""
+    psi, grad = pou_raw_batch(partition, kind, points, n_grad)
     total = psi.sum(axis=1)
     bad = total <= 0.0
     if np.any(bad):
@@ -218,116 +223,256 @@ def pou_normalized_batch(partition, kind, points, direction=None):
         raise DegenerateCoverError(
             f"no partition box covers point {where}; check partition overlap")
     psi_t = psi / total[:, None]
-    if dpsi is None:
+    if grad is None:
         return psi_t, None
-    dpsi_t = (dpsi - psi_t * dpsi.sum(axis=1)[:, None]) / total[:, None]
-    return psi_t, dpsi_t
+    grad_t = ((grad - psi_t[:, :, None] * grad.sum(axis=1)[:, None, :])
+              / total[:, None, None])
+    return psi_t, grad_t
 
 
-def _activation(name, t, slope=True):
-    """Activation values at ``t`` and, if ``slope``, its derivative (else
-    None)."""
+def _split(partition):
+    """The partitions of the leading axes and of the last axis of a tensor
+    partition: box k * m + q of ``partition`` (m boxes on the last axis)
+    is the product of box k of the first and box q of the second."""
+    m = partition.dims[-1]
+    return (BoxPartition(partition.centers[::m, :-1],
+                         partition.radii[::m, :-1], partition.dims[:-1]),
+            BoxPartition(partition.centers[:m, -1:], partition.radii[:m, -1:],
+                         partition.dims[-1:]))
+
+
+def _sine_parts(lead, tail):
+    """sin(pi a), cos(pi a), sin(pi b) and cos(pi b) of the parts of
+    t = a + b."""
+    a, b = np.pi * lead, np.pi * tail
+    return np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+
+
+def _activation(name, lead, tail=None, slope=True):
+    """Activation values on the tile t[s, l, j] = lead[s, j] + tail[l, j],
+    (S, L, J), or t = lead with no tail (L = 1), and, if ``slope``, its
+    derivative there (else None).  sine-pi expands sin(pi (a + b)) by
+    angle addition, so its sines and cosines are taken on the S + L rows
+    of the parts, not on the S L rows of the tile."""
     if name == "tanh":
-        value = np.tanh(t)
-        return value, (1.0 - value * value if slope else None)
+        if tail is None:
+            value = np.tanh(lead[:, None, :])
+        else:
+            value = lead[:, None, :] + tail
+            np.tanh(value, out=value)
+        if not slope:
+            return value, None
+        deriv = value * value
+        np.subtract(1.0, deriv, out=deriv)
+        return value, deriv
     if name == "sine-pi":
-        return (np.sin(np.pi * t),
-                np.pi * np.cos(np.pi * t) if slope else None)
+        if tail is None:
+            t = np.pi * lead[:, None, :]
+            return np.sin(t), (np.pi * np.cos(t) if slope else None)
+        sin_a, cos_a, sin_b, cos_b = _sine_parts(lead, tail)
+        sin_a, cos_a = sin_a[:, None, :], cos_a[:, None, :]
+        value = sin_a * cos_b
+        value += cos_a * sin_b
+        if not slope:
+            return value, None
+        deriv = cos_a * cos_b
+        deriv -= sin_a * sin_b
+        deriv *= np.pi
+        return value, deriv
     raise ValueError(f"unknown activation {name!r}")
 
 
+def _neuron_sum(name, lead, tail, c):
+    """sum_j c_j act(t[s, l, j]) over the tile of ``_activation``, (S, L).
+    For sine-pi with a tail the sum is two (S x J)(J x L) contractions of
+    the angle-addition parts."""
+    if name == "sine-pi" and tail is not None:
+        sin_a, cos_a, sin_b, cos_b = _sine_parts(lead, tail)
+        # einsum, not @: it keeps the sums out of the BLAS, so values do
+        # not depend on its thread count (sweep replay), at a small cost:
+        # one (244 x 128)(128 x 12) product of an ex6 evaluation chunk
+        # took 85 us against 29 us with @ (2-core OpenBLAS box)
+        return (np.einsum("sj,lj->sl", sin_a * c, cos_b)
+                + np.einsum("sj,lj->sl", cos_a * c, sin_b))
+    value, _ = _activation(name, lead, tail, slope=False)
+    return np.einsum("slj,j->sl", value, c)
+
+
 def _box_rows(reach):
-    """(box, rows) for every box of an (n, M) mask with a true entry: a
-    slice when the box reaches every point, else the row indices."""
+    """(box, rows) for every box of an (n, M) mask with a true entry: the
+    rows as a slice when they are contiguous, else as indices."""
     for i in range(reach.shape[1]):
         rows = np.flatnonzero(reach[:, i])
-        if rows.size == reach.shape[0]:
-            yield i, slice(None)
+        if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+            yield i, slice(rows[0], rows[-1] + 1)
         elif rows.size:
             yield i, rows
 
 
-def _box_features(model, i, points, slope):
-    """Neurons of box ``i`` at ``points``: phi (n, J) and, if ``slope``,
-    the activation derivative at the same arguments (else None)."""
-    z = (points - model.partition.centers[i]) / model.partition.radii[i]
-    # einsum, not @, for the thin contractions over d + 1 <= 3 axes here
-    # and in column_batch: @ hands them to the BLAS dgemm, whose threads
-    # then slow the dtpqrt folds that run between row blocks (T4 J=128
-    # cell, 2-core OpenBLAS box: solve 0.47 -> 1.07-2.01 s, assembly
-    # 0.42 -> 0.53-0.63 s)
-    t = np.einsum("nd,dj->nj", z, model.weights.w[i].T) + model.weights.b[i]
-    return _activation(model.activation, t, slope)
+def _tile(rows, cols):
+    """Index of the rows x cols tile of an (S, L, ...) array."""
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols)
 
 
-def column_batch(model, points, direction=None):
-    """Glued columns chi_c = psi~_i phi_ij at (n, d) points, (n, M*J) in
-    box-major column order, and, given ``direction`` ((k,) or (n, k)),
-    their derivative along it over the first k coordinates,
-
-        (d_dir psi~_i) phi_ij + psi~_i act'(t_ij) (w_ij / r_i) . dir,
-
-    else None.  Box i is evaluated only at the points where psi~_i or its
-    derivative is non-zero: every other entry is exactly zero.
-    """
-    points = np.asarray(points, dtype=float)
-    n, m, j = points.shape[0], model.n_boxes, model.n_features
-    if direction is not None:
-        direction = np.asarray(direction, dtype=float)
-        if direction.ndim not in (1, 2) \
-                or not 1 <= direction.shape[-1] <= model.dim:
-            raise ValueError(f"direction must have 1..{model.dim} components")
-        k = direction.shape[-1]
-        direction = np.broadcast_to(direction, (n, k))
-    psi_t, dpsi_t = pou_normalized_batch(model.partition, model.pou_kind,
-                                         points, direction)
-    chi = np.zeros((n, m, j))
-    dchi = None if direction is None else np.zeros((n, m, j))
-    reach = psi_t != 0.0 if dchi is None else (psi_t != 0.0) | (dpsi_t != 0.0)
-    for i, rows in _box_rows(reach):
-        phi, dact = _box_features(model, i, points[rows], dchi is not None)
-        chi[rows, i] = psi_t[rows, i, None] * phi
-        if dchi is not None:
-            rate = np.einsum("nk,kj->nj", direction[rows],
-                             (model.weights.w[i, :, :k]
-                              / model.partition.radii[i, :k]).T)
-            dchi[rows, i] = (dpsi_t[rows, i, None] * phi
-                             + psi_t[rows, i, None] * (dact * rate))
-    return (chi.reshape(n, m * j),
-            None if dchi is None else dchi.reshape(n, m * j))
-
-
-# Points per evaluation chunk times the model's columns, in doubles.  On
-# a 2-core OpenBLAS box, going from 8M to 1M doubles took the tracemalloc
-# peak of f on the 64 x 64 x 32 grid of ex6 at acceptance criterion 6
-# size from 123.2 to 25.5 MB.  A call on T1's J = 256 model over its
-# 32768 evaluation points went from 0.16-0.26 s to 0.13 s, and one on
-# ex6's g model over 3612 points stayed at 8.5-8.9 ms.  Values do not
-# depend on the chunk: every point is evaluated on its own.
+# Spatial points per chunk times the velocities and the neurons of one
+# box, in doubles, so a box's (s, l, J) tile stays below 8 MB.  On a
+# 2-core OpenBLAS box, f of ex6 at acceptance criterion 6 size on its
+# 64 x 64 x 32 grid (244 spatial points per chunk) took 155 / 103 ms
+# (tanh / sine-pi) at tracemalloc peaks of 6.2 / 5.7 MB, against 435 /
+# 750 ms and 25.5 / 33.4 MB for the former kernel's chunks of 1M / Z
+# phase points; chunks of 250k doubles took sine-pi to 143 ms.  Values
+# do not depend on the chunk: every point is evaluated on its own.
 _EVAL_CHUNK = 1_000_000
 
 
-def model_values(model, coeffs, points):
-    """Batched model evaluation, (n,) values for (n, d) points.
+def _box_tiles(model, points, velocities, n_grad):
+    """The pieces of every box of ``model`` over the product of ``points``
+    and ``velocities`` (see ``column_batch``), one tile of the points and
+    velocities its window reaches at a time: (i, (rows, cols), lead,
+    tail, window, gradient).
 
-    Evaluation is chunked internally so large grids never materialize more
-    than ``_EVAL_CHUNK`` doubles of (n, M, J) neuron values at once, and
-    box i is evaluated only at the points its window psi~_i reaches.
+    On a tensor partition the normalized window of box i = (k, q) is the
+    product of the spatial window k at the points and the velocity window
+    q at the velocities, and its pre-activation is lead[s] + tail[l], with
+    lead = W_x z_x + b over the points and tail = w_v z_v over the
+    velocities; with no velocities the points carry every coordinate,
+    tail is None and the tile has one column.  ``window`` is the tile's
+    window (S_k, L_q) and, for ``n_grad`` > 0, ``gradient`` its gradient
+    over the first n_grad coordinates of the points (S_k, L_q, n_grad),
+    else None.  Points go in chunks of ``_EVAL_CHUNK`` // (L J)."""
+    kind, part = model.pou_kind, model.partition
+    w, b = model.weights.w, model.weights.b
+    if velocities is None:
+        lead_part, m_v, n_l = part, 1, 1
+        tails = [(0, slice(0, 1), None)]
+    else:
+        lead_part, tail_part = _split(part)
+        m_v, n_l = tail_part.n_boxes, velocities.size
+        psi_v, _ = pou_normalized_batch(tail_part, kind, velocities[:, None])
+        tails = [(q, cols, psi_v[cols, q])
+                 for q, cols in _box_rows(psi_v != 0.0)]
+    dim = lead_part.dim
+    chunk = max(1, _EVAL_CHUNK // (n_l * model.n_features))
+    for lo in range(0, points.shape[0], chunk):
+        block = points[lo:lo + chunk]
+        psi, grad = pou_normalized_batch(lead_part, kind, block, n_grad)
+        reach = psi != 0.0
+        if grad is not None:
+            reach |= np.any(grad != 0.0, axis=2)
+        for k, rows in _box_rows(reach):
+            i0 = k * m_v
+            z = (block[rows] - part.centers[i0, :dim]) / part.radii[i0, :dim]
+            at = (slice(rows.start + lo, rows.stop + lo)
+                  if isinstance(rows, slice) else rows + lo)
+            for q, cols, psi_q in tails:
+                i = i0 + q
+                lead = np.einsum("nd,jd->nj", z, w[i, :, :dim]) + b[i]
+                window = psi[rows, k][:, None]
+                gradient = None if grad is None else grad[rows, k][:, None]
+                tail = None
+                if psi_q is not None:
+                    z_v = ((velocities[cols] - part.centers[i, -1])
+                           / part.radii[i, -1])
+                    tail = z_v[:, None] * w[i, :, -1]
+                    window = window * psi_q
+                    if gradient is not None:
+                        gradient = gradient * psi_q[:, None]
+                yield i, (at, cols), lead, tail, window, gradient
+
+
+def _product_points(model, points, velocities):
+    """Points and velocities as float arrays, checked against the model:
+    (n, D) phase points, or (S, D - 1) spatial points with (L,)
+    velocities."""
+    points = np.asarray(points, dtype=float)
+    if velocities is not None:
+        velocities = np.asarray(velocities, dtype=float)
+        if model.dim < 2 or velocities.ndim != 1:
+            raise ValueError("velocities need a phase model and one axis")
+    width = model.dim - (velocities is not None)
+    if points.ndim != 2 or points.shape[1] != width:
+        raise ValueError(f"expected (n, {width}) points")
+    return points, velocities
+
+
+def column_batch(model, points, direction=None, velocities=None):
+    """Glued columns chi_c = psi~_i phi_ij, (n, M*J) in box-major column
+    order, and, given ``direction``, their derivative along it over its
+    first k coordinates,
+
+        (d_dir psi~_i) phi_ij + psi~_i act'(t_ij) (w_ij / r_i) . dir,
+
+    else None.
+
+    Without ``velocities`` the n rows are the (n, D) phase points, and
+    ``direction`` is (k,) or one (n, k) row per point.  With
+    ``velocities`` (L,) the rows are the product of the (S, D - 1)
+    spatial points with them, space-major (n = S L), and ``direction`` is
+    (k,) or one (L, k) row per velocity: windows and pre-activations are
+    split over the factors (see ``_box_tiles``).  Box i is evaluated only
+    where psi~_i or its derivative is non-zero: every other entry is
+    exactly zero.
+    """
+    points, velocities = _product_points(model, points, velocities)
+    n_s = points.shape[0]
+    n_l = 1 if velocities is None else velocities.size
+    k = 0
+    if direction is not None:
+        direction = np.asarray(direction, dtype=float)
+        k = direction.shape[-1]
+        rows = n_s if velocities is None else n_l
+        if not 1 <= k <= points.shape[1] \
+                or direction.shape not in ((k,), (rows, k)):
+            raise ValueError("direction must be (k,) or one row per point "
+                             "(per velocity), k at most the points' width")
+        # (S | 1, L | 1, k): shared, per point or per velocity
+        direction = direction.reshape(
+            (1, 1, k) if direction.ndim == 1
+            else (n_s, 1, k) if velocities is None else (1, n_l, k))
+        rate = (model.weights.w[:, :, :k]
+                / model.partition.radii[:, None, :k])
+    m, j = model.n_boxes, model.n_features
+    chi = np.zeros((n_s, n_l, m, j))
+    dchi = None if direction is None else np.zeros((n_s, n_l, m, j))
+    for i, (rows, cols), lead, tail, window, gradient in _box_tiles(
+            model, points, velocities, k):
+        phi, dact = _activation(model.activation, lead, tail, k > 0)
+        at = _tile(rows, cols) + (i,)
+        window = window[:, :, None]
+        chi[at] = window * phi
+        if dchi is not None:
+            along = direction[rows] if direction.shape[0] > 1 else direction
+            along = along[:, cols] if along.shape[1] > 1 else along
+            # (d_dir psi~) phi + psi~ act' rate, reusing phi and act'
+            dact *= np.einsum("slk,jk->slj", along, rate[i])
+            dact *= window
+            phi *= (gradient * along).sum(axis=2)[:, :, None]
+            phi += dact
+            dchi[at] = phi
+    return (chi.reshape(n_s * n_l, m * j),
+            None if dchi is None else dchi.reshape(n_s * n_l, m * j))
+
+
+def model_values(model, coeffs, points, velocities=None):
+    """Model values, (n,), at the rows of ``column_batch``: the (n, D)
+    phase points, or the space-major product of the (S, D - 1) spatial
+    points with the velocities (L,).
+
+    Box i is evaluated only at the tile its window reaches, and the tiles
+    go in chunks of points (see ``_box_tiles``), so a large grid never
+    holds more than ``_EVAL_CHUNK`` doubles of neuron values at once.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (model.n_columns,):
         raise ValueError(f"expected {model.n_columns} coefficients")
-    points = np.asarray(points, dtype=float)
+    points, velocities = _product_points(model, points, velocities)
     c = coeffs.reshape(model.n_boxes, model.n_features)
-    n = points.shape[0]
-    out = np.zeros(n)
-    chunk = max(1, _EVAL_CHUNK // max(model.n_columns, 1))
-    for lo in range(0, n, chunk):
-        block = points[lo:lo + chunk]
-        values = out[lo:lo + chunk]
-        psi_t, _ = pou_normalized_batch(model.partition, model.pou_kind,
-                                        block)
-        for i, rows in _box_rows(psi_t != 0.0):
-            phi, _ = _box_features(model, i, block[rows], False)
-            values[rows] += psi_t[rows, i] * np.einsum("nj,j->n", phi, c[i])
-    return out
+    out = np.zeros((points.shape[0],
+                    1 if velocities is None else velocities.size))
+    for i, (rows, cols), lead, tail, window, _ in _box_tiles(
+            model, points, velocities, 0):
+        out[_tile(rows, cols)] += window * _neuron_sum(model.activation,
+                                                       lead, tail, c[i])
+    return out.ravel()

@@ -56,8 +56,9 @@ from . import collocation
 from .errors import AprfmError, NoConvergenceError, NonFiniteInputError
 from .method import METHODS, solve
 from .problems import PROBLEM_IDS, catalog
-from .reference import (GridField, _fdm_meta, exact_field, fdm_density,
-                        fdm_reference, phase_field, relative_l2)
+from .collocation import _tensor
+from .reference import (GridField, _require_oracle_eps, exact_field,
+                        fdm_density, fdm_reference, phase_field, relative_l2)
 
 # named, not __name__, which is "__main__" under ``python -m aprfm.cli``
 logger = logging.getLogger("aprfm.cli")
@@ -160,7 +161,8 @@ def _reference_f(spec, grid, cache=None):
     def compute():
         if spec.exact_f is not None:
             return exact_field(spec, grid), {"kind": "exact"}
-        return fdm_reference(spec), _fdm_meta(spec)
+        field = fdm_reference(spec)
+        return field, field.info
     return _cached_reference("f", spec, cache, compute)
 
 
@@ -170,7 +172,8 @@ def _reference_rho(spec, cache=None):
             xs = collocation.evaluation_spatial_grid(spec)
             return GridField(points=xs, values=spec.exact_rho(xs)), \
                 {"kind": "exact"}
-        return fdm_density(spec), _fdm_meta(spec)
+        field = fdm_density(spec)
+        return field, field.info
     return _cached_reference("rho", spec, cache, compute)
 
 
@@ -180,23 +183,26 @@ def run(config, reference_cache=None):
     cfg = config.resolved()
     t_start = time.perf_counter()
     spec = catalog(config.problem, _problem_epsilon(config))
+    if spec.spatial_dim == 2 and spec.exact_rho is None:
+        # scored against the 2D oracle: fail before solving if it refuses
+        _require_oracle_eps(spec)
     solution = solve(spec, cfg)
     method, colloc = solution.method, solution.colloc
     solve_report = solution.report
     coeffs = solve_report.coeffs
 
     t_eval = time.perf_counter()
-    eval_x, eval_v = collocation.evaluation_grid(spec)
+    eval_xs, eval_vs = collocation.evaluation_nodes(spec)
+    eval_x, eval_v = _tensor(eval_xs, eval_vs)
     if spec.spatial_dim == 1:
         approx = phase_field(eval_x, eval_v,
-                             method.f_values(coeffs, eval_x, eval_v))
+                             method.f_values(coeffs, eval_xs, eval_vs))
         t_ref = time.perf_counter()
         ref, ref_meta = _reference_f(spec, (eval_x, eval_v), reference_cache)
         field_columns, error_kind = F_COLUMNS[1], "f-phase"
     else:
-        xs = collocation.evaluation_spatial_grid(spec)
-        approx = GridField(
-            points=xs, values=method.rho_values(coeffs, solution.rule, xs))
+        approx = GridField(points=eval_xs, values=method.rho_values(
+            coeffs, solution.rule, eval_xs))
         t_ref = time.perf_counter()
         ref, ref_meta = _reference_rho(spec, reference_cache)
         field_columns, error_kind = RHO_COLUMNS, "rho-spatial"
@@ -210,7 +216,8 @@ def run(config, reference_cache=None):
     elif spec.exact_f is not None:
         f_ref = exact_field(spec, (eval_x, eval_v))
         f_approx = GridField(points=f_ref.points,
-                             values=method.f_values(coeffs, eval_x, eval_v))
+                             values=method.f_values(coeffs, eval_xs,
+                                                    eval_vs))
         f_error = relative_l2(f_approx, f_ref)
         result.f_rows = _dump(f_approx, f_ref)
 

@@ -189,10 +189,16 @@ def evaluation_counts(spec):
     return (EVAL_GRID_2D[0], EVAL_GRID_2D[1]), EVAL_GRID_2D[2]
 
 
+def evaluation_nodes(spec):
+    """Tensor factors of the error-measurement phase grid: spatial (S, d)
+    and velocity (L,) nodes."""
+    return _nodes(spec, *evaluation_counts(spec))
+
+
 def evaluation_grid(spec):
-    """Fixed error-measurement phase grid: X (I, d) and V (I,)."""
-    n_spatial, n_velocity = evaluation_counts(spec)
-    return interior_grid(spec, n_spatial, n_velocity)
+    """Fixed error-measurement phase grid: X (I, d) and V (I,), the
+    space-major product of ``evaluation_nodes``."""
+    return _tensor(*evaluation_nodes(spec))
 
 
 def evaluation_spatial_grid(spec):

@@ -19,7 +19,6 @@ from . import collocation
 from .assemble import (ROW_MACRO, assemble_aprfm, assemble_rfm,
                        reconstruct_f, rescale_rows)
 from .basis import make_model, model_values, uniform_partition
-from .collocation import _phase
 from .quadrature import angular_rule
 from .solve import lstsq
 
@@ -146,29 +145,30 @@ class Method:
             weight = np.where(block.row_kind == ROW_MACRO, macro_weight, 1.0)
             yield dataclasses.replace(block, lam=weight * block.lam)
 
-    def f_values(self, coeffs, x, v):
-        """f at the phase points (x, v), x (n, d) and v (n,)."""
+    def f_values(self, coeffs, xs, vs):
+        """f at the space-major product of the spatial points xs (S, d) and
+        the velocities vs (L,), (S L,)."""
         if self.name == "rfm":
-            return model_values(self.models[0], coeffs, _phase(x, v))
-        return reconstruct_f(self.spec, *self.models, coeffs, x, v)
+            return model_values(self.models[0], coeffs, xs, vs)
+        return reconstruct_f(self.spec, *self.models, coeffs, xs, vs)
 
     def rho_values(self, coeffs, rule, xs):
-        """Angular average of f over the rule nodes at spatial points xs.
+        """Angular average of f over the rule nodes at spatial points xs,
+        from one evaluation at the product of xs with the rule nodes.
 
         rfm averages f sampled at every node; aprfm adds eps times the
         average of g to rho, which needs rho only once.
         """
-        nodes = [np.full(xs.shape[0], node) for node in rule.nodes]
+        n_s = xs.shape[0]
         if self.name == "rfm":
-            samples = np.stack([self.f_values(coeffs, xs, v) for v in nodes],
-                               axis=1)
-            return samples @ rule.weights
+            samples = self.f_values(coeffs, xs, rule.nodes)
+            return samples.reshape(n_s, -1) @ rule.weights
         rho_model, g_model = self.models
         z_r = rho_model.n_columns
         rho = model_values(rho_model, coeffs[:z_r], xs)
-        g_avg = sum(w * model_values(g_model, coeffs[z_r:], _phase(xs, v))
-                    for w, v in zip(rule.weights, nodes))
-        return rho + self.spec.epsilon_at(xs) * g_avg
+        g = model_values(g_model, coeffs[z_r:], xs, rule.nodes)
+        return rho + self.spec.epsilon_at(xs) * (g.reshape(n_s, -1)
+                                                 @ rule.weights)
 
 
 @dataclass(frozen=True)

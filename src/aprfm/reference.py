@@ -30,7 +30,7 @@ results are interpolated onto the evaluation grid.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -61,10 +61,13 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GridField:
-    """Values attached to a fixed list of grid points."""
+    """Values attached to a fixed list of grid points.  ``info`` says how
+    an oracle made them: its mesh, solver and sweep count, and in 2D the
+    final relative GMRES residual (empty for other fields)."""
 
     points: np.ndarray
     values: np.ndarray
+    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
@@ -117,13 +120,15 @@ def fdm_reference(spec, resolution=None):
     if spec.spatial_dim != 1:
         raise UnsupportedProblemError(
             f"{spec.id}: the f oracle is 1D only, use fdm_density")
-    eval_x = collocation.evaluation_spatial_grid(spec)
-    _, n_velocity = collocation.evaluation_counts(spec)
-    eval_v = collocation.velocity_cells(spec, n_velocity)
-    x, _, f = _solve_1d(spec, resolution or FDM_RESOLUTION_1D,
-                        angular_rule(1, 16), eval_v)
+    eval_x, eval_v = collocation.evaluation_nodes(spec)
+    n_cells = resolution or FDM_RESOLUTION_1D
+    x, _, f = _solve_1d(spec, n_cells, angular_rule(1, 16), eval_v)
     f_eval = np.stack([np.interp(eval_x[:, 0], x, row) for row in f])
-    return phase_field(*_tensor(eval_x, eval_v), f_eval.T.ravel())
+    # one dense solve, counted as one sweep, as the log record counts it
+    return GridField(points=_phase(*_tensor(eval_x, eval_v)),
+                     values=f_eval.T.ravel(),
+                     info={"kind": "fdm", "resolution": (int(n_cells),),
+                           "solver": "direct", "sweeps": 1})
 
 
 def fdm_density(spec, resolution=None, max_iters=FDM_MAX_ITERS):
@@ -140,8 +145,8 @@ def fdm_density(spec, resolution=None, max_iters=FDM_MAX_ITERS):
     if spec.spatial_dim != 2:
         raise UnsupportedProblemError(
             f"{spec.id}: the density oracle is 2D only, use fdm_reference")
-    out = _solve_2d(spec, resolution or FDM_RESOLUTION_2D, max_iters,
-                    angular_rule(2, 16))
+    n_cells = tuple(int(n) for n in resolution or FDM_RESOLUTION_2D)
+    out = _solve_2d(spec, n_cells, max_iters, angular_rule(2, 16))
     rho = out["rho"]
     if spec.geometry == "annulus":
         rho = _fill_holes(out["mask"], rho)
@@ -149,17 +154,33 @@ def fdm_density(spec, resolution=None, max_iters=FDM_MAX_ITERS):
                                      method="linear", bounds_error=False,
                                      fill_value=None)
     eval_x = collocation.evaluation_spatial_grid(spec)
-    return GridField(points=eval_x, values=interp(eval_x))
+    return GridField(points=eval_x, values=interp(eval_x),
+                     info={"kind": "fdm", "resolution": n_cells,
+                           "solver": "gmres", "sweep_tol": FDM_SWEEP_TOL,
+                           "sweeps": out["iterations"],
+                           "gmres_residual": out["residual"]})
 
 
-def _fdm_meta(spec):
-    """The ``reference`` entry of a run report scored against the oracle
-    at its defaults."""
-    if spec.spatial_dim == 1:
-        return {"kind": "fdm", "resolution": (FDM_RESOLUTION_1D,),
-                "solver": "direct"}
-    return {"kind": "fdm", "resolution": FDM_RESOLUTION_2D,
-            "solver": "gmres", "sweep_tol": FDM_SWEEP_TOL}
+def _mesh_2d(spec, n_cells):
+    """The 2D oracle's cell centers per axis, the cell grid (n1, n2, 2) and
+    its domain mask."""
+    (lo1, lo2), (hi1, hi2) = spec.x_lo, spec.x_hi
+    c1 = collocation.cell_centers(lo1, hi1, n_cells[0])
+    c2 = collocation.cell_centers(lo2, hi2, n_cells[1])
+    pts = np.stack(np.meshgrid(c1, c2, indexing="ij"), axis=-1)
+    return c1, c2, pts, spec.in_domain(pts)
+
+
+def _require_oracle_eps(spec, resolution=None):
+    """Raise :class:`UnsupportedProblemError` when eps drops below
+    ``FDM_MIN_EPSILON_2D`` in a domain cell of the 2D oracle's mesh, the
+    check :func:`fdm_density` makes before it solves."""
+    _, _, pts, mask = _mesh_2d(spec, resolution or FDM_RESOLUTION_2D)
+    eps = spec.epsilon_at(pts[mask]).min()
+    if eps < FDM_MIN_EPSILON_2D:
+        raise UnsupportedProblemError(
+            f"{spec.id}: the 2D oracle is validated for eps down to "
+            f"{FDM_MIN_EPSILON_2D:g}, not {eps:g}")
 
 
 def _native_fields(spec, x):
@@ -328,21 +349,15 @@ class _Sweep:
 
 def _solve_2d(spec, n_cells, max_iters, rule):
     """The cell centers per axis, the domain mask, the density on the cell
-    grid (zero in a hole) and the sweep count of one GMRES solve over the
-    ``rule`` ordinates."""
-    n1, n2 = (int(n) for n in n_cells)
+    grid (zero in a hole), the sweep count and the final relative residual
+    of one GMRES solve over the ``rule`` ordinates."""
+    n1, n2 = n_cells
+    _require_oracle_eps(spec, n_cells)
     (lo1, lo2), (hi1, hi2) = spec.x_lo, spec.x_hi
     h1, h2 = (hi1 - lo1) / n1, (hi2 - lo2) / n2
-    c1 = collocation.cell_centers(lo1, hi1, n1)
-    c2 = collocation.cell_centers(lo2, hi2, n2)
-    pts = np.stack(np.meshgrid(c1, c2, indexing="ij"), axis=-1)
-    mask = spec.in_domain(pts)
+    c1, c2, pts, mask = _mesh_2d(spec, n_cells)
     eps_f, sig_s_f, removal_f = (arr.reshape(n1, n2) for arr in
                                  _native_fields(spec, pts.reshape(-1, 2)))
-    if eps_f[mask].min() < FDM_MIN_EPSILON_2D:
-        raise UnsupportedProblemError(
-            f"{spec.id}: the 2D oracle is validated for eps down to "
-            f"{FDM_MIN_EPSILON_2D:g}, not {eps_f[mask].min():g}")
     sweep = _Sweep(spec, (c1, c2, h1, h2, mask, removal_f, eps_f),
                    rule.nodes)
     sources = np.stack([np.asarray(spec.rfm_source(
@@ -383,7 +398,7 @@ def _solve_2d(spec, n_cells, max_iters, rule):
     logger.info("%s: 2D source iteration converged in %d sweeps (%dx%d)",
                 spec.id, applications, n1, n2)
     return {"c1": c1, "c2": c2, "mask": mask, "rho": rho,
-            "iterations": applications}
+            "iterations": applications, "residual": float(residual)}
 
 
 def _fill_holes(mask, field):

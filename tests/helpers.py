@@ -151,9 +151,10 @@ def solve_aprfm(spec, j_rho, j_g, n_spatial, n_velocity, m_spatial=(1,),
 
 
 def _f_error(solution, reference_field):
-    eval_x, eval_v = collocation.evaluation_grid(solution.method.spec)
-    values = solution.method.f_values(solution.report.coeffs, eval_x, eval_v)
-    approx = reference.phase_field(eval_x, eval_v, values)
+    eval_xs, eval_vs = collocation.evaluation_nodes(solution.method.spec)
+    values = solution.method.f_values(solution.report.coeffs, eval_xs,
+                                      eval_vs)
+    approx = reference.phase_field(*_tensor(eval_xs, eval_vs), values)
     return reference.relative_l2(approx, reference_field)
 
 
@@ -220,7 +221,12 @@ def _dense_features(model, points):
     partition = model.partition
     z = (points[:, None, :] - partition.centers) / partition.radii
     t = np.einsum("nmd,mjd->nmj", z, model.weights.w) + model.weights.b
-    phi, dact = basis._activation(model.activation, t)
+    if model.activation == "tanh":
+        phi = np.tanh(t)
+        dact = 1.0 - phi * phi
+    else:
+        phi = np.sin(np.pi * t)
+        dact = np.pi * np.cos(np.pi * t)
     return phi, dact[..., None] * (model.weights.w
                                    / partition.radii[:, None, :])
 

@@ -181,8 +181,11 @@ class TestMicroMacroRows:
         system = assemble.assemble_aprfm(spec, rho_model, g_model, colloc, rule)
         rng = np.random.default_rng(4)
         coeffs = rng.standard_normal(system.n_columns)
-        recon = assemble.reconstruct_f(spec, rho_model, g_model, coeffs,
-                                       colloc.boundary_x, colloc.boundary_v)
+        # each inflow point as the product of its x and its v
+        recon = np.concatenate([
+            assemble.reconstruct_f(spec, rho_model, g_model, coeffs,
+                                   x[None], v[None])
+            for x, v in zip(colloc.boundary_x, colloc.boundary_v)])
         np.testing.assert_allclose(
             system.matrix[system.row_kind == assemble.ROW_BOUNDARY] @ coeffs,
             recon, atol=1e-12)
@@ -287,6 +290,64 @@ class TestAgainstDenseReference:
                                    atol=1e-14 * np.abs(ref).max())
 
 
+class TestRowsInPlace:
+    """Assembly writes the aprfm micro rows and the rfm interior rows into
+    the matrix in place; they equal the expression form over the same
+    columns, with the same operation order, bit for bit."""
+
+    @pytest.mark.parametrize("pid", ["ex1", "ex3", "ex5"])
+    def test_aprfm_micro_rows(self, pid):
+        spec, rule, colloc, rho_model, g_model = small_setup(
+            pid=pid, eps=0.3, j_rho=3, j_g=4, m_spatial=(2,), m_velocity=2)
+        if not spec.mixed_scale:
+            # a varying absorption, so that the eps^2 sigma_a g term counts
+            spec = dataclasses.replace(
+                spec, sigma_a=lambda x: 0.25 + np.abs(np.asarray(x)[..., 0]))
+        system = assemble.assemble_aprfm(spec, rho_model, g_model, colloc,
+                                         rule)
+        xs, vs = colloc.spatial_nodes, colloc.velocity_nodes
+        dim = spec.spatial_dim
+        chi, trans_c = assemble._node_columns(g_model, xs, vs)
+        chi_q, trans_q = assemble._node_columns(g_model, xs, rule.nodes)
+        eps = spec.epsilon_at(xs)[:, None, None]
+        if spec.mixed_scale:
+            eps_p = spec.epsilon_prime_at(xs)[:, None, None]
+            trans_q = eps_p * rule.nodes[None, :, None] * chi_q + eps * trans_q
+            trans_c = eps_p * vs[None, :, None] * chi + eps * trans_c
+        avg_trans = np.einsum("q,sqz->sz", rule.weights, trans_q)
+        avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
+        if spec.mixed_scale:
+            micro_g = trans_c - avg_trans[:, None, :] + chi
+        else:
+            micro_g = (eps * (trans_c - avg_trans[:, None, :])
+                       + spec.sigma_s(xs)[:, None, None]
+                       * (chi - avg_chi[:, None, :])
+                       + (eps * eps) * spec.sigma_a(xs)[:, None, None] * chi)
+        trans_r = np.zeros(xs.shape[:1] + (vs.size, rho_model.n_columns))
+        for axis, along in enumerate(problems.direction(dim, vs).T):
+            _, d_axis = basis.column_batch(rho_model, xs, np.eye(dim)[axis])
+            trans_r += along[None, :, None] * d_axis[:, None, :]
+        micro = system.matrix[system.row_kind == assemble.ROW_MICRO]
+        expected = np.concatenate([trans_r, micro_g], axis=2)
+        assert np.array_equal(micro, expected.reshape(micro.shape))
+
+    def test_rfm_interior_rows(self):
+        spec = problems.catalog("ex1", 0.3)
+        rule = quadrature.angular_rule(1, 8)
+        colloc = collocation.build_collocation(spec, (8,), 12)
+        model = build_f_model(spec, 5, (2,), 2, seed=0)
+        system = assemble.assemble_rfm(spec, model, colloc, rule)
+        xs, vs = colloc.spatial_nodes, colloc.velocity_nodes
+        chi, transport = assemble._node_columns(model, xs, vs)
+        chi_q, _ = assemble._node_columns(model, xs, rule.nodes,
+                                          transport=False)
+        avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
+        rows = (spec.epsilon_at(xs)[:, None, None] * transport
+                - avg_chi[:, None, :] + chi)
+        interior = system.matrix[system.row_kind == assemble.ROW_RFM]
+        assert np.array_equal(interior, rows.reshape(interior.shape))
+
+
 class TestRescaleRows:
     def make_tiny(self):
         return assemble.LinearSystem(
@@ -363,9 +424,11 @@ class TestReconstruct:
         x = rng.uniform(0, 1, size=(10, 1))
         v = rng.uniform(-1, 1, size=10)
         out = assemble.reconstruct_f(spec0, rho_model, g_model, coeffs, x, v)
-        np.testing.assert_allclose(
-            out, basis.model_values(rho_model, coeffs[:rho_model.n_columns], x),
-            atol=1e-15)
+        # f at every (x, v) of the product is rho(x)
+        rho = basis.model_values(rho_model, coeffs[:rho_model.n_columns], x)
+        np.testing.assert_allclose(out.reshape(10, 10),
+                                   np.repeat(rho[:, None], 10, axis=1),
+                                   atol=1e-15)
 
     def test_mixed_scale_uses_profile(self):
         spec, _, _, rho_model, g_model = small_setup(pid="ex3")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aprfm import assemble, basis, collocation, problems
+from aprfm.collocation import _phase, _tensor
 from aprfm.errors import DegenerateCoverError
 from helpers import build_models, dense_column_batch, dense_model_values
 
@@ -226,6 +227,105 @@ class TestColumnKernel:
                                np.ones(3))
 
 
+def product_grid(model, n_x, n_v, seed):
+    """Random spatial points (n_x, D - 1) and sorted velocities (n_v,)
+    over a phase model's cube."""
+    pts = random_points(model, n_x + n_v, seed)
+    return pts[:n_x, :-1], np.sort(pts[n_x:, -1])
+
+
+def dense_transport(model, xs, vs):
+    """Columns and their derivative along each velocity's transport
+    direction at the product of xs and vs, every box at every point."""
+    dim = xs.shape[1]
+    dirs = np.tile(problems.direction(dim, vs), (xs.shape[0], 1))
+    chi, grad = dense_column_batch(model, _phase(*_tensor(xs, vs)))
+    return chi, np.einsum("nzk,nk->nz", grad[..., :dim], dirs)
+
+
+class TestProductKernel:
+    """The kernel over the product of spatial points and velocities, with
+    windows and pre-activations split over the two factors."""
+
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 2), (2, 1, 3),
+                                        (2, 2, 2)],
+                             ids=["1d-mx2-mv3", "1d-mx3-mv2", "2d-mx2-mv3",
+                                  "2d-mx4-mv2"])
+    @pytest.mark.parametrize("pou_kind", basis.POU_KINDS)
+    @pytest.mark.parametrize("activation", basis.ACTIVATIONS)
+    def test_matches_dense_reference(self, activation, pou_kind, counts):
+        model = phase_model(len(counts), counts, activation=activation,
+                            pou_kind=pou_kind)
+        xs, vs = product_grid(model, 60, 40, seed=8)
+        dirs = problems.direction(xs.shape[1], vs)
+        chi, dchi = basis.column_batch(model, xs, dirs, velocities=vs)
+        for got, ref in zip((chi, dchi), dense_transport(model, xs, vs)):
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-14 * np.abs(ref).max())
+            np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+        coeffs = np.random.default_rng(6).standard_normal(model.n_columns)
+        ref = dense_model_values(model, coeffs, _phase(*_tensor(xs, vs)))
+        np.testing.assert_allclose(basis.model_values(model, coeffs, xs, vs),
+                                   ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("pou_kind", basis.POU_KINDS)
+    @pytest.mark.parametrize("activation", basis.ACTIVATIONS)
+    def test_exact_zeros_outside_windows(self, activation, pou_kind):
+        # dyadic nodes, among them the |z| = 5/4 joints of phi_b: x = 9/16
+        # and 7/16 for the spatial boxes, v = -1/8 and 1/8 for the velocity
+        # boxes
+        model = phase_model(2, (2, 2), activation=activation,
+                            pou_kind=pou_kind)
+        xs = np.arange(33)[:, None] / 32.0
+        vs = np.arange(-16, 17) / 16.0
+        chi, dchi = basis.column_batch(model, xs, vs[:, None], velocities=vs)
+        part = model.partition
+        z = np.abs((_phase(*_tensor(xs, vs))[:, None, :] - part.centers)
+                   / part.radii)
+        edge = 1.0 if pou_kind == "phi_a" else 1.25
+        per_box = (xs.size * vs.size, model.n_boxes, model.n_features)
+        outside = np.any(z > edge, axis=2)
+        joint = ~outside & np.any(z == edge, axis=2)
+        assert outside.sum() > 100 and joint.sum() > 20
+        assert not np.any(chi.reshape(per_box)[outside])
+        assert not np.any(dchi.reshape(per_box)[outside])
+        if pou_kind == "phi_b":
+            # the window is zero at its joint, its derivative roundoff
+            assert not np.any(chi.reshape(per_box)[joint])
+        for got, ref in zip((chi, dchi), dense_transport(model, xs, vs)):
+            np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+
+    @pytest.mark.parametrize("counts", [(2, 3), (2, 2, 2)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("activation", basis.ACTIVATIONS)
+    def test_pointwise_and_product_agree(self, activation, counts):
+        model = phase_model(len(counts), counts, activation=activation)
+        xs, vs = product_grid(model, 30, 20, seed=2)
+        dirs = problems.direction(xs.shape[1], vs)
+        pts = _phase(*_tensor(xs, vs))
+        product = basis.column_batch(model, xs, dirs, velocities=vs)
+        pointwise = basis.column_batch(model, pts,
+                                       np.tile(dirs, (xs.shape[0], 1)))
+        for got, ref in zip(product, pointwise):
+            np.testing.assert_allclose(got, ref, rtol=0,
+                                       atol=1e-14 * np.abs(ref).max())
+            np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+        coeffs = np.random.default_rng(3).standard_normal(model.n_columns)
+        ref = basis.model_values(model, coeffs, pts)
+        np.testing.assert_allclose(basis.model_values(model, coeffs, xs, vs),
+                                   ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+    def test_shapes_checked(self):
+        model = phase_model(3)
+        xs, vs = product_grid(model, 4, 5, seed=0)
+        for points, dirs in ((xs, np.ones((4, 2))), (xs[:, :1], None),
+                             (xs, np.ones(3))):
+            with pytest.raises(ValueError):
+                basis.column_batch(model, points, dirs, velocities=vs)
+        spatial = basis.make_model(unit_square_partition((1, 1)), 2, seed=0)
+        with pytest.raises(ValueError):
+            basis.model_values(spatial, np.zeros(2), xs[:, :1], vs)
+
+
 class TestFeatureWeights:
     def test_regeneration_is_bit_identical(self):
         a = basis.FeatureWeights.generate(42, 3, 7, 2, 1.0)
@@ -285,16 +385,20 @@ class TestModelEval:
     def test_values_do_not_depend_on_chunks(self):
         model = basis.make_model(unit_square_partition((3, 2)), 40, seed=3)
         coeffs = np.random.default_rng(1).standard_normal(model.n_columns)
-        axes = np.meshgrid(np.linspace(0, 1, 101), np.linspace(-1, 1, 101),
-                           indexing="ij")
-        pts = np.stack(axes, axis=-1).reshape(-1, 2)
-        # the grid spans several chunks, and its halves end mid-chunk
-        assert pts.shape[0] > 2 * basis._EVAL_CHUNK // model.n_columns
-        half = pts.shape[0] // 2
-        np.testing.assert_array_equal(
-            basis.model_values(model, coeffs, pts),
-            np.concatenate([basis.model_values(model, coeffs, pts[:half]),
-                            basis.model_values(model, coeffs, pts[half:])]))
+        xs = np.linspace(0, 1, 1001)[:, None]
+        vs = np.linspace(-1, 1, 101)
+        pts = _phase(*_tensor(xs, vs))
+        # chunks of _EVAL_CHUNK // (L J) points: both grids span several,
+        # and their halves end mid-chunk
+        rows = basis._EVAL_CHUNK // model.n_features
+        assert pts.shape[0] > 2 * rows and xs.shape[0] > 2 * rows // vs.size
+        for grid, extra in ((pts, ()), (xs, (vs,))):
+            half = grid.shape[0] // 2
+            np.testing.assert_array_equal(
+                basis.model_values(model, coeffs, grid, *extra),
+                np.concatenate([
+                    basis.model_values(model, coeffs, grid[:half], *extra),
+                    basis.model_values(model, coeffs, grid[half:], *extra)]))
 
     def test_annulus_f_evaluation_memory(self):
         # f of ex6 at acceptance criterion 6 size on the 64 x 64 x 32 grid
@@ -302,7 +406,7 @@ class TestModelEval:
         rho, g = build_models(spec, 64, 128, (1, 1), 4, seed=0)
         coeffs = np.random.default_rng(2).standard_normal(
             rho.n_columns + g.n_columns)
-        x, v = collocation.evaluation_grid(spec)
+        x, v = collocation.evaluation_nodes(spec)
         tracemalloc.start()
         try:
             assemble.reconstruct_f(spec, rho, g, coeffs, x, v)

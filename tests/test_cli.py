@@ -82,15 +82,21 @@ class TestRun:
         csv_lines = (tmp_path / "run.csv").read_text().splitlines()
         assert csv_lines[0] == "x,v,f_approx,f_ref"
         assert len(csv_lines) == 1 + 128 * 256
-        # the reference entry names how the reference was made: the 1D
-        # oracle is one direct solve, with no tolerance, the 2D one GMRES
+        # the reference entry names how the reference was made and what
+        # it took: the 1D oracle is one direct solve, with no tolerance,
+        # the 2D one GMRES, with its sweeps and final relative residual
         assert report["reference"] == {"kind": "exact"}
         oracle = cli.run(tiny_config(problem="ex2")).report["reference"]
         assert oracle == {"kind": "fdm", "resolution": (512,),
-                          "solver": "direct"}
-        assert cli._fdm_meta(problems.catalog("ex5", 1.0)) == {
-            "kind": "fdm", "resolution": (128, 128), "solver": "gmres",
-            "sweep_tol": 1e-10}
+                          "solver": "direct", "sweeps": 1}
+        oracle = cli.run(tiny_config(problem="ex5", epsilon=1.0, nx1=8,
+                                     nx2=8, nv=8)).report["reference"]
+        residual = oracle.pop("gmres_residual")
+        sweeps = oracle.pop("sweeps")
+        assert oracle == {"kind": "fdm", "resolution": (128, 128),
+                          "solver": "gmres", "sweep_tol": 1e-10}
+        assert 0.0 < residual <= 1e-10
+        assert isinstance(sweeps, int) and sweeps > 1
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config_a = tiny_config(out=str(tmp_path / "a"))
@@ -191,6 +197,15 @@ class TestMain:
         assert code == 2
         assert "unsupported-problem" in capsys.readouterr().err
 
+    def test_oracle_refusal_comes_before_the_solve(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # at default sizes: the check must not wait for the solve
+        monkeypatch.setattr(cli, "solve", no_run)
+        code = cli.main(["run", "--problem", "ex5", "--method", "aprfm",
+                         "--epsilon", "1e-3", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "unsupported-problem" in capsys.readouterr().err
+
     def test_numerical_failure_exit_three(self, tmp_path, capsys,
                                           monkeypatch):
         # an oracle allowed a single sweep cannot converge
@@ -241,7 +256,8 @@ class TestMain:
     def test_non_finite_field_exit_three(self, tmp_path, capsys,
                                          monkeypatch):
         monkeypatch.setattr(Method, "f_values",
-                            lambda self, coeffs, x, v: np.full(len(v), np.nan))
+                            lambda self, coeffs, xs, vs:
+                            np.full(len(xs) * len(vs), np.nan))
         code = cli.main(["run", "--problem", "ex1", "--epsilon", "0.5",
                          "--j", "6", "--nx", "8", "--nv", "16",
                          "--out", str(tmp_path / "x")])

@@ -29,8 +29,9 @@ def error(meth, rule, coeffs):
     where there is none: f in 1D, rho in 2D."""
     spec = meth.spec
     if spec.spatial_dim == 1:
-        x, v = collocation.evaluation_grid(spec)
-        approx = reference.phase_field(x, v, meth.f_values(coeffs, x, v))
+        xs, vs = collocation.evaluation_nodes(spec)
+        approx = reference.phase_field(*collocation.evaluation_grid(spec),
+                                       meth.f_values(coeffs, xs, vs))
         field = (exact_field_for(spec) if spec.exact_f is not None
                  else reference.fdm_reference(spec))
         return reference.relative_l2(approx, field)
