@@ -7,7 +7,8 @@ __version__ = "0.1.0"
 from .basis import (BoxPartition, FeatureModel, FeatureWeights, make_model,
                     model_values, uniform_partition)
 from .quadrature import AngularRule, angular_rule
-from .collocation import CollocationSet, build_collocation, evaluation_grid
+from .collocation import (CollocationSet, build_collocation,
+                          evaluation_nodes)
 from .problems import PROBLEM_IDS, ProblemSpec, catalog, epsilon_profile
 from .assemble import (LinearSystem, assemble_aprfm, assemble_rfm,
                        reconstruct_f, rescale_rows)
@@ -21,7 +22,7 @@ __all__ = [
     "BoxPartition", "FeatureModel", "FeatureWeights", "make_model",
     "model_values", "uniform_partition",
     "AngularRule", "angular_rule",
-    "CollocationSet", "build_collocation", "evaluation_grid",
+    "CollocationSet", "build_collocation", "evaluation_nodes",
     "PROBLEM_IDS", "ProblemSpec", "catalog", "epsilon_profile",
     "LinearSystem", "assemble_aprfm", "assemble_rfm", "reconstruct_f",
     "rescale_rows",

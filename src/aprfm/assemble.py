@@ -134,8 +134,7 @@ def assemble_rfm(spec, model, colloc, rule):
     rows -= avg_chi[:, None, :]
     rows += chi
     matrix[n_int:] = _boundary_columns(model, colloc)
-    rhs = np.concatenate([spec.rfm_source(colloc.interior_x,
-                                          colloc.interior_v),
+    rhs = np.concatenate([spec.rfm_source(xs[:, None], vs).ravel(),
                           colloc.boundary_value])
 
     row_kind = np.concatenate([np.full(n_int, ROW_RFM, dtype=np.uint8),
@@ -212,8 +211,7 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
                           * _boundary_columns(g_model, colloc))
 
     rhs = np.concatenate([spec.macro_source(xs),
-                          spec.micro_source(colloc.interior_x,
-                                            colloc.interior_v),
+                          spec.micro_source(xs[:, None], vs).ravel(),
                           colloc.boundary_value])
     row_kind = np.repeat(np.array([ROW_MACRO, ROW_MICRO, ROW_BOUNDARY],
                                   dtype=np.uint8), [n_x, n_int, n_bdy])

@@ -21,9 +21,11 @@ in a config file (one ``key = value`` per line, ``#`` comments);
 command-line flags win.  File and flag values are read as text and go
 through the same parser, so a value that does not parse (``--j abc``)
 exits 2 with ``invalid-config`` wherever it comes from.  ``--epsilon``
-must be positive and finite (``profile`` for ex3, which ignores it);
-anything else exits 2 the same way.  ``-v`` logs at INFO level, one record
-per finished sweep run among them.
+must be positive and finite (``profile`` for ex3, which ignores it), the
+weight interval [-b_range, b_range] must have a positive finite width, and
+the directory of ``--out`` must exist; a value that breaks these rules
+exits 2 the same way, before any work.  ``-v`` logs at INFO level, one
+record per finished sweep run among them.
 
 A sweep runs its cells side by side, largest first, one per CPU the
 process may use (``taskset`` narrows them), sharing one reference cache,
@@ -56,7 +58,6 @@ from . import collocation
 from .errors import AprfmError, NoConvergenceError, NonFiniteInputError
 from .method import METHODS, solve
 from .problems import PROBLEM_IDS, catalog
-from .collocation import _tensor
 from .reference import (GridField, _require_oracle_eps, exact_field,
                         fdm_density, fdm_reference, phase_field, relative_l2)
 
@@ -105,8 +106,9 @@ class RunConfig:
         counts += [c for c in (self.j, self.jrho, self.jg) if c is not None]
         if any(int(c) < 1 for c in counts):
             raise ValueError("all counts must be positive")
-        if self.b_range <= 0:
-            raise ValueError("weight range must be positive")
+        # weights are drawn from [-b_range, b_range] (1e308 overflows it)
+        if not 0 < 2.0 * self.b_range < np.inf:
+            raise ValueError("weight range must be positive and finite")
         return self
 
     def resolved(self):
@@ -169,7 +171,7 @@ def _reference_f(spec, grid, cache=None):
 def _reference_rho(spec, cache=None):
     def compute():
         if spec.exact_rho is not None:
-            xs = collocation.evaluation_spatial_grid(spec)
+            xs, _ = collocation.evaluation_nodes(spec)
             return GridField(points=xs, values=spec.exact_rho(xs)), \
                 {"kind": "exact"}
         field = fdm_density(spec)
@@ -192,13 +194,12 @@ def run(config, reference_cache=None):
     coeffs = solve_report.coeffs
 
     t_eval = time.perf_counter()
-    eval_xs, eval_vs = collocation.evaluation_nodes(spec)
-    eval_x, eval_v = _tensor(eval_xs, eval_vs)
+    grid = eval_xs, eval_vs = collocation.evaluation_nodes(spec)
     if spec.spatial_dim == 1:
-        approx = phase_field(eval_x, eval_v,
+        approx = phase_field(eval_xs, eval_vs,
                              method.f_values(coeffs, eval_xs, eval_vs))
         t_ref = time.perf_counter()
-        ref, ref_meta = _reference_f(spec, (eval_x, eval_v), reference_cache)
+        ref, ref_meta = _reference_f(spec, grid, reference_cache)
         field_columns, error_kind = F_COLUMNS[1], "f-phase"
     else:
         approx = GridField(points=eval_xs, values=method.rho_values(
@@ -214,7 +215,7 @@ def run(config, reference_cache=None):
     if spec.spatial_dim == 1:
         result.f_rows = result.field_rows
     elif spec.exact_f is not None:
-        f_ref = exact_field(spec, (eval_x, eval_v))
+        f_ref = exact_field(spec, grid)
         f_approx = GridField(points=f_ref.points,
                              values=method.f_values(coeffs, eval_xs,
                                                     eval_vs))
@@ -584,8 +585,12 @@ def _config_from_args(args):
     for name in _PARSERS:
         if getattr(args, name) is not None:
             text[name] = getattr(args, name)
-    return RunConfig(**{name: _PARSERS[name](value)
-                        for name, value in text.items()}).validate()
+    config = RunConfig(**{name: _PARSERS[name](value)
+                          for name, value in text.items()}).validate()
+    # outputs are written after the work, so check where they go first
+    if not os.path.isdir(os.path.dirname(config.out) or "."):
+        raise ValueError(f"output directory of {config.out!r} does not exist")
+    return config
 
 
 def main(argv=None):

@@ -1,8 +1,9 @@
 """Collocation point generation on uniform cell-centered grids.
 
-Interior points are tensor products of cell-centered spatial nodes and
-cell-centered velocity nodes (v in [-1, 1] for slabs, angles in [0, 2 pi)
-for planar problems), ordered space-major.  Cell centers keep collocation
+Every cell-centered spatial grid comes from :func:`cell_grid`.  Interior
+points are tensor products of its nodes and cell-centered velocity nodes
+(v in [-1, 1] for slabs, angles in [0, 2 pi) for planar problems), kept as
+the two factors and ordered space-major.  Cell centers keep collocation
 off the spatial boundary and off v = 0 for even velocity counts.  Boundary
 points live on the domain faces, carry the prescribed inflow value, and
 are filtered strictly to v . n(x) < 0.
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidProblemError, NodeOnJointError
+from .errors import InvalidProblemError
 from .problems import HOLE_HALF_WIDTH, v_dot
 
 EVAL_GRID_1D = (128, 256)
@@ -36,9 +37,8 @@ class CollocationSet:
     """Interior and inflow-boundary collocation for one problem.
 
     The interior is the tensor product of ``spatial_nodes`` (S, d) and
-    ``velocity_nodes`` (L,), flattened space-major, which assembly relies
-    on to reuse angular quadrature caches across velocity nodes;
-    ``interior_x`` and ``interior_v`` are derived from the two factors.
+    ``velocity_nodes`` (L,), kept as the two factors; its points are
+    ordered space-major (see ``_tensor``).
     """
 
     spatial_nodes: np.ndarray
@@ -53,21 +53,6 @@ class CollocationSet:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def _interior(self, axis):
-        arr = _tensor(self.spatial_nodes, self.velocity_nodes)[axis]
-        arr.setflags(write=False)
-        return arr
-
-    @property
-    def interior_x(self):
-        """Spatial coordinates (N, d) of the interior points."""
-        return self._interior(0)
-
-    @property
-    def interior_v(self):
-        """Velocities (N,) of the interior points."""
-        return self._interior(1)
 
     @property
     def n_interior(self):
@@ -93,33 +78,26 @@ def velocity_cells(spec, n_velocity):
     return cell_centers(lo, hi, n_velocity)
 
 
-def spatial_cells(spec, n_spatial):
-    """Cell-centered spatial nodes (S, d); hole cells dropped for annuli."""
-    n_spatial = tuple(int(n) for n in np.atleast_1d(n_spatial))
-    if len(n_spatial) != spec.spatial_dim:
+def cell_grid(spec, counts):
+    """The cell-centered grid with ``counts`` cells per spatial axis: the
+    nodes of each axis, the points (n_1, ..., n_d, d) and the mask of the
+    points in the domain (not in a hole)."""
+    counts = tuple(int(n) for n in np.atleast_1d(counts))
+    if len(counts) != spec.spatial_dim:
         raise ValueError("need one count per spatial axis")
     axes = [cell_centers(lo, hi, n)
-            for lo, hi, n in zip(spec.x_lo, spec.x_hi, n_spatial)]
-    for lo, hi, nodes in zip(spec.x_lo, spec.x_hi, axes):
-        _require_off_dyadic_kinks(nodes, lo, hi)
-    if spec.spatial_dim == 1:
-        points = axes[0][:, None]
-    else:
-        g1, g2 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        points = np.stack([g1.ravel(), g2.ravel()], axis=1)
-    return points[spec.in_domain(points)]
+            for lo, hi, n in zip(spec.x_lo, spec.x_hi, counts)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return axes, points, spec.in_domain(points)
 
 
 def _nodes(spec, n_spatial, n_velocity):
-    """Tensor factors of the interior: spatial (S, d), velocity (L,)."""
+    """Tensor factors of the interior: spatial (S, d), the domain points of
+    the cell grid (hole cells dropped for annuli), and velocity (L,)."""
     if int(n_velocity) < 2 or any(int(n) < 2 for n in np.atleast_1d(n_spatial)):
         raise ValueError("per-axis counts must be at least 2")
-    return spatial_cells(spec, n_spatial), velocity_cells(spec, n_velocity)
-
-
-def interior_grid(spec, n_spatial, n_velocity):
-    """Interior collocation points as arrays X (N, d) and V (N,)."""
-    return _tensor(*_nodes(spec, n_spatial, n_velocity))
+    _, points, mask = cell_grid(spec, n_spatial)
+    return points[mask], velocity_cells(spec, n_velocity)
 
 
 def _faces(spec, n_face):
@@ -159,19 +137,11 @@ def inflow_boundary(spec, n_face, n_velocity):
     if spec.boundary_value is None:
         raise InvalidProblemError(f"{spec.id} has no boundary data")
     vs = velocity_cells(spec, n_velocity)
-    xs_out, vs_out, val_out = [], [], []
-    for points, normal in _faces(spec, n_face):
-        for point in points:
-            keep = v_dot(spec.spatial_dim, vs, normal) < 0.0
-            if not np.any(keep):
-                continue
-            kept_v = vs[keep]
-            x_rep = np.repeat(point[None, :], kept_v.size, axis=0)
-            xs_out.append(x_rep)
-            vs_out.append(kept_v)
-            val_out.append(spec.boundary_value(x_rep, kept_v))
-    return (np.concatenate(xs_out, axis=0), np.concatenate(vs_out),
-            np.concatenate(val_out))
+    # the normal is constant on a face, so each face keeps one velocity set
+    faces = [_tensor(points, vs[v_dot(spec.spatial_dim, vs, normal) < 0.0])
+             for points, normal in _faces(spec, n_face)]
+    x_b, v_b = (np.concatenate(part) for part in zip(*faces))
+    return x_b, v_b, spec.boundary_value(x_b, v_b)
 
 
 def build_collocation(spec, n_spatial, n_velocity):
@@ -183,51 +153,9 @@ def build_collocation(spec, n_spatial, n_velocity):
                           boundary_value=val_b)
 
 
-def evaluation_counts(spec):
-    if spec.spatial_dim == 1:
-        return (EVAL_GRID_1D[0],), EVAL_GRID_1D[1]
-    return (EVAL_GRID_2D[0], EVAL_GRID_2D[1]), EVAL_GRID_2D[2]
-
-
 def evaluation_nodes(spec):
     """Tensor factors of the error-measurement phase grid: spatial (S, d)
     and velocity (L,) nodes."""
-    return _nodes(spec, *evaluation_counts(spec))
-
-
-def evaluation_grid(spec):
-    """Fixed error-measurement phase grid: X (I, d) and V (I,), the
-    space-major product of ``evaluation_nodes``."""
-    return _tensor(*evaluation_nodes(spec))
-
-
-def evaluation_spatial_grid(spec):
-    """Spatial part of the error-measurement grid, (S, d)."""
-    n_spatial, _ = evaluation_counts(spec)
-    return spatial_cells(spec, n_spatial)
-
-
-def _require_off_dyadic_kinks(nodes, lo, hi):
-    """Guard cell-centered nodes against the bump window's C1 joints.
-
-    For 2^p cells and a dyadic partition into 2^m boxes the normalized
-    coordinates hit |z| in {3/4, 5/4} exactly iff p - m == 2; that single
-    coincidence is unavoidable (and harmless, the window is C1), every
-    other dyadic combination must stay clear.
-    """
-    n = nodes.size
-    if n & (n - 1):  # not a power of two
-        return
-    p = n.bit_length() - 1
-    for m_exp in range(0, 4):
-        if p - m_exp == 2:
-            continue
-        m = 2 ** m_exp
-        width = (hi - lo) / m
-        centers = lo + (np.arange(m) + 0.5) * width
-        z = (nodes[:, None] - centers[None, :]) / (width / 2.0)
-        hits = np.isclose(np.abs(z), 0.75) | np.isclose(np.abs(z), 1.25)
-        if np.any(hits):
-            raise NodeOnJointError(
-                f"{n} cells put a collocation node on a window joint of a "
-                f"{m}-box partition")
+    *n_spatial, n_velocity = (EVAL_GRID_1D if spec.spatial_dim == 1
+                              else EVAL_GRID_2D)
+    return _nodes(spec, n_spatial, n_velocity)

@@ -23,12 +23,6 @@ class InvalidProblemError(AprfmError, ValueError):
     code = "invalid-problem"
 
 
-class NodeOnJointError(AprfmError, ValueError):
-    """A collocation node falls on a C1 joint of a bump window."""
-
-    code = "node-on-joint"
-
-
 class DegenerateRowError(AprfmError, ValueError):
     """A system row is identically zero and cannot be rescaled."""
 

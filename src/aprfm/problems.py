@@ -30,7 +30,12 @@ decomposition f = rho + eps(x) g, giving
 flagged by ``mixed_scale`` and restricted to sigma_a = 0 and q = 0.
 
 Spatial arguments have shape (..., d); velocity arguments (v in 1D, the
-angle alpha in 2D) have shape (...).
+angle alpha in 2D) have shape (...).  ``micro_source``, ``rfm_source``
+and ``exact_f`` broadcast x.shape[:-1] against v.shape elementwise, so
+they are evaluated on grid factors: nodes (S, 1, d) against velocities
+(L,) give (S, L), angles (K, 1, 1) against a cell grid (n1, n2, 2) give
+(K, n1, n2), with the values of the flattened product.  ``boundary_value``
+takes matching shapes, x (n, d) and v (n,).
 """
 
 from dataclasses import dataclass

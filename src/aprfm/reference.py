@@ -30,7 +30,7 @@ results are interpolated onto the evaluation grid.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -82,17 +82,19 @@ class GridField:
             raise NonFiniteInputError("field values must be finite")
 
 
-def phase_field(x, v, values):
-    """GridField over phase points given X (I, d) and V (I,)."""
-    return GridField(points=_phase(x, v), values=values)
+def phase_field(xs, vs, values):
+    """GridField over the space-major product of the spatial points xs
+    (S, d) and the velocities vs (L,), with ``values`` (S L,) in that
+    order."""
+    return GridField(points=_phase(*_tensor(xs, vs)), values=values)
 
 
 def exact_field(spec, grid):
-    """Exact solution sampled on a phase grid (X, V)."""
+    """Exact solution on the phase grid given by its factors (xs, vs)."""
     if spec.exact_f is None:
         raise UnsupportedProblemError(f"{spec.id} has no exact solution")
-    x, v = grid
-    return phase_field(x, v, spec.exact_f(x, v))
+    xs, vs = grid
+    return phase_field(xs, vs, spec.exact_f(xs[:, None], vs).ravel())
 
 
 def relative_l2(approx, ref):
@@ -125,10 +127,9 @@ def fdm_reference(spec, resolution=None):
     x, _, f = _solve_1d(spec, n_cells, angular_rule(1, 16), eval_v)
     f_eval = np.stack([np.interp(eval_x[:, 0], x, row) for row in f])
     # one dense solve, counted as one sweep, as the log record counts it
-    return GridField(points=_phase(*_tensor(eval_x, eval_v)),
-                     values=f_eval.T.ravel(),
-                     info={"kind": "fdm", "resolution": (int(n_cells),),
-                           "solver": "direct", "sweeps": 1})
+    return replace(phase_field(eval_x, eval_v, f_eval.T.ravel()),
+                   info={"kind": "fdm", "resolution": (int(n_cells),),
+                         "solver": "direct", "sweeps": 1})
 
 
 def fdm_density(spec, resolution=None, max_iters=FDM_MAX_ITERS):
@@ -150,10 +151,10 @@ def fdm_density(spec, resolution=None, max_iters=FDM_MAX_ITERS):
     rho = out["rho"]
     if spec.geometry == "annulus":
         rho = _fill_holes(out["mask"], rho)
-    interp = RegularGridInterpolator((out["c1"], out["c2"]), rho,
+    interp = RegularGridInterpolator(out["axes"], rho,
                                      method="linear", bounds_error=False,
                                      fill_value=None)
-    eval_x = collocation.evaluation_spatial_grid(spec)
+    eval_x, _ = collocation.evaluation_nodes(spec)
     return GridField(points=eval_x, values=interp(eval_x),
                      info={"kind": "fdm", "resolution": n_cells,
                            "solver": "gmres", "sweep_tol": FDM_SWEEP_TOL,
@@ -161,21 +162,11 @@ def fdm_density(spec, resolution=None, max_iters=FDM_MAX_ITERS):
                            "gmres_residual": out["residual"]})
 
 
-def _mesh_2d(spec, n_cells):
-    """The 2D oracle's cell centers per axis, the cell grid (n1, n2, 2) and
-    its domain mask."""
-    (lo1, lo2), (hi1, hi2) = spec.x_lo, spec.x_hi
-    c1 = collocation.cell_centers(lo1, hi1, n_cells[0])
-    c2 = collocation.cell_centers(lo2, hi2, n_cells[1])
-    pts = np.stack(np.meshgrid(c1, c2, indexing="ij"), axis=-1)
-    return c1, c2, pts, spec.in_domain(pts)
-
-
-def _require_oracle_eps(spec, resolution=None):
+def _require_oracle_eps(spec, resolution=FDM_RESOLUTION_2D):
     """Raise :class:`UnsupportedProblemError` when eps drops below
     ``FDM_MIN_EPSILON_2D`` in a domain cell of the 2D oracle's mesh, the
     check :func:`fdm_density` makes before it solves."""
-    _, _, pts, mask = _mesh_2d(spec, resolution or FDM_RESOLUTION_2D)
+    _, pts, mask = collocation.cell_grid(spec, resolution)
     eps = spec.epsilon_at(pts[mask]).min()
     if eps < FDM_MIN_EPSILON_2D:
         raise UnsupportedProblemError(
@@ -222,8 +213,7 @@ def _solve_1d(spec, n_cells, rule, velocities):
         a = eps[order] * np.abs(vs)[:, None] / h
         den = a + removal[order]
         ratio = a / den
-        src = np.stack([spec.rfm_source(x[:, None], np.full(n, v))
-                        for v in vs])
+        src = spec.rfm_source(x[None, :, None], vs[:, None])
         q = (np.take_along_axis(src, order, axis=1) + scattering[order]) / den
         faces = np.where(vs < 0, hi, lo)[:, None]
         q[:, 0] += ratio[:, 0] * spec.boundary_value(faces, vs)
@@ -313,13 +303,11 @@ class _Sweep:
                   c2[j]),
                  (self.b2, self.v2, c1[i],
                   c2[j] - np.where(flip2, -h2, h2) / 2.0))
+        along = np.broadcast_to(angles, inside.shape)
         for missing, inflow, x1, x2 in faces:
-            for m, angle in enumerate(angles):
-                rows = missing[:, m]
-                if rows.any():
-                    inflow[rows, m] = spec.boundary_value(
-                        np.stack([x1[rows, m], x2[rows, m]], axis=-1),
-                        np.full(np.count_nonzero(rows), angle))
+            inflow[missing] = spec.boundary_value(
+                np.stack([x1[missing], x2[missing]], axis=-1),
+                along[missing])
 
     def frontal(self, field):
         """``field`` ((n1, n2), or (K, n1, n2) per ordinate) in front
@@ -355,14 +343,12 @@ def _solve_2d(spec, n_cells, max_iters, rule):
     _require_oracle_eps(spec, n_cells)
     (lo1, lo2), (hi1, hi2) = spec.x_lo, spec.x_hi
     h1, h2 = (hi1 - lo1) / n1, (hi2 - lo2) / n2
-    c1, c2, pts, mask = _mesh_2d(spec, n_cells)
+    (c1, c2), pts, mask = collocation.cell_grid(spec, n_cells)
     eps_f, sig_s_f, removal_f = (arr.reshape(n1, n2) for arr in
                                  _native_fields(spec, pts.reshape(-1, 2)))
     sweep = _Sweep(spec, (c1, c2, h1, h2, mask, removal_f, eps_f),
                    rule.nodes)
-    sources = np.stack([np.asarray(spec.rfm_source(
-        pts.reshape(-1, 2), np.full(n1 * n2, angle))).reshape(n1, n2)
-        for angle in rule.nodes])
+    sources = spec.rfm_source(pts, rule.nodes[:, None, None])
 
     # GMRES on rho - (S(rho) - S(0)) = S(0), where S(rho) averages one
     # transport sweep of every ordinate with scattering source sig_s rho;
@@ -397,7 +383,7 @@ def _solve_2d(spec, n_cells, max_iters, rule):
     rho = x.reshape(n1, n2)
     logger.info("%s: 2D source iteration converged in %d sweeps (%dx%d)",
                 spec.id, applications, n1, n2)
-    return {"c1": c1, "c2": c2, "mask": mask, "rho": rho,
+    return {"axes": (c1, c2), "mask": mask, "rho": rho,
             "iterations": applications, "residual": float(residual)}
 
 

@@ -154,7 +154,7 @@ def _f_error(solution, reference_field):
     eval_xs, eval_vs = collocation.evaluation_nodes(solution.method.spec)
     values = solution.method.f_values(solution.report.coeffs, eval_xs,
                                       eval_vs)
-    approx = reference.phase_field(*_tensor(eval_xs, eval_vs), values)
+    approx = reference.phase_field(eval_xs, eval_vs, values)
     return reference.relative_l2(approx, reference_field)
 
 
@@ -172,7 +172,7 @@ def aprfm_rho_error(spec, j_rho, j_g, n_spatial, n_velocity, reference_field,
     solution = solve(spec, run_config(spec, "aprfm", n_spatial, n_velocity,
                                       n_quad=n_quad, jrho=j_rho, jg=j_g,
                                       **kwargs))
-    xs = collocation.evaluation_spatial_grid(spec)
+    xs, _ = collocation.evaluation_nodes(spec)
     values = solution.method.rho_values(solution.report.coeffs,
                                         solution.rule, xs)
     return reference.relative_l2(reference.GridField(points=xs, values=values),
@@ -189,11 +189,11 @@ def rfm_f_error(spec, j, n_spatial, n_velocity, m_spatial=(1,),
 
 
 def exact_field_for(spec):
-    return reference.exact_field(spec, collocation.evaluation_grid(spec))
+    return reference.exact_field(spec, collocation.evaluation_nodes(spec))
 
 
 def exact_rho_field(spec):
-    xs = collocation.evaluation_spatial_grid(spec)
+    xs, _ = collocation.evaluation_nodes(spec)
     return reference.GridField(points=xs, values=spec.exact_rho(xs))
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from aprfm import (assemble, basis, cli, collocation, problems, quadrature,
                    reference)
+from aprfm.collocation import _tensor
 from helpers import (aprfm_f_error, aprfm_rho_error, exact_field_for,
                      exact_micro_macro_pair, exact_rho_field,
                      micro_macro_residuals, rfm_f_error, solve_aprfm,
@@ -204,7 +205,7 @@ def test_criterion_8_property_suite():
             q_rule = quadrature.angular_rule(spec.spatial_dim, 16)
             n_spatial = (12,) if spec.spatial_dim == 1 else (6, 6)
             colloc = collocation.build_collocation(spec, n_spatial, 8)
-            x, v = colloc.interior_x, colloc.interior_v
+            x, v = _tensor(colloc.spatial_nodes, colloc.velocity_nodes)
             rho_fn, g_fn = exact_micro_macro_pair(spec, q_rule)
             if spec.spatial_dim == 1:
                 rho_grad = np.full((x.shape[0], 1), -1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aprfm import assemble, basis, collocation, problems, quadrature, solve
+from aprfm.collocation import _tensor
 from aprfm.errors import DegenerateRowError
 from aprfm.method import Method
 from helpers import (build_f_model, build_models, dense_assembly,
@@ -86,8 +87,10 @@ class TestOneShotOperator:
             return dense_model_values(model, coeffs, [[pt, node]])[0]
 
         h = 1e-6
+        points, velocities = _tensor(colloc.spatial_nodes,
+                                     colloc.velocity_nodes)
         for k in rng.integers(0, colloc.n_interior, size=12):
-            x, v = colloc.interior_x[k], colloc.interior_v[k]
+            x, v = points[k], velocities[k]
             dfdx = (f_at(x[0] + h, v) - f_at(x[0] - h, v)) / (2 * h)
             f_here = f_at(x[0], v)
             avg = sum(w * f_at(x[0], node)
@@ -113,9 +116,10 @@ def limit_rows_pointwise(spec, rule, colloc, rho_model, g_model):
     n_v = colloc.velocity_nodes.size
     # a macro row per spatial node, then a micro row per interior point
     rows = np.zeros((n_x + colloc.n_interior, z_r + z_g))
+    points, velocities = _tensor(colloc.spatial_nodes, colloc.velocity_nodes)
     for k in range(colloc.n_interior):
-        x = colloc.interior_x[k]
-        v = colloc.interior_v[k]
+        x = points[k]
+        v = velocities[k]
         macro, micro = k // n_v, n_x + k
         sig_s = spec.sigma_s(x[None, :])[0]
         sig_a = spec.sigma_a(x[None, :])[0]
@@ -172,7 +176,9 @@ class TestMicroMacroRows:
         np.testing.assert_array_equal(system.rhs[kind == assemble.ROW_MACRO],
                                       0.0)
         np.testing.assert_allclose(system.rhs[kind == assemble.ROW_MICRO],
-                                   -colloc.interior_v, atol=1e-15)
+                                   -_tensor(colloc.spatial_nodes,
+                                            colloc.velocity_nodes)[1],
+                                   atol=1e-15)
         np.testing.assert_array_equal(
             system.rhs[kind == assemble.ROW_BOUNDARY], colloc.boundary_value)
 
@@ -208,8 +214,10 @@ class TestMicroMacroRows:
             return dense_model_values(g_model, c_g, [[pt, node]])[0]
 
         h = 1e-6
+        points, velocities = _tensor(colloc.spatial_nodes,
+                                     colloc.velocity_nodes)
         for k in rng.integers(0, colloc.n_interior, size=8):
-            x, v = colloc.interior_x[k], colloc.interior_v[k]
+            x, v = points[k], velocities[k]
             drho = (rho_at(x[0] + h) - rho_at(x[0] - h)) / (2 * h)
             dg = (g_at(x[0] + h, v) - g_at(x[0] - h, v)) / (2 * h)
             avg_t = sum(w * node * (g_at(x[0] + h, node)
@@ -244,8 +252,10 @@ class TestMicroMacroRows:
             return dense_model_values(rho_model, c_rho, [[pt]])[0]
 
         h = 1e-6
+        points, velocities = _tensor(colloc.spatial_nodes,
+                                     colloc.velocity_nodes)
         for k in rng.integers(0, colloc.n_interior, size=6):
-            x, v = colloc.interior_x[k], colloc.interior_v[k]
+            x, v = points[k], velocities[k]
             d_eps_g = (eps_g(x[0] + h, v) - eps_g(x[0] - h, v)) / (2 * h)
             avg_t = sum(w * node * (eps_g(x[0] + h, node)
                                     - eps_g(x[0] - h, node)) / (2 * h)

@@ -178,6 +178,25 @@ class TestMain:
         assert code == 2
         assert "invalid-config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("b_range", ["inf", "nan", "1e308"])
+    def test_unusable_weight_range_exit_two(self, tmp_path, capsys,
+                                            monkeypatch, b_range):
+        # 1e308 is finite, but the interval [-1e308, 1e308] is not
+        monkeypatch.setattr(cli, "solve", no_run)
+        code = cli.main(["run", "--problem", "ex1", "--b-range", b_range,
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "invalid-config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--table", "T1"]],
+                             ids=["run", "sweep"])
+    def test_missing_output_directory_exit_two(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        monkeypatch.setattr(cli, "solve", no_run)
+        code = cli.main(command + ["--out", str(tmp_path / "missing" / "x")])
+        assert code == 2
+        assert "invalid-config" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--j", "0"],
                                       ["--jrho", "0", "--jg", "4"],
                                       ["--jrho", "4", "--jg", "0"]],
@@ -263,13 +282,6 @@ class TestMain:
                          "--out", str(tmp_path / "x")])
         assert code == 3
         assert "invalid-input" in capsys.readouterr().err
-
-    def test_node_on_window_joint_exit_two(self, tmp_path, capsys):
-        code = cli.main(["run", "--problem", "ex1", "--epsilon", "1",
-                         "--j", "4", "--nx", str(2 ** 18), "--nv", "2",
-                         "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "node-on-joint" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -2,23 +2,29 @@ import numpy as np
 import pytest
 
 from aprfm import collocation, problems
+from aprfm.collocation import _tensor
 from aprfm.problems import HOLE_HALF_WIDTH
+
+
+def interior(spec, n_spatial, n_velocity):
+    """The interior points X (N, d) and V (N,), flattened space-major."""
+    return _tensor(*collocation._nodes(spec, n_spatial, n_velocity))
 
 
 class TestInteriorGrid:
     def test_1d_count(self):
         spec = problems.catalog("ex1", 1.0)
-        x, v = collocation.interior_grid(spec, (2,), 2)
+        x, v = interior(spec, (2,), 2)
         assert x.shape == (4, 1) and v.shape == (4,)
 
     def test_2d_square_count(self):
         spec = problems.catalog("ex4", 1.0)
-        x, v = collocation.interior_grid(spec, (32, 32), 64)
+        x, v = interior(spec, (32, 32), 64)
         assert x.shape == (65536, 2)
 
     def test_cell_centering(self):
         spec = problems.catalog("ex1", 1.0)
-        x, v = collocation.interior_grid(spec, (4,), 4)
+        x, v = interior(spec, (4,), 4)
         np.testing.assert_allclose(np.unique(x),
                                    [0.125, 0.375, 0.625, 0.875])
         np.testing.assert_allclose(np.unique(v),
@@ -26,7 +32,7 @@ class TestInteriorGrid:
 
     def test_annulus_drops_hole(self):
         spec = problems.catalog("ex6", 1.0)
-        x, _ = collocation.interior_grid(spec, (16, 16), 4)
+        x, _ = interior(spec, (16, 16), 4)
         assert np.all(np.max(np.abs(x), axis=1) >= HOLE_HALF_WIDTH)
         # brute-force count of surviving cells
         axis = collocation.cell_centers(-1.0, 1.0, 16)
@@ -36,12 +42,29 @@ class TestInteriorGrid:
 
     def test_points_strictly_inside(self):
         spec = problems.catalog("ex1", 1.0)
-        x, _ = collocation.interior_grid(spec, (8,), 8)
+        x, _ = interior(spec, (8,), 8)
         assert x.min() > 0.0 and x.max() < 1.0
+
+    def test_cell_grid_factors(self):
+        spec = problems.catalog("ex6", 1.0)
+        axes, points, mask = collocation.cell_grid(spec, (16, 8))
+        assert points.shape == (16, 8, 2) and mask.shape == (16, 8)
+        np.testing.assert_array_equal(axes[0],
+                                      collocation.cell_centers(-1, 1, 16))
+        np.testing.assert_array_equal(points[3, 5], [axes[0][3], axes[1][5]])
+        np.testing.assert_array_equal(
+            mask, np.max(np.abs(points), axis=-1) >= HOLE_HALF_WIDTH)
+        np.testing.assert_array_equal(
+            collocation._nodes(spec, (16, 8), 2)[0], points[mask])
+
+    def test_cell_grid_needs_one_count_per_axis(self):
+        spec = problems.catalog("ex4", 1.0)
+        with pytest.raises(ValueError):
+            collocation.cell_grid(spec, (8,))
 
     def test_interior_is_space_major(self):
         spec = problems.catalog("ex1", 1.0)
-        x, v = collocation.interior_grid(spec, (3,), 2)
+        x, v = interior(spec, (3,), 2)
         np.testing.assert_allclose(x[:2, 0], x[0, 0])
         assert v[0] != v[1]
 
@@ -100,17 +123,17 @@ class TestInflowBoundary:
 class TestEvaluationGrid:
     def test_1d_size(self):
         spec = problems.catalog("ex1", 1.0)
-        x, v = collocation.evaluation_grid(spec)
+        x, v = _tensor(*collocation.evaluation_nodes(spec))
         assert x.shape == (32768, 1)
 
     def test_2d_square_size(self):
         spec = problems.catalog("ex4", 1.0)
-        x, _ = collocation.evaluation_grid(spec)
+        x, _ = _tensor(*collocation.evaluation_nodes(spec))
         assert x.shape == (131072, 2)
 
     def test_annulus_size_matches_brute_force(self):
         spec = problems.catalog("ex6", 1.0)
-        x, _ = collocation.evaluation_grid(spec)
+        x, _ = _tensor(*collocation.evaluation_nodes(spec))
         axis = collocation.cell_centers(-1.0, 1.0, 64)
         hole = sum(1 for a in axis for b in axis
                    if max(abs(a), abs(b)) < HOLE_HALF_WIDTH)
@@ -131,9 +154,15 @@ class TestBuildCollocation:
         spec = problems.catalog("ex1", 1.0)
         cs = collocation.build_collocation(spec, (4,), 4)
         with pytest.raises(ValueError):
-            cs.interior_x[0, 0] = 2.0
+            cs.spatial_nodes[0, 0] = 2.0
+
+    def test_fine_dyadic_grid_accepted(self):
+        # 2^18 cells put no node on a window joint of a dyadic partition
+        spec = problems.catalog("ex1", 1.0)
+        cs = collocation.build_collocation(spec, (2 ** 18,), 2)
+        assert cs.n_interior == 2 ** 19
 
     def test_rejects_tiny_counts(self):
         spec = problems.catalog("ex1", 1.0)
         with pytest.raises(ValueError):
-            collocation.interior_grid(spec, (1,), 4)
+            collocation.build_collocation(spec, (1,), 4)

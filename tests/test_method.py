@@ -30,12 +30,11 @@ def error(meth, rule, coeffs):
     spec = meth.spec
     if spec.spatial_dim == 1:
         xs, vs = collocation.evaluation_nodes(spec)
-        approx = reference.phase_field(*collocation.evaluation_grid(spec),
-                                       meth.f_values(coeffs, xs, vs))
+        approx = reference.phase_field(xs, vs, meth.f_values(coeffs, xs, vs))
         field = (exact_field_for(spec) if spec.exact_f is not None
                  else reference.fdm_reference(spec))
         return reference.relative_l2(approx, field)
-    xs = collocation.evaluation_spatial_grid(spec)
+    xs, _ = collocation.evaluation_nodes(spec)
     approx = reference.GridField(points=xs,
                                  values=meth.rho_values(coeffs, rule, xs))
     return reference.relative_l2(approx, exact_rho_field(spec))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aprfm import problems, quadrature
+from aprfm import collocation, problems, quadrature
 from aprfm.errors import UnsupportedProblemError
 from helpers import exact_micro_macro_pair, micro_macro_residuals
 
@@ -192,3 +192,29 @@ class TestMicroMacroResiduals:
         rule = quadrature.angular_rule(1, 8)
         with pytest.raises(UnsupportedProblemError):
             exact_micro_macro_pair(spec, rule)
+
+
+@pytest.mark.parametrize("problem_id", problems.PROBLEM_IDS)
+def test_phase_data_broadcasts_over_grid_factors(problem_id):
+    """The problem data on grid factors equals its values on the flattened
+    space-major product, bit for bit."""
+    spec = problems.catalog(problem_id, 0.3)
+    xs, vs = collocation._nodes(spec, (6,) * spec.spatial_dim, 5)
+    x_flat, v_flat = collocation._tensor(xs, vs)
+    for name in ("rfm_source", "micro_source", "exact_f"):
+        fn = getattr(spec, name)
+        if fn is None:
+            continue
+        np.testing.assert_array_equal(fn(xs[:, None], vs).ravel(),
+                                      fn(x_flat, v_flat), err_msg=name)
+        if spec.spatial_dim == 2:
+            # ordinates (K, 1, 1) against the cell grid (n1, n2, 2)
+            _, grid, _ = collocation.cell_grid(spec, (6, 4))
+            angles = quadrature.angular_rule(2, 16).nodes
+            x_grid, v_grid = collocation._tensor(grid.reshape(-1, 2), angles)
+            np.testing.assert_array_equal(
+                fn(grid, angles[:, None, None]).reshape(angles.size, -1),
+                fn(x_grid, v_grid).reshape(-1, angles.size).T, err_msg=name)
+    if spec.exact_rho is not None:
+        np.testing.assert_array_equal(spec.exact_rho(xs[:, None]).ravel(),
+                                      spec.exact_rho(xs))

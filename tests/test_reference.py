@@ -33,7 +33,7 @@ class TestExactField:
     def test_missing_exact_solution(self):
         spec = problems.catalog("ex2", 1.0)
         with pytest.raises(UnsupportedProblemError):
-            reference.exact_field(spec, collocation.evaluation_grid(spec))
+            reference.exact_field(spec, collocation.evaluation_nodes(spec))
 
 
 class TestRelativeL2:
@@ -92,12 +92,12 @@ class TestFdm1D:
     def test_oracle_matches_exact_solution(self):
         spec = problems.catalog("ex1", 1.0)
         field = reference.fdm_reference(spec, resolution=128)
-        exact = reference.exact_field(spec, collocation.evaluation_grid(spec))
+        exact = reference.exact_field(spec, collocation.evaluation_nodes(spec))
         assert reference.relative_l2(field, exact) < 5e-3
 
     def test_first_order_refinement(self):
         spec = problems.catalog("ex1", 1.0)
-        exact = reference.exact_field(spec, collocation.evaluation_grid(spec))
+        exact = reference.exact_field(spec, collocation.evaluation_nodes(spec))
         coarse = reference.fdm_reference(spec, resolution=64)
         fine = reference.fdm_reference(spec, resolution=128)
         ratio = reference.relative_l2(coarse, exact) / \
@@ -115,7 +115,7 @@ class TestFdm1D:
     def test_oracle_matches_exact_solution_small_eps(self):
         spec = problems.catalog("ex1", 1e-2)
         field = reference.fdm_reference(spec)
-        exact = reference.exact_field(spec, collocation.evaluation_grid(spec))
+        exact = reference.exact_field(spec, collocation.evaluation_nodes(spec))
         assert reference.relative_l2(field, exact) < 5e-3
 
     @pytest.mark.parametrize("problem,eps", [("ex2", 1e-1), ("ex3", None)])
@@ -140,7 +140,8 @@ class TestFdm1D:
     def test_non_finite_density_raises(self):
         spec = dataclasses.replace(
             problems.catalog("ex2", 1.0),
-            rfm_source=lambda x, v: np.full(np.shape(v), np.nan))
+            rfm_source=lambda x, v: np.full(
+                np.broadcast_shapes(np.shape(x)[:-1], np.shape(v)), np.nan))
         with pytest.raises(NoConvergenceError):
             reference.fdm_reference(spec, resolution=64)
 
@@ -210,14 +211,14 @@ class TestFdm2D:
     def test_planar_oracle_against_exact(self):
         spec = problems.catalog("ex4", 1.0)
         rho = reference.fdm_density(spec, resolution=(64, 64))
-        xs = collocation.evaluation_spatial_grid(spec)
+        xs, _ = collocation.evaluation_nodes(spec)
         exact = reference.GridField(points=xs, values=spec.exact_rho(xs))
         assert reference.relative_l2(rho, exact) < 5e-2
 
     def test_annulus_oracle_against_exact(self):
         spec = problems.catalog("ex6", 1.0)
         rho = reference.fdm_density(spec, resolution=(64, 64))
-        xs = collocation.evaluation_spatial_grid(spec)
+        xs, _ = collocation.evaluation_nodes(spec)
         exact = reference.GridField(points=xs, values=spec.exact_rho(xs))
         assert reference.relative_l2(rho, exact) < 5e-2
 
