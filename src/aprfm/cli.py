@@ -28,11 +28,12 @@ exits 2 the same way, before any work.  ``-v`` logs at INFO level, one
 record per finished sweep run among them.
 
 A sweep runs its cells side by side, largest first, one per CPU the
-process may use (``taskset`` narrows them), sharing one reference cache,
-and every BLAS call in it uses one thread: its errors do not depend on the
-worker count, and ``OPENBLAS_NUM_THREADS=1 aprfm run`` with a cell's
-settings reproduces the cell's error bit for bit.  ``run`` and
-``plotdata`` keep the process's BLAS threads.  A failing sweep run is
+process may use (``taskset`` narrows them), sharing one reference cache;
+the QR folds release the GIL, so the workers fold side by side, while the
+final ``gelsd`` holds it.  Every BLAS call in a sweep uses one thread: its
+errors do not depend on the worker count, and ``OPENBLAS_NUM_THREADS=1
+aprfm run`` with a cell's settings reproduces the cell's error bit for
+bit.  ``run`` and ``plotdata`` keep the process's BLAS threads.  A failing sweep run is
 recorded and the others go on (see :func:`sweep`).
 """
 

@@ -16,16 +16,23 @@ over those boxes' columns and the rhs alone.  After the last block the
 factors are merged into one R (again with ``dtpqrt``): the widest one
 becomes R when it spans every column, and each other factor, whose rows
 are upper trapezoidal once placed in the full column space, folds into
-the trailing part of R from its leading column on.  With one box there is
-one factor, folded as the rows arrive, and no merge.
+the trailing part of R from its leading column on, in place.  With one
+box there is one factor, folded as the rows arrive, and no merge.
+
+Each fold calls LAPACK ``dtpqrt`` through ctypes, at the function pointer
+that ``scipy.linalg.cython_lapack`` publishes, so the call releases the
+GIL (scipy's f2py wrapper holds it): the worker threads of a sweep fold
+side by side.  The final ``gelsd`` still goes through scipy and holds it.
 """
 
+import ctypes
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dtpqrt
+from scipy.linalg import cython_lapack
 
 from .errors import NonFiniteInputError
 
@@ -84,15 +91,52 @@ def _weighted_rows(block, runs, columns):
     return rows
 
 
+@functools.cache
+def _dtpqrt():
+    """LAPACK ``dtpqrt(m, n, l, nb, a, lda, b, ldb, t, ldt, work, info)``
+    as a ctypes function, which releases the GIL while it runs."""
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule = cython_lapack.__pyx_capi__["dtpqrt"]
+    integer = ctypes.POINTER(ctypes.c_int)
+    array = ctypes.c_void_p
+    return ctypes.CFUNCTYPE(None, integer, integer, integer, integer,
+                            array, integer, array, integer, array, integer,
+                            array, integer)(pointer(capsule, name(capsule)))
+
+
+def _leading_dimension(a):
+    """The leading dimension LAPACK reads the matrix ``a`` with, after
+    checking that ``a`` is writeable float64 with Fortran-ordered rows."""
+    if a.dtype != np.float64 or not a.flags.writeable:
+        raise ValueError("fold operands must be writeable float64 matrices")
+    row_stride, column_stride = a.strides
+    if row_stride != a.itemsize or column_stride % a.itemsize \
+            or column_stride < a.itemsize * a.shape[0]:
+        raise ValueError("fold operands must be Fortran-ordered")
+    return column_stride // a.itemsize
+
+
 def _fold(r, rows, l=0):
-    """Fold the rows ``rows`` into the triangular factor ``r``; with
-    ``l`` > 0 their last ``l`` rows are upper trapezoidal (see
-    ``dtpqrt``)."""
-    r, _, _, info = dtpqrt(l, min(_FOLD_BLOCK, r.shape[0]), r, rows,
-                           overwrite_a=1, overwrite_b=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dtpqrt failed with info {info}")
-    return r
+    """Fold the rows ``rows`` into the triangular factor ``r`` in place
+    (``r`` may be a view); with ``l`` > 0 their last ``l`` rows are upper
+    trapezoidal (see ``dtpqrt``).  ``rows`` is overwritten."""
+    n = r.shape[0]
+    if r.shape != (n, n) or rows.shape[1:] != (n,):
+        raise ValueError("fold operands do not conform")
+    lda, ldb = _leading_dimension(r), _leading_dimension(rows)
+    nb = min(_FOLD_BLOCK, n)
+    t, work = np.empty((nb, n), order="F"), np.empty(nb * n)
+    m, n, l, nb, lda, ldb = map(ctypes.c_int,
+                                (rows.shape[0], n, l, nb, lda, ldb))
+    info = ctypes.c_int()
+    _dtpqrt()(m, n, l, nb, r.ctypes.data, lda, rows.ctypes.data, ldb,
+              t.ctypes.data, nb, work.ctypes.data, info)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"dtpqrt failed with info {info.value}")
 
 
 def _signature_runs(block, box_columns):
@@ -149,10 +193,7 @@ def _merge(factors, z):
             left += s.stop - s.start
         rows[:, z - k] = factor[:, w]
         del factor
-        trailing = r[k:, k:]
-        merged = _fold(trailing, rows, l=w + 1)
-        if merged is not trailing:  # dtpqrt copied the non-contiguous view
-            trailing[...] = merged
+        _fold(r[k:, k:], rows, l=w + 1)
     return r
 
 
@@ -193,8 +234,7 @@ def lstsq(blocks, rank_tol=1e-12, box_columns=None):
                 factors[signature] = (columns,
                                       np.zeros((w + 1, w + 1), order="F"))
             columns, r = factors[signature]
-            factors[signature] = (columns, _fold(
-                r, _weighted_rows(block, ranges, columns)))
+            _fold(r, _weighted_rows(block, ranges, columns))
         elapsed += time.perf_counter() - start
     if z is None:
         raise ValueError("system must have at least one row and column")

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dtpqrt
@@ -238,14 +242,17 @@ class TestFactorsPerSignature:
         folded = {}
         merges = []
 
-        def recording_dtpqrt(l, nb, a, b, **kwargs):
-            if l == 0:
-                folded[b.shape[1]] = folded.get(b.shape[1], 0) + b.shape[0]
-            else:
-                merges.append(b.shape)
-            return dtpqrt(l, nb, a, b, **kwargs)
+        fold = solve._fold
 
-        monkeypatch.setattr(solve, "dtpqrt", recording_dtpqrt)
+        def recording_fold(r, rows, l=0):
+            if l == 0:
+                folded[rows.shape[1]] = folded.get(rows.shape[1], 0) \
+                    + rows.shape[0]
+            else:
+                merges.append(rows.shape)
+            fold(r, rows, l)
+
+        monkeypatch.setattr(solve, "_fold", recording_fold)
         solve.lstsq(parts, box_columns=meth.box_columns)
         matrix = helpers.stack_blocks(parts).matrix
         touch = np.stack([np.any(matrix[:, np.r_[box]] != 0, axis=1)
@@ -258,3 +265,110 @@ class TestFactorsPerSignature:
         z = meth.box_columns[-1][-1].stop
         assert set(folded) == {z // 2 + 1, z + 1}
         assert len(merges) == 2  # the one-box factors, into the full one
+
+
+def triangle(rng, n):
+    return np.asfortranarray(np.triu(rng.standard_normal((n, n))))
+
+
+def f2py_fold(r, rows, l=0):
+    """scipy's f2py ``dtpqrt`` on copies: the independent reference."""
+    folded, _, _, info = dtpqrt(l, min(16, r.shape[0]), np.asfortranarray(r),
+                                np.asfortranarray(rows))
+    assert info == 0
+    return folded
+
+
+class TestFold:
+    def test_full_rows_match_f2py(self):
+        rng = np.random.default_rng(0)
+        r = np.zeros((41, 41), order="F")
+        rows = np.asfortranarray(rng.standard_normal((300, 41)))
+        expected = f2py_fold(r, rows)
+        solve._fold(r, rows)
+        assert np.array_equal(r, expected)
+
+    def test_trapezoidal_rows_fold_into_view_in_place(self):
+        # as in the merge: a factor's rows placed from column k on, folded
+        # into the trailing part r[k:, k:] through r's leading dimension
+        rng = np.random.default_rng(1)
+        r = triangle(rng, 60)
+        k, w = 23, 9
+        rows = np.asfortranarray(np.triu(rng.standard_normal((w + 1,
+                                                              60 - k))))
+        expected = f2py_fold(r[k:, k:], rows, l=w + 1)
+        before = r.copy(order="F")
+        solve._fold(r[k:, k:], rows, l=w + 1)
+        assert np.array_equal(r[k:, k:], expected)
+        assert np.array_equal(r[:k], before[:k])
+        assert np.array_equal(r[:, :k], before[:, :k])
+
+    def test_impossible_trapezoid_names_info(self):
+        r = np.zeros((5, 5), order="F")
+        with pytest.raises(np.linalg.LinAlgError, match="info -3"):
+            solve._fold(r, np.zeros((3, 5), order="F"), l=7)
+
+    @pytest.mark.parametrize("operand", ["r", "rows"])
+    @pytest.mark.parametrize("layout", [
+        lambda shape: np.zeros(shape),
+        lambda shape: np.zeros(shape, np.float32, order="F"),
+        lambda shape: np.zeros(shape, order="F")[::-1, ::-1],
+        lambda shape: np.broadcast_to(np.zeros(shape[1]), shape)],
+        ids=["c-order", "float32", "reversed", "read-only"])
+    def test_rejects_layout_lapack_cannot_read(self, operand, layout):
+        operands = {"r": np.zeros((5, 5), order="F"),
+                    "rows": np.zeros((3, 5), order="F")}
+        operands[operand] = layout(operands[operand].shape)
+        with pytest.raises(ValueError, match="fold operands must"):
+            solve._fold(operands["r"], operands["rows"])
+
+
+class TestFoldConcurrency:
+    def test_threads_give_serial_result(self):
+        # more folding threads than cores, binding dtpqrt afresh, with
+        # frequent switches: each factor must be the serial one bit for bit
+        rng = np.random.default_rng(2)
+        cases = [(triangle(rng, 257), np.asfortranarray(
+            rng.standard_normal((1024, 257)))) for _ in range(4)]
+        expected = [f2py_fold(r, rows) for r, rows in cases]
+        threads = [threading.Thread(target=solve._fold, args=case)
+                   for case in cases]
+        interval = sys.getswitchinterval()
+        solve._dtpqrt.cache_clear()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (r, _), folded in zip(cases, expected):
+            assert np.array_equal(r, folded)
+
+    def test_other_threads_run_during_a_fold(self):
+        # a fold of about 0.3 s on two cores; a ticking thread must not
+        # wait for it, as it does while a call holds the GIL
+        rng = np.random.default_rng(3)
+        r = np.zeros((961, 961), order="F")
+        rows = np.asfortranarray(rng.standard_normal((4096, 961)))
+        ticks, done = [time.perf_counter()], threading.Event()
+
+        def tick():
+            while not done.is_set():
+                time.sleep(1e-3)
+                ticks.append(time.perf_counter())
+
+        ticker = threading.Thread(target=tick)
+        ticker.start()
+        time.sleep(0.02)
+        start = time.perf_counter()
+        solve._fold(r, rows)
+        duration = time.perf_counter() - start
+        time.sleep(0.02)
+        done.set()
+        ticker.join(timeout=10)
+        assert not ticker.is_alive()
+        assert sum(start < t < start + duration for t in ticks) > 1
+        assert np.diff(ticks).max() < duration / 4
