@@ -4,8 +4,8 @@ uniformly in the scattering scale."""
 
 __version__ = "0.1.0"
 
-from .basis import (BoxPartition, FeatureModel, FeatureWeights, make_model,
-                    model_values, uniform_partition)
+from .basis import (BoxPartition, FeatureModel, make_model, model_values,
+                    uniform_partition)
 from .quadrature import AngularRule, angular_rule
 from .collocation import (CollocationSet, build_collocation,
                           evaluation_nodes)
@@ -19,7 +19,7 @@ from .method import Method
 
 __all__ = [
     "__version__",
-    "BoxPartition", "FeatureModel", "FeatureWeights", "make_model",
+    "BoxPartition", "FeatureModel", "make_model",
     "model_values", "uniform_partition",
     "AngularRule", "angular_rule",
     "CollocationSet", "build_collocation", "evaluation_nodes",

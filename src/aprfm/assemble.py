@@ -18,7 +18,8 @@ come macro first, then micro, then boundary.  A macro row stands for the
 n_v identical rows of its node's velocities, so the solve weights it by
 sqrt(n_v) (see ``aprfm.method``).  The mixed-scale variant replaces the
 eps-scaled micro/macro transport by derivatives of eps(x) g (product rule)
-and adds g itself to the micro row.
+and adds g itself to the micro row; it assumes a 1D problem with
+sigma_a = 0, as the one mixed-scale problem, ex3, is.
 
 The phase model's transport terms come straight from
 ``basis.column_batch`` as the derivative of each column along the
@@ -41,7 +42,7 @@ import numpy as np
 
 from .basis import column_batch, model_values
 from .collocation import _phase
-from .errors import DegenerateRowError, InvalidProblemError
+from .errors import DegenerateRowError
 from .problems import direction
 
 # Row kinds are stored as uint8 codes indexing ROW_KINDS.
@@ -158,9 +159,6 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
     sig_s = spec.sigma_s(xs)[:, None, None]
     sig_a = spec.sigma_a(xs)
     eps = spec.epsilon_at(xs)[:, None, None]
-    if spec.mixed_scale and (dim != 1 or np.any(sig_a != 0.0)):
-        raise InvalidProblemError(
-            "mixed-scale assembly supports 1D problems with sigma_a = 0")
 
     n_rows = n_x + n_int + n_bdy
     bdy = n_x + n_int

@@ -8,11 +8,16 @@ window.  The normalized weights ``psi_i / sum_k psi_k`` sum to one over the
 whole hypercube, so a linear combination of ``psi_i * phi_ij`` glues the
 per-box neurons into one global approximant.
 
+There is one window, the C1 bump ``phi_b``: flat for |z| <= 3/4, a sine
+ramp to zero at |z| = 5/4.  Neighbouring windows overlap and the glued
+columns are C1, so collocation needs no continuity rows between boxes,
+and the assemblers write none.
+
 Coefficient/column order everywhere is box-major, neuron-minor:
 column ``c = i * J + j``.
 
-The batched kernels use the compact support of the windows: ``phi_b``
-reaches an eighth of its box's width past each face, so a point of a
+The batched kernels use the compact support of the window: it reaches an
+eighth of its box's width past each face, so a point of a
 uniform partition lies in at most two boxes per axis.  ``column_batch`` and
 ``model_values`` evaluate box i only where psi~_i (or its derivative) is
 non-zero, and ``column_batch`` returns the derivative along one given
@@ -32,7 +37,6 @@ import numpy as np
 from .errors import DegenerateCoverError
 
 ACTIVATIONS = ("tanh", "sine-pi")
-POU_KINDS = ("phi_a", "phi_b")
 
 
 def _frozen(arr):
@@ -91,61 +95,25 @@ def uniform_partition(bounds, counts):
 
 
 @dataclass(frozen=True)
-class FeatureWeights:
-    """Fixed inner weights, regenerable bit-identically from the seed.
+class FeatureModel:
+    """Partition + fixed random neurons (inner weights ``w`` (M, J, d) and
+    biases ``b`` (M, J)) + activation."""
 
-    Entry (i, j) is drawn from its own counter-based stream keyed by
-    (seed, i, j), components in row-major order (w first, then b), so the
-    draws do not depend on how assembly is parallelized.
-    """
-
+    partition: BoxPartition
     w: np.ndarray
     b: np.ndarray
-    range_b: float
-    seed: int
+    activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "w", _frozen(self.w))
         object.__setattr__(self, "b", _frozen(self.b))
-        if self.w.ndim != 3 or self.b.ndim != 2 or self.w.shape[:2] != self.b.shape:
+        if self.w.ndim != 3 or self.b.shape != self.w.shape[:2]:
             raise ValueError("weights must be (M, J, d) with biases (M, J)")
-
-    @staticmethod
-    def generate(seed, n_boxes, n_features, dim, range_b):
-        seed = int(seed)
-        if not 0 <= seed < 2 ** 63:
-            raise ValueError("seed must lie in [0, 2**63)")
-        if range_b <= 0:
-            raise ValueError("weight range must be positive")
-        w = np.empty((n_boxes, n_features, dim))
-        b = np.empty((n_boxes, n_features))
-        for i in range(n_boxes):
-            for j in range(n_features):
-                key = (seed << 64) | (i << 32) | j
-                gen = np.random.Generator(np.random.Philox(key=key))
-                draw = gen.uniform(-range_b, range_b, dim + 1)
-                w[i, j] = draw[:dim]
-                b[i, j] = draw[dim]
-        return FeatureWeights(w=w, b=b, range_b=float(range_b), seed=seed)
-
-
-@dataclass(frozen=True)
-class FeatureModel:
-    """Partition + fixed random neurons + activation + window kind."""
-
-    partition: BoxPartition
-    weights: FeatureWeights
-    activation: str = "tanh"
-    pou_kind: str = "phi_b"
-
-    def __post_init__(self):
-        m, j, d = self.weights.w.shape
+        m, _, d = self.w.shape
         if m != self.partition.n_boxes or d != self.partition.dim:
             raise ValueError("weight shape does not match the partition")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.pou_kind not in POU_KINDS:
-            raise ValueError(f"unknown pou kind {self.pou_kind!r}")
 
     @property
     def dim(self):
@@ -157,42 +125,54 @@ class FeatureModel:
 
     @property
     def n_features(self):
-        return self.weights.w.shape[1]
+        return self.w.shape[1]
 
     @property
     def n_columns(self):
         return self.n_boxes * self.n_features
 
 
-def make_model(partition, n_features, seed, range_b=1.0, activation="tanh",
-               pou_kind="phi_b"):
-    """Build a model with freshly generated weights for this partition."""
-    weights = FeatureWeights.generate(seed, partition.n_boxes, int(n_features),
-                                      partition.dim, range_b)
-    return FeatureModel(partition=partition, weights=weights,
-                        activation=activation, pou_kind=pou_kind)
+def make_model(partition, n_features, seed, range_b=1.0, activation="tanh"):
+    """Build a model with fixed weights drawn for this partition.
+
+    Weights and biases are uniform on [-range_b, range_b], and entry
+    (i, j) is drawn from its own counter-based stream keyed by
+    (seed, i, j), w first, then b, so the draws are bit-identical for a
+    seed and do not depend on the number of boxes or features.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 63:
+        raise ValueError("seed must lie in [0, 2**63)")
+    # the interval's width, not range_b: [-1e308, 1e308] overflows
+    if not 0 < 2.0 * range_b < np.inf:
+        raise ValueError("weight range must be positive and finite")
+    dim, n_features = partition.dim, int(n_features)
+    w = np.empty((partition.n_boxes, n_features, dim))
+    b = np.empty((partition.n_boxes, n_features))
+    for i in range(partition.n_boxes):
+        for j in range(n_features):
+            key = (seed << 64) | (i << 32) | j
+            gen = np.random.Generator(np.random.Philox(key=key))
+            draw = gen.uniform(-range_b, range_b, dim + 1)
+            w[i, j] = draw[:dim]
+            b[i, j] = draw[dim]
+    return FeatureModel(partition=partition, w=w, b=b, activation=activation)
 
 
-def _axis_pou(kind, z):
-    """Window value and d/dz, elementwise.  At the piecewise joints of
-    ``phi_b`` the derivative is taken from the transition side; the window
-    is C1 there, so the two one-sided values agree anyway."""
+def _axis_pou(z):
+    """Window value and d/dz, elementwise.  At the piecewise joints the
+    derivative is taken from the ramp side; the window is C1 there, so
+    the two one-sided values agree anyway."""
     az = np.abs(z)
-    if kind == "phi_a":
-        value = (az <= 1.0).astype(float)
-        return value, np.zeros_like(value)
-    if kind == "phi_b":
-        flat = az <= 0.75
-        ramp = ~flat & (az <= 1.25)
-        value = np.where(flat, 1.0, 0.0)
-        value = np.where(ramp, 0.5 * (1.0 - np.sin(2.0 * np.pi * az)), value)
-        deriv = np.where(ramp,
-                         -np.pi * np.cos(2.0 * np.pi * az) * np.sign(z), 0.0)
-        return value, deriv
-    raise ValueError(f"unknown pou kind {kind!r}")
+    flat = az <= 0.75
+    ramp = ~flat & (az <= 1.25)
+    value = np.where(flat, 1.0, 0.0)
+    value = np.where(ramp, 0.5 * (1.0 - np.sin(2.0 * np.pi * az)), value)
+    deriv = np.where(ramp, -np.pi * np.cos(2.0 * np.pi * az) * np.sign(z), 0.0)
+    return value, deriv
 
 
-def pou_raw_batch(partition, kind, points, n_grad=0):
+def pou_raw_batch(partition, points, n_grad=0):
     """Raw bump values psi (n, M) and, for ``n_grad`` > 0, their gradient
     over the first n_grad coordinates (n, M, n_grad), else None.  The
     tensor product is built one axis at a time, its gradient by the
@@ -202,8 +182,8 @@ def pou_raw_batch(partition, kind, points, n_grad=0):
     grad = np.zeros(psi.shape + (n_grad,)) if n_grad else None
     for axis in range(partition.dim):
         radius = partition.radii[:, axis]
-        u, du_dz = _axis_pou(kind, (points[:, axis, None]
-                                    - partition.centers[:, axis]) / radius)
+        u, du_dz = _axis_pou((points[:, axis, None]
+                              - partition.centers[:, axis]) / radius)
         if grad is not None:
             grad *= u[:, :, None]
             if axis < n_grad:
@@ -212,16 +192,16 @@ def pou_raw_batch(partition, kind, points, n_grad=0):
     return psi, grad
 
 
-def pou_normalized_batch(partition, kind, points, n_grad=0):
+def pou_normalized_batch(partition, points, n_grad=0):
     """Normalized bump values psi~ (n, M) and, for ``n_grad`` > 0, their
     gradient (quotient rule), as in ``pou_raw_batch``."""
-    psi, grad = pou_raw_batch(partition, kind, points, n_grad)
+    psi, grad = pou_raw_batch(partition, points, n_grad)
     total = psi.sum(axis=1)
     bad = total <= 0.0
     if np.any(bad):
         where = np.asarray(points)[np.argmax(bad)]
         raise DegenerateCoverError(
-            f"no partition box covers point {where}; check partition overlap")
+            f"point {where} lies outside the model's boxes")
     psi_t = psi / total[:, None]
     if grad is None:
         return psi_t, None
@@ -342,22 +322,21 @@ def _box_tiles(model, points, velocities, n_grad):
     window (S_k, L_q) and, for ``n_grad`` > 0, ``gradient`` its gradient
     over the first n_grad coordinates of the points (S_k, L_q, n_grad),
     else None.  Points go in chunks of ``_EVAL_CHUNK`` // (L J)."""
-    kind, part = model.pou_kind, model.partition
-    w, b = model.weights.w, model.weights.b
+    part, w, b = model.partition, model.w, model.b
     if velocities is None:
         lead_part, m_v, n_l = part, 1, 1
         tails = [(0, slice(0, 1), None)]
     else:
         lead_part, tail_part = _split(part)
         m_v, n_l = tail_part.n_boxes, velocities.size
-        psi_v, _ = pou_normalized_batch(tail_part, kind, velocities[:, None])
+        psi_v, _ = pou_normalized_batch(tail_part, velocities[:, None])
         tails = [(q, cols, psi_v[cols, q])
                  for q, cols in _box_rows(psi_v != 0.0)]
     dim = lead_part.dim
     chunk = max(1, _EVAL_CHUNK // (n_l * model.n_features))
     for lo in range(0, points.shape[0], chunk):
         block = points[lo:lo + chunk]
-        psi, grad = pou_normalized_batch(lead_part, kind, block, n_grad)
+        psi, grad = pou_normalized_batch(lead_part, block, n_grad)
         reach = psi != 0.0
         if grad is not None:
             reach |= np.any(grad != 0.0, axis=2)
@@ -431,8 +410,7 @@ def column_batch(model, points, direction=None, velocities=None):
         direction = direction.reshape(
             (1, 1, k) if direction.ndim == 1
             else (n_s, 1, k) if velocities is None else (1, n_l, k))
-        rate = (model.weights.w[:, :, :k]
-                / model.partition.radii[:, None, :k])
+        rate = model.w[:, :, :k] / model.partition.radii[:, None, :k]
     m, j = model.n_boxes, model.n_features
     chi = np.zeros((n_s, n_l, m, j))
     dchi = None if direction is None else np.zeros((n_s, n_l, m, j))

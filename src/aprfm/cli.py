@@ -22,10 +22,12 @@ command-line flags win.  File and flag values are read as text and go
 through the same parser, so a value that does not parse (``--j abc``)
 exits 2 with ``invalid-config`` wherever it comes from.  ``--epsilon``
 must be positive and finite (``profile`` for ex3, which ignores it), the
-weight interval [-b_range, b_range] must have a positive finite width, and
-the directory of ``--out`` must exist; a value that breaks these rules
-exits 2 the same way, before any work.  ``-v`` logs at INFO level, one
-record per finished sweep run among them.
+weight interval [-b_range, b_range] must have a positive finite width, the
+seed must lie in [0, 2**63) for rfm and in [0, 2**62) for aprfm (whose g
+model is drawn from seed 2s + 1), and the directory of ``--out`` must
+exist; a value that breaks these rules exits 2 the same way, before any
+work.  ``-v`` logs at INFO level, one record per finished sweep run among
+them.
 
 A sweep runs its cells side by side, largest first, one per CPU the
 process may use (``taskset`` narrows them), sharing one reference cache;
@@ -92,7 +94,6 @@ class RunConfig:
     b_range: float = 1.0
     seed: int = 0
     activation: str = "tanh"
-    pou: str = "phi_b"
     rank_tol: float = 1e-12
     out: str = "aprfm_run"
     seeds: int = 3
@@ -110,6 +111,11 @@ class RunConfig:
         # weights are drawn from [-b_range, b_range] (1e308 overflows it)
         if not 0 < 2.0 * self.b_range < np.inf:
             raise ValueError("weight range must be positive and finite")
+        # weight streams are keyed by seeds below 2**63; aprfm draws its
+        # rho and g models from seeds 2s and 2s + 1 (Method.build)
+        bits = 62 if self.method == "aprfm" else 63
+        if not 0 <= int(self.seed) < 2 ** bits:
+            raise ValueError(f"{self.method} needs a seed in [0, 2**{bits})")
         return self
 
     def resolved(self):
@@ -439,12 +445,14 @@ def sweep(table, base_config, out=None):
             table, base_config)
         keys = [(cell.epsilon, label) for cell, label in zip(cells, labels)]
     else:
-        cells = [cell.validate() for cell in table]
+        cells = list(table)
         rows = cols = None
         row_name, col_name = "problem/method", "epsilon"
         keys = [(f"{cell.problem}/{cell.method}", cell.epsilon)
                 for cell in cells]
     seeds = [base_config.seed + k for k in range(int(base_config.seeds))]
+    for cell in cells:  # at the last seed, whose streams reach furthest
+        dataclasses.replace(cell, seed=seeds[-1]).validate()
     header = [row_name, col_name, "seed", "error"]
     cache = {}
     # per cell and seed: the error, or the exception the run raised

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidProblemError
 from .problems import HOLE_HALF_WIDTH, v_dot
 
 EVAL_GRID_1D = (128, 256)
@@ -134,8 +133,6 @@ def _faces(spec, n_face):
 
 def inflow_boundary(spec, n_face, n_velocity):
     """Inflow boundary tuples (X, V, prescribed value), v . n < 0 strictly."""
-    if spec.boundary_value is None:
-        raise InvalidProblemError(f"{spec.id} has no boundary data")
     vs = velocity_cells(spec, n_velocity)
     # the normal is constant on a face, so each face keeps one velocity set
     faces = [_tensor(points, vs[v_dot(spec.spatial_dim, vs, normal) < 0.0])

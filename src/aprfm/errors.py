@@ -12,15 +12,9 @@ class AprfmError(Exception):
 
 
 class DegenerateCoverError(AprfmError, ValueError):
-    """All raw partition-of-unity weights vanished at an evaluation point."""
+    """An evaluation point lies outside the boxes of a feature model."""
 
     code = "degenerate-cover"
-
-
-class InvalidProblemError(AprfmError, ValueError):
-    """Problem definition is missing data required by the operation."""
-
-    code = "invalid-problem"
 
 
 class DegenerateRowError(AprfmError, ValueError):

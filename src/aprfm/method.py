@@ -70,8 +70,7 @@ class Method:
         def model(partition, n_features, seed):
             return make_model(partition, n_features, seed=seed,
                               range_b=config.b_range,
-                              activation=config.activation,
-                              pou_kind=config.pou)
+                              activation=config.activation)
 
         if config.method == "rfm":
             return cls("rfm", spec, (model(phase_part, config.j,

@@ -28,7 +28,7 @@ from aprfm.solve import SolveReport
 
 def run_config(spec, method, n_spatial=(2, 2), n_velocity=2, m_spatial=(1,),
                m_velocity=1, seed=0, n_quad=16, activation="tanh",
-               pou_kind="phi_b", **features):
+               **features):
     """The resolved ``cli.RunConfig`` of a run on ``spec``; ``features``
     gives ``j`` or ``jrho`` and ``jg``.  A one-entry ``m_spatial`` means one box per
     axis in 2D; the grid defaults suit callers that only build models."""
@@ -40,24 +40,22 @@ def run_config(spec, method, n_spatial=(2, 2), n_velocity=2, m_spatial=(1,),
     epsilon = spec.epsilon if spec.epsilon_is_constant else "profile"
     return cli.RunConfig(problem=spec.id, method=method, epsilon=epsilon,
                          mv=m_velocity, nv=n_velocity, nq=n_quad, seed=seed,
-                         activation=activation, pou=pou_kind, **counts,
+                         activation=activation, **counts,
                          **features).validate().resolved()
 
 
 def build_models(spec, j_rho, j_g, m_spatial, m_velocity, seed,
-                 activation="tanh", pou_kind="phi_b"):
+                 activation="tanh"):
     config = run_config(spec, "aprfm", m_spatial=m_spatial,
                         m_velocity=m_velocity, seed=seed,
-                        activation=activation, pou_kind=pou_kind,
-                        jrho=j_rho, jg=j_g)
+                        activation=activation, jrho=j_rho, jg=j_g)
     return Method.build(spec, config).models
 
 
-def build_f_model(spec, j, m_spatial, m_velocity, seed, activation="tanh",
-                  pou_kind="phi_b"):
+def build_f_model(spec, j, m_spatial, m_velocity, seed, activation="tanh"):
     config = run_config(spec, "rfm", m_spatial=m_spatial,
                         m_velocity=m_velocity, seed=seed,
-                        activation=activation, pou_kind=pou_kind, j=j)
+                        activation=activation, j=j)
     return Method.build(spec, config).models[0]
 
 
@@ -199,10 +197,10 @@ def exact_rho_field(spec):
 
 # -- every box at every point, full gradients: the kernel's reference -------
 
-def _dense_windows(partition, kind, points):
+def _dense_windows(partition, points):
     """Normalized bump values (n, M) and gradients (n, M, d)."""
     z = (points[:, None, :] - partition.centers) / partition.radii
-    u, du_dz = basis._axis_pou(kind, z)
+    u, du_dz = basis._axis_pou(z)
     du = du_dz / partition.radii
     psi = np.prod(u, axis=2)
     dpsi = np.empty(u.shape)
@@ -220,15 +218,14 @@ def _dense_features(model, points):
     """Neuron values (n, M, J) and gradients (n, M, J, d)."""
     partition = model.partition
     z = (points[:, None, :] - partition.centers) / partition.radii
-    t = np.einsum("nmd,mjd->nmj", z, model.weights.w) + model.weights.b
+    t = np.einsum("nmd,mjd->nmj", z, model.w) + model.b
     if model.activation == "tanh":
         phi = np.tanh(t)
         dact = 1.0 - phi * phi
     else:
         phi = np.sin(np.pi * t)
         dact = np.pi * np.cos(np.pi * t)
-    return phi, dact[..., None] * (model.weights.w
-                                   / partition.radii[:, None, :])
+    return phi, dact[..., None] * (model.w / partition.radii[:, None, :])
 
 
 def dense_column_batch(model, points):
@@ -236,7 +233,7 @@ def dense_column_batch(model, points):
     every point."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    psi_t, dpsi_t = _dense_windows(model.partition, model.pou_kind, points)
+    psi_t, dpsi_t = _dense_windows(model.partition, points)
     phi, dphi = _dense_features(model, points)
     chi = (psi_t[:, :, None] * phi).reshape(n, model.n_columns)
     dchi = (dpsi_t[:, :, None, :] * phi[..., None]
@@ -246,7 +243,7 @@ def dense_column_batch(model, points):
 
 def dense_model_values(model, coeffs, points):
     points = np.asarray(points, dtype=float)
-    psi_t, _ = _dense_windows(model.partition, model.pou_kind, points)
+    psi_t, _ = _dense_windows(model.partition, points)
     phi, _ = _dense_features(model, points)
     return np.einsum("nm,nmj,mj->n", psi_t, phi,
                      np.reshape(coeffs, (model.n_boxes, model.n_features)))

@@ -158,9 +158,8 @@ def test_criterion_8_property_suite():
         # normalized bumps sum to one
         part = basis.uniform_partition([(0.0, 1.0), (-1.0, 1.0)], (4, 4))
         pts = rng.uniform([0, -1], [1, 1], size=(500, 2))
-        for kind in ("phi_a", "phi_b"):
-            psi, _ = basis.pou_normalized_batch(part, kind, pts)
-            assert np.max(np.abs(psi.sum(axis=1) - 1.0)) < 1e-13
+        psi, _ = basis.pou_normalized_batch(part, pts)
+        assert np.max(np.abs(psi.sum(axis=1) - 1.0)) < 1e-13
 
         # isotropic collision operator, mean_v f - f on the rule nodes:
         # zero mean and non-positivity

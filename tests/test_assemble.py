@@ -277,8 +277,8 @@ DENSE_CASES = {
                   dict(jrho=8, jg=8, m_spatial=(2,), m_velocity=2)),
     "ex6-mv4": ("ex6", 1.0, "aprfm", (8, 8), 16,
                 dict(jrho=8, jg=8, m_velocity=4)),
-    "ex5-mv8-phi_a": ("ex5", 1.0, "aprfm", (8, 8), 16,
-                      dict(jrho=8, jg=8, m_velocity=8, pou_kind="phi_a")),
+    "ex5-mv8": ("ex5", 1.0, "aprfm", (8, 8), 16,
+                dict(jrho=8, jg=8, m_velocity=8)),
 }
 
 

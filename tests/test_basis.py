@@ -13,8 +13,8 @@ def unit_square_partition(counts=(1, 1)):
     return basis.uniform_partition([(0.0, 1.0), (-1.0, 1.0)], counts)
 
 
-def window(kind, z):
-    return basis._axis_pou(kind, np.asarray(z, dtype=float))[0]
+def window(z):
+    return basis._axis_pou(np.asarray(z, dtype=float))[0]
 
 
 class TestNormalizeToBox:
@@ -30,70 +30,59 @@ class TestNormalizeToBox:
         part = basis.uniform_partition([(0.0, 1.0)], (1,))
         assert part.centers[0, 0] == 0.5 and part.radii[0, 0] == 0.5
         # z = -1, 1 and 0.5: half weight on the faces, flat inside
-        psi, _ = basis.pou_raw_batch(part, "phi_b",
-                                     np.array([[0.0], [1.0], [0.75]]))
+        psi, _ = basis.pou_raw_batch(part, np.array([[0.0], [1.0], [0.75]]))
         np.testing.assert_allclose(psi[:, 0], [0.5, 0.5, 1.0], atol=1e-15)
 
 
 class TestPouUnivariate:
     def test_bump_values(self):
-        assert window("phi_b", 0.0) == 1.0
-        assert window("phi_b", 1.0) == pytest.approx(0.5)
-        assert window("phi_b", -1.0) == pytest.approx(0.5)
-        assert window("phi_b", 2.0) == 0.0
-        assert window("phi_a", 0.5) == 1.0
-        assert window("phi_a", -1.0) == 1.0
-        assert window("phi_a", 1.0 + 1e-12) == 0.0
+        assert window(0.0) == 1.0
+        assert window(1.0) == pytest.approx(0.5)
+        assert window(-1.0) == pytest.approx(0.5)
+        assert window(2.0) == 0.0
 
     def test_bump_continuity_at_joints(self):
         for joint in (0.75, 1.25, -0.75, -1.25):
-            lo = window("phi_b", joint - 1e-9)
-            hi = window("phi_b", joint + 1e-9)
+            lo = window(joint - 1e-9)
+            hi = window(joint + 1e-9)
             assert abs(lo - hi) < 1e-7
-
-    def test_indicator_support(self):
-        z = np.linspace(-2, 2, 401)
-        np.testing.assert_array_equal(window("phi_a", z),
-                                      (np.abs(z) <= 1).astype(float))
 
 
 class TestPouTensorNormalized:
     def test_single_box_is_one(self):
         part = unit_square_partition((1, 1))
         pts = np.array([[0.5, 0.0], [0.01, -0.99], [0.99, 0.73]])
-        psi, _ = basis.pou_normalized_batch(part, "phi_b", pts)
+        psi, _ = basis.pou_normalized_batch(part, pts)
         np.testing.assert_allclose(psi, 1.0)
 
-    @pytest.mark.parametrize("kind", ["phi_a", "phi_b"])
-    @pytest.mark.parametrize("counts", [(1, 1), (2, 2), (4, 2), (8, 8)])
-    def test_sums_to_one(self, kind, counts):
+    # here and below the ids name the window, phi_b, whose joints at
+    # |z| = 3/4 and 5/4 the assertions use
+    @pytest.mark.parametrize("counts", [(1, 1), (2, 2), (4, 2), (8, 8)],
+                             ids=[f"counts{i}-phi_b" for i in range(4)])
+    def test_sums_to_one(self, counts):
         part = unit_square_partition(counts)
         rng = np.random.default_rng(7)
         pts = rng.uniform([0, -1], [1, 1], size=(200, 2))
-        psi, _ = basis.pou_normalized_batch(part, kind, pts)
+        psi, _ = basis.pou_normalized_batch(part, pts)
         np.testing.assert_allclose(psi.sum(axis=1), 1.0, atol=1e-13)
 
     def test_flat_region_exclusivity(self):
         part = unit_square_partition((2, 2))
         # deep inside box (0, 0): |z| <= 3/4 on both axes, so the bump of
         # every other box vanishes there
-        psi, _ = basis.pou_normalized_batch(part, "phi_b",
-                                            np.array([[0.25, -0.5]]))
+        psi, _ = basis.pou_normalized_batch(part, np.array([[0.25, -0.5]]))
         np.testing.assert_allclose(psi[0], [1.0, 0.0, 0.0, 0.0], atol=0)
 
     def test_degenerate_cover(self):
         part = unit_square_partition((1, 1))
-        with pytest.raises(DegenerateCoverError):
-            basis.pou_normalized_batch(part, "phi_a", np.array([[5.0, 0.0]]))
+        with pytest.raises(DegenerateCoverError, match="outside"):
+            basis.pou_normalized_batch(part, np.array([[5.0, 0.0]]))
 
     def test_support(self):
         part = unit_square_partition((2, 2))
-        pts = np.array([[0.9, 0.9]])
-        psi_a, _ = basis.pou_raw_batch(part, "phi_a", pts)
-        assert psi_a[0, 0] == 0.0  # outside box 0
-        psi_b, _ = basis.pou_raw_batch(part, "phi_b", pts)
+        psi, _ = basis.pou_raw_batch(part, np.array([[0.9, 0.9]]))
         # box 0 spans x in [0, 0.5]: |z| = (0.9 - 0.25) / 0.25 = 2.6 >= 5/4
-        assert psi_b[0, 0] == 0.0
+        assert psi[0, 0] == 0.0
 
 
 class TestFeatureEval:
@@ -101,10 +90,8 @@ class TestFeatureEval:
 
     def test_zero_weights(self):
         part = unit_square_partition((1, 1))
-        weights = basis.FeatureWeights(w=np.zeros((1, 1, 2)),
-                                       b=np.zeros((1, 1)),
-                                       range_b=1.0, seed=0)
-        model = basis.FeatureModel(partition=part, weights=weights)
+        model = basis.FeatureModel(partition=part, w=np.zeros((1, 1, 2)),
+                                   b=np.zeros((1, 1)))
         for axis in range(2):
             chi, dchi = basis.column_batch(model, np.array([[0.3, 0.2]]),
                                            np.eye(2)[axis])
@@ -112,10 +99,8 @@ class TestFeatureEval:
 
     def test_sine_activation_peak(self):
         part = unit_square_partition((1, 1))
-        weights = basis.FeatureWeights(w=np.zeros((1, 1, 2)),
-                                       b=np.full((1, 1), 0.5),
-                                       range_b=1.0, seed=0)
-        model = basis.FeatureModel(partition=part, weights=weights,
+        model = basis.FeatureModel(partition=part, w=np.zeros((1, 1, 2)),
+                                   b=np.full((1, 1), 0.5),
                                    activation="sine-pi")
         chi, _ = basis.column_batch(model, np.array([[0.5, 0.0]]))
         assert chi[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -164,21 +149,20 @@ def random_points(model, n, seed):
 
 
 class TestColumnKernel:
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("pou_kind", basis.POU_KINDS)
+    @pytest.mark.parametrize("dim", [2, 3], ids=["phi_b-2", "phi_b-3"])
     @pytest.mark.parametrize("activation", basis.ACTIVATIONS)
     def test_directional_derivative_matches_finite_differences(
-            self, activation, pou_kind, dim):
+            self, activation, dim):
         # derivative of the glued columns along a spatial direction (the
         # last axis is velocity), checked off the window joints: on flat
         # and ramp parts of the windows and outside their support
-        model = phase_model(dim, activation=activation, pou_kind=pou_kind)
+        model = phase_model(dim, activation=activation)
         part = model.partition
         pts = random_points(model, 400, seed=19)
         dirs = np.random.default_rng(3).standard_normal((400, dim - 1))
-        joints = np.array([1.0] if pou_kind == "phi_a" else [0.75, 1.25])
         az = np.abs((pts[:, None, :] - part.centers) / part.radii)
-        off = np.all(np.abs(az[..., None] - joints) > 1e-3, axis=(1, 2, 3))
+        off = np.all(np.abs(az[..., None] - [0.75, 1.25]) > 1e-3,
+                     axis=(1, 2, 3))
         pts, dirs, az = pts[off], dirs[off], az[off]
         h = 1e-6
         step = h * np.pad(dirs, ((0, 0), (0, 1)))
@@ -190,12 +174,10 @@ class TestColumnKernel:
                                    atol=1e-6 * max(np.abs(fd).max(), 1.0))
         np.testing.assert_array_equal(chi, basis.column_batch(model, pts)[0])
 
-        edge = 1.0 if pou_kind == "phi_a" else 0.75
-        outside = np.any(az > (1.0 if pou_kind == "phi_a" else 1.25), axis=2)
-        flat = np.all(az <= edge, axis=2)
+        outside = np.any(az > 1.25, axis=2)
+        flat = np.all(az <= 0.75, axis=2)
         ramp = ~outside & ~flat
-        assert outside.sum() > 20 and flat.sum() > 20
-        assert ramp.sum() > 20 if pou_kind == "phi_b" else not ramp.any()
+        assert outside.sum() > 20 and flat.sum() > 20 and ramp.sum() > 20
         per_box = (len(pts), model.n_boxes, model.n_features)
         assert not np.any(dchi.reshape(per_box)[outside])
         assert not np.any(chi.reshape(per_box)[outside])
@@ -249,13 +231,11 @@ class TestProductKernel:
 
     @pytest.mark.parametrize("counts", [(2, 3), (3, 2), (2, 1, 3),
                                         (2, 2, 2)],
-                             ids=["1d-mx2-mv3", "1d-mx3-mv2", "2d-mx2-mv3",
-                                  "2d-mx4-mv2"])
-    @pytest.mark.parametrize("pou_kind", basis.POU_KINDS)
+                             ids=["phi_b-1d-mx2-mv3", "phi_b-1d-mx3-mv2",
+                                  "phi_b-2d-mx2-mv3", "phi_b-2d-mx4-mv2"])
     @pytest.mark.parametrize("activation", basis.ACTIVATIONS)
-    def test_matches_dense_reference(self, activation, pou_kind, counts):
-        model = phase_model(len(counts), counts, activation=activation,
-                            pou_kind=pou_kind)
+    def test_matches_dense_reference(self, activation, counts):
+        model = phase_model(len(counts), counts, activation=activation)
         xs, vs = product_grid(model, 60, 40, seed=8)
         dirs = problems.direction(xs.shape[1], vs)
         chi, dchi = basis.column_batch(model, xs, dirs, velocities=vs)
@@ -268,30 +248,27 @@ class TestProductKernel:
         np.testing.assert_allclose(basis.model_values(model, coeffs, xs, vs),
                                    ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
-    @pytest.mark.parametrize("pou_kind", basis.POU_KINDS)
-    @pytest.mark.parametrize("activation", basis.ACTIVATIONS)
-    def test_exact_zeros_outside_windows(self, activation, pou_kind):
-        # dyadic nodes, among them the |z| = 5/4 joints of phi_b: x = 9/16
-        # and 7/16 for the spatial boxes, v = -1/8 and 1/8 for the velocity
-        # boxes
-        model = phase_model(2, (2, 2), activation=activation,
-                            pou_kind=pou_kind)
+    @pytest.mark.parametrize("activation", basis.ACTIVATIONS,
+                             ids=[f"{a}-phi_b" for a in basis.ACTIVATIONS])
+    def test_exact_zeros_outside_windows(self, activation):
+        # dyadic nodes, among them the |z| = 5/4 joints of the window:
+        # x = 9/16 and 7/16 for the spatial boxes, v = -1/8 and 1/8 for
+        # the velocity boxes
+        model = phase_model(2, (2, 2), activation=activation)
         xs = np.arange(33)[:, None] / 32.0
         vs = np.arange(-16, 17) / 16.0
         chi, dchi = basis.column_batch(model, xs, vs[:, None], velocities=vs)
         part = model.partition
         z = np.abs((_phase(*_tensor(xs, vs))[:, None, :] - part.centers)
                    / part.radii)
-        edge = 1.0 if pou_kind == "phi_a" else 1.25
         per_box = (xs.size * vs.size, model.n_boxes, model.n_features)
-        outside = np.any(z > edge, axis=2)
-        joint = ~outside & np.any(z == edge, axis=2)
+        outside = np.any(z > 1.25, axis=2)
+        joint = ~outside & np.any(z == 1.25, axis=2)
         assert outside.sum() > 100 and joint.sum() > 20
         assert not np.any(chi.reshape(per_box)[outside])
         assert not np.any(dchi.reshape(per_box)[outside])
-        if pou_kind == "phi_b":
-            # the window is zero at its joint, its derivative roundoff
-            assert not np.any(chi.reshape(per_box)[joint])
+        # the window is zero at its joint, its derivative roundoff
+        assert not np.any(chi.reshape(per_box)[joint])
         for got, ref in zip((chi, dchi), dense_transport(model, xs, vs)):
             np.testing.assert_array_equal(got == 0.0, ref == 0.0)
 
@@ -327,26 +304,39 @@ class TestProductKernel:
 
 
 class TestFeatureWeights:
+    """The fixed weights ``make_model`` draws."""
+
     def test_regeneration_is_bit_identical(self):
-        a = basis.FeatureWeights.generate(42, 3, 7, 2, 1.0)
-        b = basis.FeatureWeights.generate(42, 3, 7, 2, 1.0)
+        part = unit_square_partition((3, 1))
+        a = basis.make_model(part, 7, seed=42)
+        b = basis.make_model(part, 7, seed=42)
         assert np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
 
     def test_different_seeds_differ(self):
-        a = basis.FeatureWeights.generate(1, 2, 4, 2, 1.0)
-        b = basis.FeatureWeights.generate(2, 2, 4, 2, 1.0)
+        part = unit_square_partition((2, 1))
+        a = basis.make_model(part, 4, seed=1)
+        b = basis.make_model(part, 4, seed=2)
         assert not np.array_equal(a.w, b.w)
 
     def test_entries_within_range(self):
-        w = basis.FeatureWeights.generate(9, 4, 16, 3, 0.5)
-        assert np.all(np.abs(w.w) <= 0.5) and np.all(np.abs(w.b) <= 0.5)
+        part = basis.uniform_partition([(0.0, 1.0)] * 3, (4, 1, 1))
+        model = basis.make_model(part, 16, seed=9, range_b=0.5)
+        assert np.all(np.abs(model.w) <= 0.5)
+        assert np.all(np.abs(model.b) <= 0.5)
 
     def test_per_feature_streams_independent_of_counts(self):
         # entry (i, j) depends only on (seed, i, j), not on M or J
-        small = basis.FeatureWeights.generate(4, 2, 3, 2, 1.0)
-        large = basis.FeatureWeights.generate(4, 5, 8, 2, 1.0)
+        small = basis.make_model(unit_square_partition((2, 1)), 3, seed=4)
+        large = basis.make_model(unit_square_partition((5, 1)), 8, seed=4)
         np.testing.assert_array_equal(small.w, large.w[:2, :3])
         np.testing.assert_array_equal(small.b, large.b[:2, :3])
+
+    @pytest.mark.parametrize("range_b", [0.0, -1.0, np.nan, np.inf, 1e308])
+    def test_unusable_weight_range_rejected(self, range_b):
+        # [-1e308, 1e308] is wider than the largest double
+        with pytest.raises(ValueError, match="weight range"):
+            basis.make_model(unit_square_partition((1, 1)), 2, seed=0,
+                             range_b=range_b)
 
 
 class TestModelEval:
@@ -360,9 +350,9 @@ class TestModelEval:
         model = basis.make_model(part, 1, seed=8)
         y = np.array([[0.3, -0.4]])
         c = 2.5
-        psi, _ = basis.pou_normalized_batch(part, "phi_b", y)
+        psi, _ = basis.pou_normalized_batch(part, y)
         z = (y[0] - part.centers[0]) / part.radii[0]
-        phi = np.tanh(model.weights.w[0, 0] @ z + model.weights.b[0, 0])
+        phi = np.tanh(model.w[0, 0] @ z + model.b[0, 0])
         assert basis.model_values(model, np.array([c]), y)[0] == \
             pytest.approx(psi[0, 0] * c * phi, rel=1e-15)
 
@@ -432,7 +422,7 @@ class TestPartitionConstruction:
                 basis.uniform_partition(bounds, counts)
 
     def test_weight_shape_checked(self):
-        part = unit_square_partition((2, 1))
-        weights = basis.FeatureWeights.generate(0, 1, 4, 2, 1.0)
+        one_box = basis.make_model(unit_square_partition((1, 1)), 4, seed=0)
         with pytest.raises(ValueError):
-            basis.FeatureModel(partition=part, weights=weights)
+            basis.FeatureModel(partition=unit_square_partition((2, 1)),
+                               w=one_box.w, b=one_box.b)

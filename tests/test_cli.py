@@ -188,6 +188,22 @@ class TestMain:
         assert code == 2
         assert "invalid-config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, bits", [("rfm", 63), ("aprfm", 62)])
+    def test_seed_beyond_weight_streams_exit_two(self, tmp_path, capsys,
+                                                 monkeypatch, method, bits):
+        # weight streams take seeds below 2**63, and aprfm's g model is
+        # drawn from seed 2s + 1; the largest seed below the bound builds
+        spec = problems.catalog("ex1", 0.5)
+        Method.build(spec, helpers.run_config(spec, method,
+                                              seed=2 ** bits - 1, j=2))
+        monkeypatch.setattr(cli, "solve", no_run)
+        code = cli.main(["run", "--problem", "ex1", "--method", method,
+                         "--seed", str(2 ** bits),
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid-config" in err and f"[0, 2**{bits})" in err
+
     @pytest.mark.parametrize("command", [["run"], ["sweep", "--table", "T1"]],
                              ids=["run", "sweep"])
     def test_missing_output_directory_exit_two(self, tmp_path, capsys,
@@ -300,6 +316,18 @@ class TestMain:
         cfg.write_text("problme = ex1\n")
         assert cli.main(["run", "--config", str(cfg)]) == 2
 
+    def test_window_option_is_gone(self, tmp_path, capsys, monkeypatch):
+        # phi_b is the only window: neither a flag nor a key selects it
+        monkeypatch.setattr(cli, "solve", no_run)
+        out = ["--out", str(tmp_path / "x")]
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["run", "--pou", "phi_b"] + out)
+        assert exited.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pou = phi_b\n")
+        assert cli.main(["run", "--config", str(cfg)] + out) == 2
+        assert "unknown key 'pou'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_unparsable_value_exit_two(self, tmp_path, capsys, monkeypatch,
                                        source):
@@ -323,6 +351,12 @@ class TestSweep:
         cells, labels, *_ = cli._table_cells("T6", base)
         assert labels[1] == "(1,1,2)" and cells[1].mv == 2
         assert cli._table_cells("T4", base)[1][:2] == [8, 16]
+
+    def test_last_seed_beyond_weight_streams_rejected(self, monkeypatch):
+        # the base seed is valid for aprfm, the sweep's second one is not
+        monkeypatch.setattr(cli, "solve", no_run)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*62\)"):
+            cli.sweep("T4", cli.RunConfig(seed=2 ** 62 - 1, seeds=2))
 
     def test_custom_grid(self, tmp_path):
         base = cli.RunConfig(seeds=2, seed=5)
