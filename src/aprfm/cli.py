@@ -602,8 +602,16 @@ def _config_from_args(args):
     return config
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ``ValueError``, which ``main`` reports as
+    ``invalid-config`` like any other bad setting; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="aprfm",
         description="Random feature solvers for multiscale radiative transfer")
     sub = parser.add_subparsers(dest="command", required=True)

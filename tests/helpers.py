@@ -401,22 +401,17 @@ def source_iteration_1d(spec, n_cells, rule, sweep_tol, max_iters=100_000):
 
 
 def source_iteration_2d(spec, n_cells, rule, sweep_tol, max_iters=10_000):
-    """Density on the 2D oracle's cell grid (zero in a hole) by
-    unaccelerated source iteration over the oracle's wavefront sweeps."""
+    """Density on the 2D oracle's cell grid of a square by unaccelerated
+    source iteration over the oracle's wavefront sweeps."""
     n1, n2 = n_cells
     (lo1, lo2), (hi1, hi2) = spec.x_lo, spec.x_hi
-    c1 = collocation.cell_centers(lo1, hi1, n1)
-    c2 = collocation.cell_centers(lo2, hi2, n2)
-    pts = np.stack(np.meshgrid(c1, c2, indexing="ij"), axis=-1)
-    mask = spec.in_domain(pts)
+    (c1, c2), pts, _ = collocation.cell_grid(spec, n_cells)
     eps, sig_s, removal = (arr.reshape(n1, n2) for arr in
                            reference._native_fields(spec, pts.reshape(-1, 2)))
     sweep = reference._Sweep(spec, (c1, c2, (hi1 - lo1) / n1,
-                                    (hi2 - lo2) / n2, mask, removal, eps),
+                                    (hi2 - lo2) / n2, removal, eps),
                              rule.nodes)
-    src = np.stack([spec.rfm_source(pts.reshape(-1, 2),
-                                    np.full(n1 * n2, angle)).reshape(n1, n2)
-                    for angle in rule.nodes])
+    src = spec.rfm_source(pts, rule.nodes[:, None, None])
     rho = np.zeros((n1, n2))
     f = np.zeros((rule.n_nodes, n1, n2))
     for _ in range(max_iters):

@@ -116,6 +116,19 @@ class TestRun:
         header = (tmp_path / "sq.csv").read_text().splitlines()[0]
         assert header == "x1,x2,rho_approx,rho_ref"
 
+    @pytest.mark.parametrize("problem", ["ex4", "ex6"])
+    def test_2d_exact_density_never_reaches_the_oracle(self, monkeypatch,
+                                                       problem):
+        # the 2D oracle serves ex5 alone: runs on problems with an exact
+        # density are scored against it
+        def refuse(*args, **kwargs):
+            pytest.fail("the 2D oracle ran")
+
+        monkeypatch.setattr(cli, "fdm_density", refuse)
+        config = tiny_config(problem=problem, epsilon=1.0, j=4, nx1=8,
+                             nx2=8, nv=8)
+        assert cli.run(config).report["reference"] == {"kind": "exact"}
+
     def test_mixed_scale_reference_is_cached(self, monkeypatch):
         calls = []
 
@@ -320,13 +333,31 @@ class TestMain:
         # phi_b is the only window: neither a flag nor a key selects it
         monkeypatch.setattr(cli, "solve", no_run)
         out = ["--out", str(tmp_path / "x")]
-        with pytest.raises(SystemExit) as exited:
-            cli.main(["run", "--pou", "phi_b"] + out)
-        assert exited.value.code == 2
+        assert cli.main(["run", "--pou", "phi_b"] + out) == 2
+        assert capsys.readouterr().err == \
+            "invalid-config: unrecognized arguments: --pou phi_b\n"
         cfg = tmp_path / "run.cfg"
         cfg.write_text("pou = phi_b\n")
         assert cli.main(["run", "--config", str(cfg)] + out) == 2
         assert "unknown key 'pou'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--mx3", "2"], "unrecognized arguments: --mx3 2"),
+        (["sweep", "--table", "T9"], "argument --table: invalid choice"),
+        (["sweep"], "the following arguments are required: --table"),
+    ], ids=["unknown-flag", "invalid-table", "missing-table"])
+    def test_usage_error_exit_two(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "sweep", no_run)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid-config: " + message)
+        assert "usage:" not in err
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["run", "--help"])
+        assert exited.value.code == 0
+        assert "--problem" in capsys.readouterr().out
 
     @pytest.mark.parametrize("source", ["flag", "file"])
     def test_unparsable_value_exit_two(self, tmp_path, capsys, monkeypatch,
