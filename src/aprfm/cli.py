@@ -35,17 +35,23 @@ the QR folds release the GIL, so the workers fold side by side, while the
 final ``gelsd`` holds it.  Every BLAS call in a sweep uses one thread: its
 errors do not depend on the worker count, and ``OPENBLAS_NUM_THREADS=1
 aprfm run`` with a cell's settings reproduces the cell's error bit for
-bit.  ``run`` and ``plotdata`` keep the process's BLAS threads.  A failing sweep run is
-recorded and the others go on (see :func:`sweep`).
+bit.  A failing sweep run is recorded and the others go on (see
+:func:`sweep`).
+
+The QR folds always use one BLAS thread.  In ``run`` and ``plotdata``
+they run on a helper thread while the next row block is built, and the
+merge of the factors, the SVD, the evaluation and the oracle keep the
+process's BLAS threads, whose roundoff can differ from one thread's.  On
+the 2-core box a lone run at two threads still replayed its cell bit for
+bit at Z 128-576 against an exact solution (ex1 rfm mx 2 mv 2, ex1 aprfm
+mx 4, ex6 sine-pi at criterion-6 size), but not at Z 640 over four boxes
+(ex4, the merge), at Z 1152 (ex2, ex3: merge and SVD) or against the
+oracle (ex5): those need ``OPENBLAS_NUM_THREADS=1`` to replay.
 """
 
 import argparse
 import concurrent.futures
-import contextlib
-import ctypes
 import dataclasses
-import functools
-import glob
 import json
 import logging
 import os
@@ -55,7 +61,6 @@ import threading
 import time
 
 import numpy as np
-import scipy
 
 from . import collocation
 from .errors import AprfmError, NoConvergenceError, NonFiniteInputError
@@ -63,6 +68,7 @@ from .method import METHODS, solve
 from .problems import PROBLEM_IDS, catalog
 from .reference import (GridField, _require_oracle_eps, exact_field,
                         fdm_density, fdm_reference, phase_field, relative_l2)
+from .solve import _one_blas_thread
 
 # named, not __name__, which is "__main__" under ``python -m aprfm.cli``
 logger = logging.getLogger("aprfm.cli")
@@ -240,8 +246,10 @@ def run(config, reference_cache=None):
         "rank": solve_report.rank,
         "condition_estimate": solve_report.condition_estimate,
         "singular_tail": list(solve_report.singular_tail),
-        # assembly and solve interleave: solve is the folds and the SVD,
-        # assembly everything else up to the solution
+        # assembly and solve overlap: solve is the caller's time in the
+        # least-squares call outside the block iterator (the folds it runs
+        # or waits for, the merge and the SVD), assembly everything else up
+        # to the solution, folds on the helper thread included
         "timings": {"assembly": solution.assembly_s,
                     "solve": solve_report.wall_time,
                     "evaluation": end - t_eval - reference_s,
@@ -347,61 +355,6 @@ def _table_cells(table, base):
     return cells, labels, "epsilon", rows, col_name, cols
 
 
-# The OpenBLAS copies bundled with scipy (LAPACK: the QR folds and the
-# SVD) and numpy (@ and norm): the package, its library file and the
-# suffix of its thread-count symbols.
-_OPENBLAS = ((scipy, "libscipy_openblas-*.so", ""),
-             (np, "libscipy_openblas64_-*.so", "64_"))
-
-
-@functools.cache
-def _blas_thread_controls():
-    """(get, set) thread-count functions of both bundled OpenBLAS copies,
-    or None when either cannot be found."""
-    controls = []
-    for package, pattern, suffix in _OPENBLAS:
-        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
-                            package.__name__ + ".libs")
-        paths = glob.glob(os.path.join(libs, pattern))
-        if len(paths) != 1:
-            return None
-        try:
-            lib = ctypes.CDLL(paths[0])
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        except (OSError, AttributeError):
-            return None
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        controls.append((get, put))
-    return controls
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with both OpenBLAS copies on one thread and restore
-    their counts after it; yields False, changing nothing, when they
-    cannot be set.
-
-    Only sweeps use it: the roundoff of the QR folds depends on the BLAS
-    thread count, and one thread per cell keeps a table's errors the same
-    for any number of workers.  A lone ``run`` keeps the process's threads,
-    because the second one pays off there (ex3 solve, Z = 1152, 2-core
-    box, median of 5: 1.03 s on two threads, 1.30 s on one)."""
-    controls = _blas_thread_controls()
-    if controls is None:
-        yield False
-        return
-    previous = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
-    try:
-        yield True
-    finally:
-        for (_, put), count in zip(controls, previous):
-            put(count)
-
-
 def _cost(config):
     """N Z^2 of a cell, counted from its settings (interior points times
     the squared column count): the order of the work its solve does."""
@@ -479,9 +432,9 @@ def sweep(table, base_config, out=None):
                     handle.write(_csv_line([*keys[index], seed,
                                             _shown(outcome)]))
 
-    with _one_blas_thread() as one_thread:
+    with _one_blas_thread() as taken:
         workers = 1
-        if one_thread:
+        if taken is not None:
             workers = max(1, min(len(os.sched_getaffinity(0)), len(cells)))
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             list(pool.map(run_cell, sorted(

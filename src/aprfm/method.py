@@ -143,6 +143,7 @@ class Method:
             first_row += block.n_rows
             weight = np.where(block.row_kind == ROW_MACRO, macro_weight, 1.0)
             yield dataclasses.replace(block, lam=weight * block.lam)
+            del block  # freed before the next one is built
 
     def f_values(self, coeffs, xs, vs):
         """f at the space-major product of the spatial points xs (S, d) and
@@ -172,10 +173,12 @@ class Method:
 
 @dataclass(frozen=True)
 class Solution:
-    """One solved configuration.  ``assembly_s`` is the run's time outside
-    the least-squares folds and SVD: models, collocation and the row
-    blocks.  ``lam`` holds the row weights of the whole system: the rescale
-    factors, times sqrt(n_v) on aprfm's macro rows."""
+    """One solved configuration.  ``assembly_s`` is the run's time up to
+    the solution outside the solve's own time (``SolveReport.wall_time``):
+    models, collocation and the row blocks, with the folds that overlap
+    the building of the next block.  ``lam`` holds the row weights of the
+    whole system: the rescale factors, times sqrt(n_v) on aprfm's macro
+    rows."""
 
     method: Method
     rule: object
@@ -201,6 +204,7 @@ def solve(spec, config):
         for block in method.blocks(colloc, rule):
             scales.append(block.lam)
             yield block
+            del block  # freed before the next one is built
 
     report = lstsq(blocks(), rank_tol=config.rank_tol,
                    box_columns=method.box_columns)

@@ -4,7 +4,8 @@ conditioning diagnostics.
 The system A theta ~ b arrives as row blocks.  Each block is folded into
 upper-triangular factors of [A | b] as it arrives (TSQR: Demmel, Grigori,
 Hoemmen & Langou, SIAM J. Sci. Comput. 34, 2012), so only the factors and
-one block are ever held.  With [A | b] = Q [[R_A, c], [0, r]], the
+one block are ever held (two while one folds on a helper thread, see
+below).  With [A | b] = Q [[R_A, c], [0, r]], the
 least-squares problem becomes R_A theta ~ c, whose residual adds |r| in
 quadrature, and R_A has the singular values of A.
 
@@ -22,15 +23,31 @@ box there is one factor, folded as the rows arrive, and no merge.
 Each fold calls LAPACK ``dtpqrt`` through ctypes, at the function pointer
 that ``scipy.linalg.cython_lapack`` publishes, so the call releases the
 GIL (scipy's f2py wrapper holds it): the worker threads of a sweep fold
-side by side.  The final ``gelsd`` still goes through scipy and holds it.
+side by side, and a lone run builds its next block while a helper thread
+folds.  The final ``gelsd`` still goes through scipy and holds it.
+
+Every fold runs on one BLAS thread (where the bundled OpenBLAS lets its
+thread count be set).  When the process's BLAS has more, the folds of a
+block run on one helper thread while the calling thread builds the next
+block (assembly, rescaling, the signature split and the weighted copy),
+at most one block folding at a time and in block order; the merge and
+``gelsd`` get the process's threads back.  Under a sweep, whose cells
+already run on one BLAS thread each, or with one BLAS thread to start
+with, the folds run inline on the calling thread.  Either way the factors
+are the same, bit for bit.
 """
 
+import contextlib
 import ctypes
 import functools
+import glob
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.linalg
 from scipy.linalg import cython_lapack
 
@@ -197,6 +214,70 @@ def _merge(factors, z):
     return r
 
 
+# The OpenBLAS copies bundled with scipy (LAPACK: the QR folds and the
+# SVD) and numpy (@ and norm): the package, its library file and the
+# suffix of its thread-count symbols.
+_OPENBLAS = ((scipy, "libscipy_openblas-*.so", ""),
+             (np, "libscipy_openblas64_-*.so", "64_"))
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) thread-count functions of both bundled OpenBLAS copies,
+    or None when either cannot be found."""
+    controls = []
+    for package, pattern, suffix in _OPENBLAS:
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            package.__name__ + ".libs")
+        paths = glob.glob(os.path.join(libs, pattern))
+        if len(paths) != 1:
+            return None
+        try:
+            lib = ctypes.CDLL(paths[0])
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            return None
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        controls.append((get, put))
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with both OpenBLAS copies on one thread and restore
+    their counts after it.  Yields the number of threads it took away (the
+    most from either copy): 0 when both already ran on one, and None,
+    changing nothing, when they cannot be set.
+
+    The roundoff of the QR folds depends on the BLAS thread count.  A
+    sweep runs inside it, so that a table's errors do not depend on the
+    number of workers.  ``lstsq`` folds inside it, because a second BLAS
+    thread buys the folds little and the CPU it frees can build the next
+    block meanwhile (``lstsq`` alone over 24 pre-built ex6 tanh blocks at
+    criterion-6 size, 2-core box, medians of 6: 0.88 and 0.90 s with the
+    folds on two threads, 0.98 and 1.01 s on one)."""
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield None
+        return
+    previous = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield max(previous) - 1
+    finally:
+        for (_, put), count in zip(controls, previous):
+            put(count)
+
+
+def _fold_in_order(folds):
+    """Fold each (factor, rows) pair of ``folds`` in turn."""
+    for r, rows in folds:
+        _fold(r, rows)
+
+
 def lstsq(blocks, rank_tol=1e-12, box_columns=None):
     """Minimum-norm least-squares solution of the weighted system
     diag(lam) A theta ~ diag(lam) b stacked from the ``LinearSystem`` row
@@ -209,36 +290,62 @@ def lstsq(blocks, rank_tol=1e-12, box_columns=None):
 
     Singular values below ``rank_tol`` times the largest are treated as
     zero; the condition estimate is the ratio of the largest retained
-    singular value to the smallest retained one.  ``wall_time`` counts the
-    folds, the merge and the final SVD, not the time spent producing the
-    blocks.
+    singular value to the smallest retained one.  ``wall_time`` is the
+    caller's time in this call outside the block iterator: the signature
+    split, the weighted copies, the folds it runs or waits for, the merge
+    and the final SVD.  Folds that overlap the production of the next
+    block are not counted.
     """
     if not 0.0 < rank_tol < 1.0:
         raise ValueError("rank_tol must lie in (0, 1)")
     factors = {}  # signature: (column slices, factor)
     z = None
-    elapsed = 0.0
-    for block in blocks:
-        if block.matrix.size == 0:
-            continue
-        start = time.perf_counter()
-        if z is None:
-            z = block.n_columns
-            box_columns = box_columns or ((slice(0, z),),)
-        elif z != block.n_columns:
-            raise ValueError("row blocks differ in their number of columns")
-        for signature, ranges in _signature_runs(block, box_columns).items():
-            if signature not in factors:
-                columns = _signature_columns(box_columns, signature)
-                w = sum(s.stop - s.start for s in columns)
-                factors[signature] = (columns,
-                                      np.zeros((w + 1, w + 1), order="F"))
-            columns, r = factors[signature]
-            _fold(r, _weighted_rows(block, ranges, columns))
-        elapsed += time.perf_counter() - start
+    start = time.perf_counter()
+    producing = 0.0  # spent in the block iterator
+    blocks = iter(blocks)
+    # a helper thread only when the BLAS had threads to spare: in a sweep
+    # every CPU already runs a worker
+    with (_one_blas_thread() as taken,
+          ThreadPoolExecutor(1) if taken else contextlib.nullcontext()
+          as helper):
+        pending = None  # the helper's folds of the previous block
+        while True:
+            produced = time.perf_counter()
+            block = next(blocks, None)
+            producing += time.perf_counter() - produced
+            if block is None:
+                break
+            if block.matrix.size == 0:
+                continue
+            if z is None:
+                z = block.n_columns
+                box_columns = box_columns or ((slice(0, z),),)
+            elif z != block.n_columns:
+                raise ValueError(
+                    "row blocks differ in their number of columns")
+            folds = []
+            for signature, ranges in _signature_runs(block,
+                                                     box_columns).items():
+                if signature not in factors:
+                    columns = _signature_columns(box_columns, signature)
+                    w = sum(s.stop - s.start for s in columns)
+                    factors[signature] = (columns,
+                                          np.zeros((w + 1, w + 1), order="F"))
+                columns, r = factors[signature]
+                if helper is None:
+                    _fold(r, _weighted_rows(block, ranges, columns))
+                else:
+                    folds.append((r, _weighted_rows(block, ranges, columns)))
+            del block  # freed before the next one is built
+            if pending is not None:
+                pending.result()
+            if folds:
+                pending = helper.submit(_fold_in_order, folds)
+                del folds  # the helper holds them until they are folded
+        if pending is not None:
+            pending.result()
     if z is None:
         raise ValueError("system must have at least one row and column")
-    start = time.perf_counter()
     r = _merge(factors, z)
     coeffs, _, rank, sing = scipy.linalg.lstsq(
         r[:z, :z], r[:z, z], cond=rank_tol, lapack_driver="gelsd",
@@ -247,8 +354,7 @@ def lstsq(blocks, rank_tol=1e-12, box_columns=None):
                               r[z, z]))
     retained = sing[sing > rank_tol * sing[0]] if sing[0] > 0 else sing[:1]
     condition = float(sing[0] / retained[-1]) if retained[-1] > 0 else np.inf
-    elapsed += time.perf_counter() - start
     return SolveReport(coeffs=coeffs, residual_norm=residual,
                        rank=int(rank), condition_estimate=condition,
                        singular_tail=tuple(map(float, retained[-_TAIL:])),
-                       wall_time=elapsed)
+                       wall_time=time.perf_counter() - start - producing)

@@ -12,7 +12,10 @@ the weighted single macro row; ``dense_column_batch``,
 point with full gradients, as references for the support-restricted
 directional kernel; ``micro_macro_residuals`` and
 ``exact_micro_macro_pair`` state the micro-macro equations pointwise, as
-references for the problem sources."""
+references for the problem sources.  ``blas_threads`` sets the BLAS
+thread count a lone run finds."""
+
+import contextlib
 
 import numpy as np
 import scipy.linalg
@@ -23,7 +26,23 @@ from aprfm.collocation import _phase, _tensor
 from aprfm.errors import UnsupportedProblemError
 from aprfm.method import Method, solve
 from aprfm.problems import direction, v_dot
-from aprfm.solve import SolveReport
+from aprfm.solve import SolveReport, _blas_thread_controls
+
+
+@contextlib.contextmanager
+def blas_threads(count):
+    """Both bundled OpenBLAS copies on ``count`` threads inside the body,
+    their counts restored after it; yields their (get, set) controls."""
+    controls = _blas_thread_controls()
+    assert controls is not None
+    original = [get() for get, _ in controls]
+    for _, put in controls:
+        put(count)
+    try:
+        yield controls
+    finally:
+        for (_, put), previous in zip(controls, original):
+            put(previous)
 
 
 def run_config(spec, method, n_spatial=(2, 2), n_velocity=2, m_spatial=(1,),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from aprfm import cli, problems
+from aprfm import cli, problems, solve
 from aprfm.method import Method
 
 
@@ -165,6 +165,22 @@ class TestRun:
         a = cli.run(tiny_config(seed=1)).report["error"]
         b = cli.run(tiny_config(seed=2)).report["error"]
         assert a != b
+
+    @pytest.mark.parametrize("settings", [
+        dict(method="rfm", mx=2, mv=2), dict(method="aprfm", mx=4)],
+        ids=["rfm-mx2-mv2", "aprfm-mx4"])
+    def test_lone_run_replays_bitwise_on_one_blas_thread(self, settings):
+        # folded on a helper thread at one BLAS thread, merged and solved
+        # at two, against everything on one thread
+        config = cli.RunConfig(problem="ex1", epsilon=1e-2, **settings)
+        with helpers.blas_threads(2):
+            lone = cli.run(config)
+            with solve._one_blas_thread() as taken:
+                assert taken == 1
+                replayed = cli.run(config)
+        for key in ("error", "residual_norm", "rank"):
+            assert lone.report[key] == replayed.report[key]
+        assert np.array_equal(lone.field_rows, replayed.field_rows)
 
 
 class TestMain:
@@ -449,8 +465,8 @@ class TestSweep:
         out = tmp_path / "replay"
         cli.sweep(four_cells(), cli.RunConfig(seeds=1), out=str(out))
         report = json.loads((tmp_path / "replay.json").read_text())
-        with cli._one_blas_thread() as one_thread:
-            assert one_thread
+        with solve._one_blas_thread() as taken:
+            assert taken is not None
             replayed = cli.run(cli.RunConfig(**report["cells"][1]))
         assert replayed.report["error"] == report["mean_errors"][1]
 
@@ -464,8 +480,8 @@ class TestSweep:
         assert [cell.mx for cell in cells] == [2, 4]
         cli.sweep(cells, cli.RunConfig(seeds=1), out=str(tmp_path / "t3"))
         report = json.loads((tmp_path / "t3.json").read_text())
-        with cli._one_blas_thread() as one_thread:
-            assert one_thread
+        with solve._one_blas_thread() as taken:
+            assert taken is not None
             replayed = [cli.run(cli.RunConfig(**cell)).report["error"]
                         for cell in report["cells"]]
         assert replayed == report["mean_errors"]
@@ -496,7 +512,7 @@ class TestSweep:
             "4.000000e+00", "8.000000e+00", "6.000000e+00", "4.000000e+00"]
 
     def test_blas_threads_one_inside_and_restored_after(self, monkeypatch):
-        controls = cli._blas_thread_controls()
+        controls = solve._blas_thread_controls()
         assert controls is not None
 
         def counts():
@@ -527,10 +543,10 @@ class TestSweep:
         assert seen == [[1, 1]] * 3
 
     @pytest.mark.parametrize("lookup, expected", [
-        (cli._blas_thread_controls, 4), (lambda: None, 1)],
+        (solve._blas_thread_controls, 4), (lambda: None, 1)],
         ids=["concurrent", "serial-without-blas-control"])
     def test_worker_count(self, monkeypatch, lookup, expected):
-        monkeypatch.setattr(cli, "_blas_thread_controls", lookup)
+        monkeypatch.setattr(solve, "_blas_thread_controls", lookup)
         cpus(monkeypatch, 4)
         lock = threading.Lock()
         active, most = [0], [0]

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import time
@@ -7,7 +8,7 @@ import pytest
 from scipy.linalg.lapack import dtpqrt
 
 import helpers
-from aprfm import assemble, collocation, problems, quadrature, solve
+from aprfm import assemble, cli, collocation, problems, quadrature, solve
 from aprfm.errors import NonFiniteInputError
 from aprfm.method import Method
 from helpers import build_models
@@ -372,3 +373,125 @@ class TestFoldConcurrency:
         assert not ticker.is_alive()
         assert sum(start < t < start + duration for t in ticks) > 1
         assert np.diff(ticks).max() < duration / 4
+
+
+def row_pieces(parts, size):
+    """The rows of the blocks ``parts`` again, as blocks of at most
+    ``size`` rows."""
+    return [dataclasses.replace(
+        block, **{name: getattr(block, name)[lo:lo + size]
+                  for name in ("matrix", "rhs", "row_kind", "lam")})
+        for block in parts for lo in range(0, block.n_rows, size)]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Both OpenBLAS copies on two threads, as a lone run on the 2-core
+    box finds them."""
+    with helpers.blas_threads(2) as controls:
+        yield controls
+
+
+class TestFoldPipeline:
+    def test_helper_folds_match_inline_folds_bitwise(self, two_blas_threads,
+                                                     monkeypatch):
+        # ex4 over 2 x 2 boxes in blocks of 64 rows: most blocks hold rows
+        # of several signatures, and a block folds while the next is cut
+        meth, parts = method_blocks(*PARTITIONED["ex4-aprfm-2x2"])
+        parts = row_pieces(parts, 64)
+        assert len(parts) > 4
+        get = two_blas_threads[0][0]
+        folds, merged = [], []
+        fold, merge = solve._fold, solve._merge
+
+        def recording_fold(r, rows, l=0):
+            folds.append((l == 0, threading.get_ident(), get()))
+            fold(r, rows, l)
+
+        def recording_merge(factors, z):
+            merged.append(merge(factors, z))
+            return merged[-1]
+
+        monkeypatch.setattr(solve, "_fold", recording_fold)
+        monkeypatch.setattr(solve, "_merge", recording_merge)
+        helper = solve.lstsq(parts, box_columns=meth.box_columns)
+        helper_folds, folds[:] = folds[:], []
+        with solve._one_blas_thread() as taken:
+            assert taken == 1
+            inline = solve.lstsq(parts, box_columns=meth.box_columns)
+        caller = threading.get_ident()
+        # the folds ran on one other thread at one BLAS thread, the merge
+        # on the caller at the process's two; inline, all on the caller
+        assert {(thread != caller, count) for block_fold, thread, count
+                in helper_folds if block_fold} == {(True, 1)}
+        assert {(thread, count) for block_fold, thread, count
+                in helper_folds if not block_fold} == {(caller, 2)}
+        assert {thread for _, thread, _ in folds} == {caller}
+        assert np.array_equal(merged[0], merged[1])
+        assert helper.coeffs.tobytes() == inline.coeffs.tobytes()
+        assert helper.residual_norm == inline.residual_norm
+        assert helper.rank == inline.rank
+        assert helper.condition_estimate == inline.condition_estimate
+        assert helper.singular_tail == inline.singular_tail
+
+    def assert_cleaned_up(self, controls, threads):
+        assert [get() for get, _ in controls] == [2, 2]
+        assert threading.active_count() == threads
+
+    def test_block_failure_while_a_fold_is_pending_reaches_caller(
+            self, two_blas_threads, monkeypatch):
+        meth, parts = method_blocks(*PARTITIONED["ex2-aprfm-mx2"])
+        folding, raised = threading.Event(), threading.Event()
+        fold = solve._fold
+
+        def held_fold(r, rows, l=0):
+            folding.set()
+            raised.wait(timeout=30)  # still folding when the blocks fail
+            fold(r, rows, l)
+
+        def failing_blocks():
+            yield parts[0]
+            assert folding.wait(timeout=30)
+            raised.set()
+            raise RuntimeError("stand-in assembly failure")
+
+        monkeypatch.setattr(solve, "_fold", held_fold)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="stand-in assembly failure"):
+            solve.lstsq(failing_blocks(), box_columns=meth.box_columns)
+        self.assert_cleaned_up(two_blas_threads, threads)
+
+    @pytest.mark.parametrize("last", [False, True],
+                             ids=["awaited-before-next", "awaited-at-end"])
+    def test_fold_failure_reaches_caller(self, two_blas_threads,
+                                         monkeypatch, last):
+        meth, parts = method_blocks(*PARTITIONED["ex2-aprfm-mx2"])
+        if last:  # the only block's fold fails: no next block waits on it
+            parts = parts[-1:]
+        failed = []
+
+        def failing_fold(r, rows, l=0):
+            failed.append(threading.get_ident())
+            raise np.linalg.LinAlgError("stand-in fold failure")
+
+        monkeypatch.setattr(solve, "_fold", failing_fold)
+        threads = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="stand-in fold failure"):
+            solve.lstsq(parts, box_columns=meth.box_columns)
+        assert len(failed) == 1 and failed[0] != threading.get_ident()
+        self.assert_cleaned_up(two_blas_threads, threads)
+
+    def test_only_lone_runs_start_a_helper(self, two_blas_threads,
+                                           monkeypatch):
+        def no_helper(workers):
+            raise RuntimeError("a helper thread was started")
+
+        monkeypatch.setattr(solve, "ThreadPoolExecutor", no_helper)
+        cells = [cli.RunConfig(problem="ex1", method="aprfm", epsilon=0.5,
+                               j=6, nx=8, nv=16, mx=mx) for mx in (1, 2)]
+        cli.sweep(cells, cli.RunConfig(seeds=1))
+        with solve._one_blas_thread():
+            cli.run(cells[1])  # as under OPENBLAS_NUM_THREADS=1
+        with pytest.raises(RuntimeError, match="helper thread"):
+            cli.run(cells[1])
