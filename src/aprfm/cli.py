@@ -20,14 +20,14 @@ There is one flag per :class:`RunConfig` field, and each can also be given
 in a config file (one ``key = value`` per line, ``#`` comments);
 command-line flags win.  File and flag values are read as text and go
 through the same parser, so a value that does not parse (``--j abc``)
-exits 2 with ``invalid-config`` wherever it comes from.  ``--epsilon``
-must be positive and finite (``profile`` for ex3, which ignores it), the
-weight interval [-b_range, b_range] must have a positive finite width, the
-seed must lie in [0, 2**63) for rfm and in [0, 2**62) for aprfm (whose g
-model is drawn from seed 2s + 1), and the directory of ``--out`` must
-exist; a value that breaks these rules exits 2 the same way, before any
-work.  ``-v`` logs at INFO level, one record per finished sweep run among
-them.
+exits 2 with ``invalid-config`` wherever it comes from.  So does a value
+out of range, before any work: ``--epsilon`` must be positive and finite
+(``profile`` for ex3, which ignores it), every count positive, ``--nq``
+in 2..128, ``--activation`` ``tanh`` or ``sine-pi``, ``--rank-tol`` in
+(0, 1), the weight interval [-b_range, b_range] of positive finite width,
+the seed in [0, 2**63) for rfm and in [0, 2**62) for aprfm (whose g model
+is drawn from seed 2s + 1), and the directory of ``--out`` must exist.
+``-v`` logs at INFO level, one record per finished sweep run among them.
 
 A sweep runs its cells side by side, largest first, one per CPU the
 process may use (``taskset`` narrows them), sharing one reference cache;
@@ -62,7 +62,7 @@ import time
 
 import numpy as np
 
-from . import collocation
+from . import basis, collocation, quadrature
 from .errors import AprfmError, NoConvergenceError, NonFiniteInputError
 from .method import METHODS, solve
 from .problems import PROBLEM_IDS, catalog
@@ -110,10 +110,15 @@ class RunConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         counts = [self.mx, self.mv, self.mx1, self.mx2, self.nx, self.nv,
-                  self.nx1, self.nx2, self.nq, self.seeds]
+                  self.nx1, self.nx2, self.seeds]
         counts += [c for c in (self.j, self.jrho, self.jg) if c is not None]
         if any(int(c) < 1 for c in counts):
             raise ValueError("all counts must be positive")
+        quadrature.angular_rule(1, self.nq)  # its node-count check
+        if self.activation not in basis.ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if not 0.0 < self.rank_tol < 1.0:  # lstsq's bound
+            raise ValueError("rank_tol must lie in (0, 1)")
         # weights are drawn from [-b_range, b_range] (1e308 overflows it)
         if not 0 < 2.0 * self.b_range < np.inf:
             raise ValueError("weight range must be positive and finite")

@@ -28,19 +28,18 @@ is the one 2D problem scored against it.  It refuses eps below
 ``FDM_MIN_EPSILON_2D`` (1e-2); the exact-solution benchmarks carry the
 deep-diffusive checks instead.
 
-The internal mesh resolution is independent of the error-measurement grid;
-results are interpolated onto the evaluation grid.
+The mesh is independent of the evaluation grid; ``np.interp`` per axis maps
+results onto it: linear between cell centers, constant past the outer ones.
 """
 
 import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import collocation
-from .collocation import _phase, _tensor
+from .collocation import EVAL_GRID_2D, _phase, _tensor
 from .errors import (NoConvergenceError, NonFiniteInputError,
                      UndefinedMetricError, UnsupportedProblemError)
 from .quadrature import angular_rule
@@ -126,7 +125,7 @@ def fdm_reference(spec, resolution=None):
         raise UnsupportedProblemError(
             f"{spec.id}: the f oracle is 1D only, use fdm_density")
     eval_x, eval_v = collocation.evaluation_nodes(spec)
-    n_cells = resolution or FDM_RESOLUTION_1D
+    n_cells = FDM_RESOLUTION_1D if resolution is None else resolution
     x, _, f = _solve_1d(spec, n_cells, angular_rule(1, 16), eval_v)
     f_eval = np.stack([np.interp(eval_x[:, 0], x, row) for row in f])
     # one dense solve, counted as one sweep, as the log record counts it
@@ -149,13 +148,14 @@ def fdm_density(spec, resolution=None, max_iters=FDM_MAX_ITERS):
     if spec.spatial_dim != 2:
         raise UnsupportedProblemError(
             f"{spec.id}: the density oracle is 2D only, use fdm_reference")
-    n_cells = tuple(int(n) for n in resolution or FDM_RESOLUTION_2D)
+    n_cells = tuple(int(n) for n in (FDM_RESOLUTION_2D if resolution is None
+                                     else resolution))
     out = _solve_2d(spec, n_cells, max_iters, angular_rule(2, 16))
-    interp = RegularGridInterpolator(out["axes"], out["rho"],
-                                     method="linear", bounds_error=False,
-                                     fill_value=None)
-    eval_x, _ = collocation.evaluation_nodes(spec)
-    return GridField(points=eval_x, values=interp(eval_x),
+    (e1, e2), eval_x, _ = collocation.cell_grid(spec, EVAL_GRID_2D[:2])
+    (c1, c2), rho = out["axes"], out["rho"]
+    rho = np.stack([np.interp(e2, c2, row) for row in rho])
+    rho = np.stack([np.interp(e1, c1, col) for col in rho.T], axis=1)
+    return GridField(points=eval_x.reshape(-1, 2), values=rho.ravel(),
                      info={"kind": "fdm", "resolution": n_cells,
                            "solver": "gmres", "sweep_tol": FDM_SWEEP_TOL,
                            "sweeps": out["iterations"],
@@ -202,9 +202,9 @@ def _solve_1d(spec, n_cells, rule, velocities):
     the ``rule`` ordinates, and the angular flux at ``velocities`` (L, n)
     from one sweep each with that density's scattering source."""
     lo, hi = spec.x_lo[0], spec.x_hi[0]
-    n = int(n_cells)
+    x = collocation.cell_centers(lo, hi, n_cells)
+    n = x.size
     h = (hi - lo) / n
-    x = collocation.cell_centers(lo, hi, n)
     eps, sig_s, removal = _native_fields(spec, x[:, None])
 
     def sweep_terms(vs, scattering):
@@ -334,8 +334,8 @@ def _solve_2d(spec, n_cells, max_iters, rule):
     """The cell centers per axis, the density on the cell grid of a
     square, the sweep count and the final relative residual of one GMRES
     solve over the ``rule`` ordinates."""
-    n1, n2 = n_cells
     _require_oracle_eps(spec, n_cells)
+    n1, n2 = n_cells
     (lo1, lo2), (hi1, hi2) = spec.x_lo, spec.x_hi
     h1, h2 = (hi1 - lo1) / n1, (hi2 - lo2) / n2
     (c1, c2), pts, _ = collocation.cell_grid(spec, n_cells)
@@ -348,12 +348,12 @@ def _solve_2d(spec, n_cells, max_iters, rule):
     # transport sweep of every ordinate with scattering source sig_s rho;
     # the application count includes the sweep that gives S(0)
     applications = 0
-    residual = 1.0
+    residuals = [1.0]  # GMRES's relative residuals, in order
 
     def sweep_average(rho):
         nonlocal applications
         if applications >= max_iters:
-            raise NoConvergenceError("GMRES stalled", residual)
+            raise NoConvergenceError("GMRES stalled", residuals[-1])
         applications += 1
         f_all = sweep.sweep(sources + sig_s_f * rho)
         return np.einsum("q,qij->ij", rule.weights, f_all)
@@ -362,20 +362,15 @@ def _solve_2d(spec, n_cells, max_iters, rule):
         rho = x.reshape(n1, n2)
         return (rho - (sweep_average(rho) - b)).ravel()
 
-    def record(relative_residual):
-        nonlocal residual
-        residual = relative_residual
-
     b = sweep_average(np.zeros((n1, n2)))
     op = LinearOperator((n1 * n2, n1 * n2), matvec=matvec, dtype=float)
     x, info = gmres(op, b.ravel(), rtol=FDM_SWEEP_TOL, atol=0.0,
                     restart=_GMRES_RESTART, maxiter=int(max_iters),
-                    callback=record,
-                    callback_type="pr_norm")
+                    callback=residuals.append, callback_type="pr_norm")
     if info != 0:
-        raise NoConvergenceError("GMRES stalled", residual)
+        raise NoConvergenceError("GMRES stalled", residuals[-1])
     rho = x.reshape(n1, n2)
     logger.info("%s: 2D source iteration converged in %d sweeps (%dx%d)",
                 spec.id, applications, n1, n2)
     return {"axes": (c1, c2), "rho": rho, "iterations": applications,
-            "residual": float(residual)}
+            "residual": float(residuals[-1])}

@@ -253,6 +253,22 @@ class TestMain:
         assert code == 2
         assert "invalid-config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table, flag", [
+        ("T1", ["--activation", "relu"]), ("T4", ["--nq", "1"]),
+        ("T4", ["--rank-tol", "1"])], ids=["activation", "nq", "rank-tol"])
+    def test_bad_setting_stops_a_sweep_before_any_run(self, tmp_path, capsys,
+                                                      monkeypatch, table,
+                                                      flag):
+        calls = []
+        monkeypatch.setattr(cli, "run", stand_in_run(calls.append))
+        out = tmp_path / "table"
+        code = cli.main(["sweep", "--table", table, "--seeds", "1",
+                         "--out", str(out)] + flag)
+        assert code == 2
+        assert "invalid-config" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "table_cells.csv").exists()
+
     def test_oracle_below_its_eps_range_exit_two(self, tmp_path, capsys):
         code = cli.main(["run", "--problem", "ex5", "--method", "aprfm",
                          "--epsilon", "1e-3", "--j", "4", "--nx1", "8",
@@ -385,6 +401,20 @@ class TestMain:
                 else ["--config", str(cfg)])
         assert cli.main(["run"] + argv) == 2
         assert "invalid-config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, accepted", [
+    ("activation", "sine-pi"), ("nq", 2), ("nq", 128), ("rank_tol", 1e-300)])
+def test_setting_at_its_bound_accepted(setting, accepted):
+    cli.RunConfig(**{setting: accepted}).validate()
+
+
+@pytest.mark.parametrize("setting, rejected", [
+    ("activation", "relu"), ("nq", 1), ("nq", 129), ("rank_tol", 0.0),
+    ("rank_tol", 1.0), ("rank_tol", float("nan"))])
+def test_setting_out_of_range_rejected(setting, rejected):
+    with pytest.raises(ValueError):
+        cli.RunConfig(**{setting: rejected}).validate()
 
 
 class TestSweep:

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import aprfm
 
@@ -31,3 +34,19 @@ def test_every_public_definition_is_used():
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in used)
     assert not unused
+
+
+def test_cli_import_leaves_unused_scipy_out():
+    """A fresh ``import aprfm.cli`` loads none of the scipy subpackages the
+    package does not call: it uses only scipy.linalg and scipy.sparse."""
+    src = str(pathlib.Path(aprfm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, aprfm.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    unused = {"scipy.interpolate", "scipy.optimize", "scipy.special",
+              "scipy.spatial", "scipy.fft"}
+    assert "aprfm.cli" in loaded
+    assert not unused & set(loaded)

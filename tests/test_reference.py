@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from aprfm import collocation, problems, quadrature, reference
 from aprfm.basis import model_values
@@ -145,6 +146,12 @@ class TestFdm1D:
         with pytest.raises(NoConvergenceError):
             reference.fdm_reference(spec, resolution=64)
 
+    def test_resolution_of_no_cells_rejected(self):
+        # only None means the default mesh
+        with pytest.raises(ValueError, match="at least one cell"):
+            reference.fdm_reference(problems.catalog("ex2", 1.0),
+                                    resolution=0)
+
     def test_mixed_scale_profile_supported(self):
         spec = problems.catalog("ex3")
         field = reference.fdm_reference(spec, resolution=128)
@@ -211,6 +218,35 @@ class TestFdm2D:
         rho = reference.fdm_density(problems.catalog("ex5", 1e-2),
                                     resolution=(16, 16))
         assert rho.values.max() > 0
+
+    def test_default_mesh_interpolates_bilinearly(self):
+        # the default mesh's outer cell centers enclose the evaluation grid,
+        # so np.interp along each axis is bilinear interpolation there
+        spec = problems.catalog("ex5", 1.0)
+        rho = reference.fdm_density(spec)
+        out = reference._solve_2d(spec, reference.FDM_RESOLUTION_2D,
+                                  reference.FDM_MAX_ITERS,
+                                  quadrature.angular_rule(2, 16))
+        xs, _ = collocation.evaluation_nodes(spec)
+        bilinear = RegularGridInterpolator(out["axes"], out["rho"])(xs)
+        np.testing.assert_array_equal(rho.points, xs)
+        np.testing.assert_allclose(rho.values, bilinear, rtol=1e-15, atol=0)
+
+    def test_coarse_mesh_held_constant_past_its_outer_cell_centers(self):
+        # the outer ring of the 64 x 64 evaluation grid lies beyond the
+        # outer cell centers of a 32 x 32 mesh: linear extrapolation there
+        # left the mesh's range, the 1D oracle's rule does not
+        spec = problems.catalog("ex5", 1.0)
+        rho = reference.fdm_density(spec, resolution=(32, 32)).values
+        mesh = reference._solve_2d(spec, (32, 32), reference.FDM_MAX_ITERS,
+                                   quadrature.angular_rule(2, 16))["rho"]
+        assert mesh.min() <= rho.min() and rho.max() <= mesh.max()
+
+    @pytest.mark.parametrize("resolution", [(), (64,)])
+    def test_resolution_without_two_counts_rejected(self, resolution):
+        # only None means the default mesh
+        with pytest.raises(ValueError, match="one count per spatial axis"):
+            reference.fdm_density(problems.catalog("ex5", 1.0), resolution)
 
     def test_planar_oracle_against_exact(self):
         spec = problems.catalog("ex4", 1.0)
