@@ -30,8 +30,12 @@ model.  Angular averages are evaluated with the supplied quadrature rule;
 because interior grids are space-major tensor products, each distinct
 spatial node is swept over the quadrature nodes exactly once.  The micro
 (aprfm) and interior (rfm) rows are written into the matrix in place,
-with the column arrays as scratch.  An assembler builds the rows of
-whatever collocation set it is given; :mod:`aprfm.method` bounds the
+with the column arrays as scratch.  Such a row at (x, v) is a local part,
+exactly zero in the phase columns of every box whose window does not
+reach (x, v), minus the velocity average at x, which is the same for
+every v; the solve groups its signatures' units and reflects these rows
+by that structure (see :mod:`aprfm.solve`).  An assembler builds the rows
+of whatever collocation set it is given; :mod:`aprfm.method` bounds the
 memory of a run by assembling it slab by slab.
 """
 

@@ -38,15 +38,16 @@ aprfm run`` with a cell's settings reproduces the cell's error bit for
 bit.  A failing sweep run is recorded and the others go on (see
 :func:`sweep`).
 
-The QR folds always use one BLAS thread.  In ``run`` and ``plotdata``
-they run on a helper thread while the next row block is built, and the
-merge of the factors, the SVD, the evaluation and the oracle keep the
-process's BLAS threads, whose roundoff can differ from one thread's.  On
-the 2-core box a lone run at two threads still replayed its cell bit for
-bit at Z 128-576 against an exact solution (ex1 rfm mx 2 mv 2, ex1 aprfm
-mx 4, ex6 sine-pi at criterion-6 size), but not at Z 640 over four boxes
-(ex4, the merge), at Z 1152 (ex2, ex3: merge and SVD) or against the
-oracle (ex5): those need ``OPENBLAS_NUM_THREADS=1`` to replay.
+The QR folds and the merge of their factors always use one BLAS thread.
+In ``run`` and ``plotdata`` the folds run on a helper thread while the
+next row block is built, and the SVD, the evaluation and the oracle keep
+the process's BLAS threads, whose roundoff can differ from one thread's.
+On the 2-core box a lone run at two threads still replayed its cell bit
+for bit at Z 48-640 against an exact solution (ex1 rfm mx 2 mv 2, ex1
+aprfm mx 4, ex6 mv 2 and both criterion-6 runs, whose factors are
+merged, and ex4 at Z 640 over four boxes), but not the oracle
+workload's ex2 (Z 576), ex3 (Z 1152) and ex5 runs, whose SVD and oracle
+use two threads: those need ``OPENBLAS_NUM_THREADS=1`` to replay.
 """
 
 import argparse

@@ -18,7 +18,8 @@ import numpy as np
 from . import collocation
 from .assemble import (ROW_MACRO, assemble_aprfm, assemble_rfm,
                        reconstruct_f, rescale_rows)
-from .basis import make_model, model_values, uniform_partition
+from .basis import (_split, make_model, model_values, pou_normalized_batch,
+                    uniform_partition)
 from .quadrature import angular_rule
 from .solve import lstsq
 
@@ -81,14 +82,35 @@ class Method:
                     model(phase_part, config.jg, 2 * config.seed + 1)))
 
     @property
-    def box_columns(self):
-        """The columns of each spatial box k, as slices: the spatial-model
-        box k (aprfm) and the phase-model boxes k mv ... (k + 1) mv - 1,
-        the boxes over box k in the axis-major phase partition, whose last
-        axis is velocity.  A row is exactly zero in the columns of a box
-        whose window does not reach its point."""
+    def _velocity_units(self):
+        """Whether the phase model has one spatial box and several
+        velocity boxes."""
         phase = self.models[-1]
-        n_boxes = phase.n_boxes // phase.partition.dims[-1]
+        return phase.n_boxes == phase.partition.dims[-1] > 1
+
+    @property
+    def box_columns(self):
+        """The columns of each unit of the solve's signatures, as slices.
+
+        With one spatial box and several velocity boxes there is a unit per
+        velocity box q: rho's columns (aprfm) and the phase-model box q.
+        Otherwise there is a unit per spatial box k: the spatial-model box
+        k (aprfm) and the phase-model boxes k mv ... (k + 1) mv - 1, the
+        boxes over box k in the axis-major phase partition, whose last
+        axis is velocity.  A row is exactly zero in the phase columns of a
+        box whose window does not reach its point, except that the micro
+        (aprfm) and interior (rfm) rows reach every velocity box through
+        their velocity average (see ``velocity_groups``)."""
+        phase = self.models[-1]
+        m_v = phase.partition.dims[-1]
+        if self._velocity_units:
+            z_rho = sum(model.n_columns for model in self.models[:-1])
+            rho = (slice(0, z_rho),) if z_rho else ()
+            width = phase.n_features
+            return tuple(rho + (slice(z_rho + q * width,
+                                      z_rho + (q + 1) * width),)
+                         for q in range(m_v))
+        n_boxes = phase.n_boxes // m_v
         boxes = [[] for _ in range(n_boxes)]
         offset = 0
         for model in self.models:
@@ -97,6 +119,25 @@ class Method:
                 box.append(slice(offset + k * width, offset + (k + 1) * width))
             offset += model.n_columns
         return tuple(map(tuple, boxes))
+
+    def velocity_groups(self, velocities):
+        """The velocity groups of the micro (aprfm) and interior (rfm) rows
+        at ``velocities`` when ``box_columns`` has a unit per velocity box,
+        else None: the runs [lo, hi) of velocities whose windows reach the
+        same velocity boxes, with those boxes' units, ``((lo, hi, units),
+        ...)``.  After one reflection per node and group, a group's rows
+        but its first are zero outside its units' columns (see
+        ``solve.lstsq``)."""
+        if not self._velocity_units:
+            return None
+        _, velocity_part = _split(self.models[-1].partition)
+        # the windows column_batch restricts each box's columns to
+        window, _ = pou_normalized_batch(velocity_part, velocities[:, None])
+        reach = window != 0.0
+        starts = np.flatnonzero(np.any(reach[1:] != reach[:-1], axis=1)) + 1
+        bounds = [0, *starts.tolist(), velocities.size]
+        return tuple((lo, hi, tuple(np.flatnonzero(reach[lo]).tolist()))
+                     for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     def assemble(self, colloc, rule):
         """The unscaled least-squares system of this method."""
@@ -207,7 +248,9 @@ def solve(spec, config):
             del block  # freed before the next one is built
 
     report = lstsq(blocks(), rank_tol=config.rank_tol,
-                   box_columns=method.box_columns)
+                   box_columns=method.box_columns,
+                   velocity_groups=method.velocity_groups(
+                       colloc.velocity_nodes))
     assembly_s = time.perf_counter() - start - report.wall_time
     return Solution(method, rule, colloc, report, assembly_s,
                     np.concatenate(scales))

@@ -13,7 +13,8 @@ point with full gradients, as references for the support-restricted
 directional kernel; ``micro_macro_residuals`` and
 ``exact_micro_macro_pair`` state the micro-macro equations pointwise, as
 references for the problem sources.  ``blas_threads`` sets the BLAS
-thread count a lone run finds."""
+thread count a lone run finds, and ``fold_flops`` counts the flops of the
+QR folds."""
 
 import contextlib
 
@@ -26,6 +27,7 @@ from aprfm.collocation import _phase, _tensor
 from aprfm.errors import UnsupportedProblemError
 from aprfm.method import Method, solve
 from aprfm.problems import direction, v_dot
+from aprfm import solve as solve_module
 from aprfm.solve import SolveReport, _blas_thread_controls
 
 
@@ -43,6 +45,27 @@ def blas_threads(count):
     finally:
         for (_, put), previous in zip(controls, original):
             put(previous)
+
+
+@contextlib.contextmanager
+def fold_flops():
+    """Count 2 m n^2 for every fold of m rows over n columns
+    (``solve._fold``) inside the body; yields the totals, in flops, of
+    the block folds (``"fold"``) and of the merge's folds (``"merge"``,
+    whose rows are trapezoidal, so the count is an upper bound)."""
+    totals = {"fold": 0.0, "merge": 0.0}
+    fold = solve_module._fold
+
+    def counting(r, rows, l=0):
+        m, n = rows.shape
+        totals["merge" if l else "fold"] += 2.0 * m * n * n
+        fold(r, rows, l)
+
+    solve_module._fold = counting
+    try:
+        yield totals
+    finally:
+        solve_module._fold = fold
 
 
 def run_config(spec, method, n_spatial=(2, 2), n_velocity=2, m_spatial=(1,),

@@ -167,12 +167,20 @@ class TestRun:
         assert a != b
 
     @pytest.mark.parametrize("settings", [
-        dict(method="rfm", mx=2, mv=2), dict(method="aprfm", mx=4)],
-        ids=["rfm-mx2-mv2", "aprfm-mx4"])
+        dict(method="rfm", mx=2, mv=2), dict(method="aprfm", mx=4),
+        # one spatial box, two velocity boxes: the velocity groups' factors
+        dict(problem="ex6", epsilon=1.0, method="aprfm", jrho=16, jg=16,
+             mv=2, nx1=16, nx2=16, nv=16),
+        # four spatial boxes at Z 640: a merge whose roundoff depends on
+        # the BLAS thread count
+        dict(problem="ex4", epsilon=1.0, method="aprfm", jrho=32, jg=64,
+             mx1=2, mx2=2, mv=2, nx1=16, nx2=16, nv=16)],
+        ids=["rfm-mx2-mv2", "aprfm-mx4", "ex6-mv2", "ex4-2x2-z640"])
     def test_lone_run_replays_bitwise_on_one_blas_thread(self, settings):
-        # folded on a helper thread at one BLAS thread, merged and solved
+        # folded on a helper thread and merged at one BLAS thread, solved
         # at two, against everything on one thread
-        config = cli.RunConfig(problem="ex1", epsilon=1e-2, **settings)
+        config = cli.RunConfig(**{"problem": "ex1", "epsilon": 1e-2,
+                                  **settings})
         with helpers.blas_threads(2):
             lone = cli.run(config)
             with solve._one_blas_thread() as taken:
