@@ -21,16 +21,19 @@ eps-scaled micro/macro transport by derivatives of eps(x) g (product rule)
 and adds g itself to the micro row; it assumes a 1D problem with
 sigma_a = 0, as the one mixed-scale problem, ex3, is.
 
-The phase model's transport terms come straight from
-``basis.column_batch`` as the derivative of each column along the
-transport direction of its velocity, v . grad_x chi, from one call on the
-spatial nodes and the velocities (or the quadrature nodes) as factors;
-v . grad_x rho comes from the d axis derivatives of the small spatial
-model.  Angular averages are evaluated with the supplied quadrature rule;
-because interior grids are space-major tensor products, each distinct
-spatial node is swept over the quadrature nodes exactly once.  The micro
-(aprfm) and interior (rfm) rows are written into the matrix in place,
-with the column arrays as scratch.  Such a row at (x, v) is a local part,
+The phase model's transport terms come straight from the column kernel
+as the derivative of each column along the transport direction of its
+velocity, v . grad_x chi, from one call on the spatial nodes and the
+velocities (or the quadrature nodes) as factors; v . grad_x rho comes
+from the d axis derivatives of the small spatial model.  Angular averages
+are evaluated with the supplied quadrature rule (``basis.column_batch``
+at the quadrature nodes); because interior grids are space-major tensor
+products, each distinct spatial node is swept over the quadrature nodes
+exactly once.  The micro (aprfm) and interior (rfm) rows are written into
+the matrix one box tile of ``basis.column_tiles`` at a time, with the
+tile as scratch, so no array of the columns at every collocation
+velocity is built; entries no tile reaches take the same formula at zero
+columns, one broadcast row per node.  Such a row at (x, v) is a local part,
 exactly zero in the phase columns of every box whose window does not
 reach (x, v), minus the velocity average at x, which is the same for
 every v; the solve groups its signatures' units and reflects these rows
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import column_batch, model_values
+from .basis import column_batch, column_tiles, model_values, tile_index
 from .collocation import _phase
 from .errors import DegenerateRowError
 from .problems import direction
@@ -120,6 +123,36 @@ def _boundary_columns(model, colloc):
     return chi
 
 
+def _write_interior(out, model, xs, vs, base, tile_rows):
+    """Write the interior rows of a phase-space model into ``out`` (S, L,
+    Z), one tile of ``basis.column_tiles`` at a time, so a tile's
+    arithmetic stays in cache: a tile's entries are ``tile_rows(rows,
+    cols, columns, chi, dchi)``, with dchi the transport derivative
+    v . grad_x chi; every entry no tile reaches is ``base`` (S, 1, Z),
+    the same formula at chi = dchi = 0.  A box's base entries are written
+    before its first tile; a tile over every point is a box's only one,
+    so they go beside it."""
+    n_s, n_l, _ = out.shape
+    based = np.zeros(model.n_boxes, dtype=bool)
+    width = model.n_features
+    for (rows, cols, columns), chi, dchi in column_tiles(
+            model, xs, direction(xs.shape[1], vs), velocities=vs):
+        box = columns.start // width
+        if not based[box]:
+            based[box] = True
+            if (isinstance(rows, slice) and rows.start == 0
+                    and rows.stop == n_s and isinstance(cols, slice)):
+                out[:, :cols.start, columns] = base[:, :, columns]
+                out[:, cols.stop:, columns] = base[:, :, columns]
+            else:
+                out[:, :, columns] = base[:, :, columns]
+        out[tile_index(rows, cols, columns)] = tile_rows(rows, cols, columns,
+                                                         chi, dchi)
+    for box in np.flatnonzero(~based):
+        columns = slice(box * width, (box + 1) * width)
+        out[:, :, columns] = base[:, :, columns]
+
+
 def assemble_rfm(spec, model, colloc, rule):
     """Assemble the one-shot system over a single phase-space model."""
     _check_phase_model(spec, model, "f")
@@ -128,16 +161,21 @@ def assemble_rfm(spec, model, colloc, rule):
     n_int = colloc.n_interior
     n_bdy = colloc.n_boundary
 
-    chi, transport = _node_columns(model, xs, vs)
     chi_q, _ = _node_columns(model, xs, rule.nodes, transport=False)
-    avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
+    avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)[:, None, :]
+    eps = spec.epsilon_at(xs)[:, None, None]
+
+    def tile_rows(rows, cols, columns, chi, transport):
+        # (eps v . grad_x chi - mean_v chi) + chi, in place
+        transport *= eps[rows]
+        transport -= avg_chi[rows, :, columns]
+        transport += chi
+        return transport
 
     matrix = np.empty((n_int + n_bdy, z))
-    # eps v . grad_x chi - mean_v chi + chi, written in place
-    rows = matrix[:n_int].reshape(chi.shape)
-    np.multiply(spec.epsilon_at(xs)[:, None, None], transport, out=rows)
-    rows -= avg_chi[:, None, :]
-    rows += chi
+    # at chi = 0 the row is ((eps 0) - mean_v chi) + 0 = 0 - mean_v chi
+    _write_interior(matrix[:n_int].reshape(xs.shape[0], vs.size, z), model,
+                    xs, vs, 0.0 - avg_chi, tile_rows)
     matrix[n_int:] = _boundary_columns(model, colloc)
     rhs = np.concatenate([spec.rfm_source(xs[:, None], vs).ravel(),
                           colloc.boundary_value])
@@ -170,7 +208,7 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
     # the micro rows of every (node, velocity) pair, as a view; their
     # terms are written into it in place
     micro = matrix[n_x:bdy].reshape(n_x, n_v, z_r + z_g)
-    micro_r, micro_g = micro[:, :, :z_r], micro[:, :, z_r:]
+    micro_r = micro[:, :, :z_r]
 
     # v . grad_x rho at every velocity from the d axis derivatives of the
     # small spatial model
@@ -178,7 +216,6 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
     for axis, along in enumerate(direction(dim, vs).T):
         chi_r, d_axis = column_batch(rho_model, xs, np.eye(dim)[axis])
         micro_r += along[None, :, None] * d_axis[:, None, :]
-    chi, trans_c = _node_columns(g_model, xs, vs)
     chi_q, trans_q = _node_columns(g_model, xs, rule.nodes)
     if spec.mixed_scale:
         # 1D only: transport acts on eps(x) g, expanded by the product
@@ -187,23 +224,42 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
         trans_q = eps_p * rule.nodes[None, :, None] * chi_q + eps * trans_q
     avg_trans = np.einsum("q,sqz->sz", rule.weights, trans_q)
     avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)
+    at, ac = avg_trans[:, None, :], avg_chi[:, None, :]
     if spec.mixed_scale:
-        # (eps' v chi + eps trans) - mean_v(...) + chi
-        trans_c *= eps
-        np.multiply(eps_p * vs[None, :, None], chi, out=micro_g)
-        micro_g += trans_c
-        micro_g -= avg_trans[:, None, :]
-        micro_g += chi
+        eps_v = eps_p * vs[None, :, None]
+
+        def tile_rows(rows, cols, columns, chi, trans):
+            # ((eps' v chi + eps trans) - mean_v(...)) + chi
+            trans *= eps[rows]
+            out = eps_v[rows][:, cols] * chi
+            out += trans
+            out -= at[rows, :, columns]
+            out += chi
+            return out
+
+        base = 0.0 - at  # ((eps' v 0 + 0 eps) - mean_v(...)) + 0
     else:
-        # eps (trans - mean_v trans) + sig_s (chi - mean_v chi)
-        # + eps^2 sig_a chi; chi and trans_c serve as scratch
-        np.subtract(trans_c, avg_trans[:, None, :], out=micro_g)
-        micro_g *= eps
-        np.multiply((eps * eps) * sig_a[:, None, None], chi, out=trans_c)
-        chi -= avg_chi[:, None, :]
-        chi *= sig_s
-        micro_g += chi
-        micro_g += trans_c
+        absorbing = bool(np.any(sig_a != 0.0))
+        eps2_sig_a = (eps * eps) * sig_a[:, None, None]
+
+        def tile_rows(rows, cols, columns, chi, trans):
+            # (eps (trans - mean_v trans) + sig_s (chi - mean_v chi))
+            # + eps^2 sig_a chi; the last term adds zeros, and is
+            # skipped, when sig_a is 0 at every node (every built-in
+            # problem)
+            trans -= at[rows, :, columns]
+            trans *= eps[rows]
+            part = chi - ac[rows, :, columns]
+            part *= sig_s[rows]
+            trans += part
+            if absorbing:
+                np.multiply(eps2_sig_a[rows], chi, out=part)
+                trans += part
+            return trans
+
+        base = (0.0 - at) * eps  # the same at chi = trans = 0
+        base += (0.0 - ac) * sig_s
+    _write_interior(micro[:, :, z_r:], g_model, xs, vs, base, tile_rows)
 
     matrix[:n_x, :z_r] = sig_a[:, None] * chi_r
     matrix[:n_x, z_r:] = avg_trans

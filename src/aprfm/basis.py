@@ -27,7 +27,10 @@ assembly and evaluation grids come: on a tensor partition the window and
 the pre-activation of a box split into a spatial and a velocity part, so
 windows, their gradients and the pre-activation parts are evaluated on
 S + L rows, and sine-pi's sines and cosines too, by angle addition; only
-tanh and the products run over the S L rows.
+tanh and the products run over the S L rows.  ``column_tiles`` gives the
+columns one box tile at a time, so that assembly can write each tile's
+rows while it is in cache; ``column_batch`` scatters those tiles into
+zeros.
 """
 
 from dataclasses import dataclass
@@ -376,23 +379,18 @@ def _product_points(model, points, velocities):
     return points, velocities
 
 
-def column_batch(model, points, direction=None, velocities=None):
-    """Glued columns chi_c = psi~_i phi_ij, (n, M*J) in box-major column
-    order, and, given ``direction``, their derivative along it over its
-    first k coordinates,
+def column_tiles(model, points, direction=None, velocities=None):
+    """The tiles of ``column_batch``'s columns (same arguments) that
+    may be non-zero, one box and one chunk of points at a time:
+    ((rows, cols, columns), chi, dchi).
 
-        (d_dir psi~_i) phi_ij + psi~_i act'(t_ij) (w_ij / r_i) . dir,
-
-    else None.
-
-    Without ``velocities`` the n rows are the (n, D) phase points, and
-    ``direction`` is (k,) or one (n, k) row per point.  With
-    ``velocities`` (L,) the rows are the product of the (S, D - 1)
-    spatial points with them, space-major (n = S L), and ``direction`` is
-    (k,) or one (L, k) row per velocity: windows and pre-activations are
-    split over the factors (see ``_box_tiles``).  Box i is evaluated only
-    where psi~_i or its derivative is non-zero: every other entry is
-    exactly zero.
+    ``rows`` (over the S points) and ``cols`` (over the L velocities;
+    slice(0, 1) without them) are each a slice or an index array,
+    ``columns`` is the slice of box i's J columns, and ``chi`` and
+    ``dchi`` (None without ``direction``) are (rows, cols, J) arrays;
+    ``tile_index(rows, cols, columns)`` places them in an (S, L, M*J)
+    array.  Tiles do not overlap, and every entry outside them is exactly
+    zero.  The tiles are fresh arrays, which the caller may overwrite.
     """
     points, velocities = _product_points(model, points, velocities)
     n_s = points.shape[0]
@@ -411,16 +409,13 @@ def column_batch(model, points, direction=None, velocities=None):
             (1, 1, k) if direction.ndim == 1
             else (n_s, 1, k) if velocities is None else (1, n_l, k))
         rate = model.w[:, :, :k] / model.partition.radii[:, None, :k]
-    m, j = model.n_boxes, model.n_features
-    chi = np.zeros((n_s, n_l, m, j))
-    dchi = None if direction is None else np.zeros((n_s, n_l, m, j))
+    j = model.n_features
     for i, (rows, cols), lead, tail, window, gradient in _box_tiles(
             model, points, velocities, k):
         phi, dact = _activation(model.activation, lead, tail, k > 0)
-        at = _tile(rows, cols) + (i,)
         window = window[:, :, None]
-        chi[at] = window * phi
-        if dchi is not None:
+        chi = window * phi
+        if k:
             along = direction[rows] if direction.shape[0] > 1 else direction
             along = along[:, cols] if along.shape[1] > 1 else along
             # (d_dir psi~) phi + psi~ act' rate, reusing phi and act'
@@ -428,9 +423,48 @@ def column_batch(model, points, direction=None, velocities=None):
             dact *= window
             phi *= (gradient * along).sum(axis=2)[:, :, None]
             phi += dact
-            dchi[at] = phi
-    return (chi.reshape(n_s * n_l, m * j),
-            None if dchi is None else dchi.reshape(n_s * n_l, m * j))
+        columns = slice(i * j, (i + 1) * j)
+        yield (rows, cols, columns), chi, (phi if k else None)
+
+
+def tile_index(rows, cols, columns):
+    """Index of a ``column_tiles`` tile in an (S, L, Z) array."""
+    return _tile(rows, cols) + (columns,)
+
+
+def column_batch(model, points, direction=None, velocities=None):
+    """Glued columns chi_c = psi~_i phi_ij, (n, M*J) in box-major column
+    order, and, given ``direction``, their derivative along it over its
+    first k coordinates,
+
+        (d_dir psi~_i) phi_ij + psi~_i act'(t_ij) (w_ij / r_i) . dir,
+
+    else None.
+
+    Without ``velocities`` the n rows are the (n, D) phase points, and
+    ``direction`` is (k,) or one (n, k) row per point.  With
+    ``velocities`` (L,) the rows are the product of the (S, D - 1)
+    spatial points with them, space-major (n = S L), and ``direction`` is
+    (k,) or one (L, k) row per velocity: windows and pre-activations are
+    split over the factors (see ``_box_tiles``).  Box i is evaluated only
+    where psi~_i or its derivative is non-zero: every other entry is
+    exactly zero.  The columns are the tiles of ``column_tiles`` scattered
+    into zeros.
+    """
+    points, velocities = _product_points(model, points, velocities)
+    n_s = points.shape[0]
+    n_l = 1 if velocities is None else velocities.size
+    shape = (n_s, n_l, model.n_columns)
+    chi = np.zeros(shape)
+    dchi = None if direction is None else np.zeros(shape)
+    for index, chi_tile, dchi_tile in column_tiles(model, points, direction,
+                                                   velocities):
+        at = tile_index(*index)
+        chi[at] = chi_tile
+        if dchi is not None:
+            dchi[at] = dchi_tile
+    shape = (n_s * n_l, model.n_columns)
+    return chi.reshape(shape), None if dchi is None else dchi.reshape(shape)
 
 
 def model_values(model, coeffs, points, velocities=None):

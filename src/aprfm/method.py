@@ -28,10 +28,11 @@ METHODS = ("rfm", "aprfm")
 # Budget, in doubles, of the cost model that sizes the row blocks: a
 # block's matrix plus the phase-model columns it is assembled from.  It
 # sets how many spatial nodes (or inflow points) one block covers.  It
-# does not bound assembly's temporaries, which hold several arrays of the
-# columns' size at once: one traced aprfm block of the annulus benchmark
-# allocates about 25 MB against the budget's 16 MB.  Other slab boundaries
-# reorder the QR folds, which moves truncated-rank errors at roundoff.
+# does not bound assembly's temporaries.  The columns at the collocation
+# velocities are now built one box tile at a time, never as a slab-sized
+# array, but the model still counts them, so that the slab boundaries stay
+# where they were: other boundaries reorder the QR folds, which moves
+# truncated-rank errors at roundoff.
 _CHUNK_BUDGET = 2_000_000
 
 
@@ -152,8 +153,11 @@ class Method:
         phase-model columns behind it (values and transport derivatives at
         every velocity and rule node of a spatial node; values at an
         inflow point) count at most ``_CHUNK_BUDGET`` doubles together (at
-        least one node or point each).  The model bounds the block and the
-        columns, not the temporaries assembly allocates beside them.
+        least one node or point each).  The columns at the velocities are
+        built as box tiles, not as arrays of the slab's size; the model
+        still counts them whole, so that the slab boundaries, and with them
+        the order of the folds, stay the same.  It bounds neither the
+        tiles nor the other temporaries assembly allocates.
 
         Each block's weights rescale its rows to unit max-abs entries; an
         aprfm macro row, which stands for the n_v identical rows of its

@@ -10,13 +10,15 @@ writes each macro row once per velocity, unweighted, as the reference for
 the weighted single macro row; ``dense_column_batch``,
 ``dense_model_values`` and ``dense_assembly`` evaluate every box at every
 point with full gradients, as references for the support-restricted
-directional kernel; ``micro_macro_residuals`` and
-``exact_micro_macro_pair`` state the micro-macro equations pointwise, as
-references for the problem sources.  ``blas_threads`` sets the BLAS
-thread count a lone run finds, and ``fold_flops`` counts the flops of the
-QR folds."""
+directional kernel; ``unfused_blocks`` builds the row blocks from full
+column arrays, as the reference for the rows written tile by tile;
+``micro_macro_residuals`` and ``exact_micro_macro_pair`` state the
+micro-macro equations pointwise, as references for the problem sources.
+``blas_threads`` sets the BLAS thread count a lone run finds, and
+``fold_flops`` counts the flops of the QR folds."""
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import scipy.linalg
@@ -346,6 +348,52 @@ def dense_assembly(meth, colloc, rule):
          spec.epsilon_at(colloc.boundary_x)[:, None] * chi_b], axis=1)
     return np.concatenate([macro, micro.reshape(-1, micro.shape[-1]),
                            boundary])
+
+
+# -- full column arrays, then the rows: the tile-by-tile writes' reference ---
+
+def unfused_assembly(meth, colloc, rule):
+    """``meth.assemble``'s system with the phase-model columns of its
+    interior (rfm) or micro (aprfm) rows rebuilt from ``column_batch``'s
+    full (S, L, Z) columns and transport derivatives, each element with
+    the operation order the assemblers keep."""
+    system = Method.assemble(meth, colloc, rule)  # meth may be Unfused
+    spec, phase = meth.spec, meth.models[-1]
+    xs, vs = colloc.spatial_nodes, colloc.velocity_nodes
+    chi, trans = assemble._node_columns(phase, xs, vs)
+    chi_q, trans_q = assemble._node_columns(phase, xs, rule.nodes)
+    eps = spec.epsilon_at(xs)[:, None, None]
+    avg_chi = np.einsum("q,sqz->sz", rule.weights, chi_q)[:, None, :]
+    if spec.mixed_scale:
+        eps_p = spec.epsilon_prime_at(xs)[:, None, None]
+        trans_q = eps_p * rule.nodes[None, :, None] * chi_q + eps * trans_q
+    avg_trans = np.einsum("q,sqz->sz", rule.weights, trans_q)[:, None, :]
+    if meth.name == "rfm":
+        kind = assemble.ROW_RFM
+        rows = ((eps * trans) - avg_chi) + chi
+    elif spec.mixed_scale:
+        kind = assemble.ROW_MICRO
+        rows = (((eps_p * vs[None, :, None]) * chi + trans * eps)
+                - avg_trans) + chi
+    else:
+        kind = assemble.ROW_MICRO
+        rows = (((trans - avg_trans) * eps
+                 + (chi - avg_chi) * spec.sigma_s(xs)[:, None, None])
+                + ((eps * eps) * spec.sigma_a(xs)[:, None, None]) * chi)
+    matrix = system.matrix.copy()
+    matrix[system.row_kind == kind, -phase.n_columns:] = rows.reshape(
+        -1, phase.n_columns)
+    return dataclasses.replace(system, matrix=matrix)
+
+
+def unfused_blocks(meth, colloc, rule):
+    """``meth.blocks`` with every block assembled by ``unfused_assembly``."""
+
+    class Unfused(Method):
+        def assemble(self, colloc, rule):
+            return unfused_assembly(self, colloc, rule)
+
+    return Unfused(meth.name, meth.spec, meth.models).blocks(colloc, rule)
 
 
 # -- the micro-macro equations pointwise: the sources' reference ------------

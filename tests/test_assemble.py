@@ -299,6 +299,26 @@ class TestAgainstDenseReference:
         np.testing.assert_allclose(matrix, ref, rtol=0,
                                    atol=1e-14 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("case", ["ex1", "ex5"])
+    def test_absorbing_matrix_matches_dense_assembly(self, case):
+        # a varying sigma_a, so that the eps^2 sigma_a g term counts
+        problem, n_spatial, n_velocity, features = {
+            "ex1": ("ex1", (16,), 32, dict(jrho=8, jg=8, m_spatial=(2,),
+                                           m_velocity=2)),
+            "ex5": ("ex5", (8, 8), 16, dict(jrho=8, jg=8, m_velocity=8)),
+        }[case]
+        spec = dataclasses.replace(
+            problems.catalog(problem, 0.5),
+            sigma_a=lambda x: 0.25 + np.abs(np.asarray(x)[..., 0]))
+        config = run_config(spec, "aprfm", n_spatial, n_velocity, **features)
+        rule = quadrature.angular_rule(spec.spatial_dim, config.nq)
+        colloc = collocation.build_collocation(spec, n_spatial, n_velocity)
+        meth = Method.build(spec, config)
+        matrix = meth.assemble(colloc, rule).matrix
+        ref = dense_assembly(meth, colloc, rule)
+        np.testing.assert_allclose(matrix, ref, rtol=0,
+                                   atol=1e-14 * np.abs(ref).max())
+
 
 class TestRowsInPlace:
     """Assembly writes the aprfm micro rows and the rfm interior rows into

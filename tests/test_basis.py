@@ -291,6 +291,39 @@ class TestProductKernel:
         np.testing.assert_allclose(basis.model_values(model, coeffs, xs, vs),
                                    ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("counts", [(2, 3), (2, 2, 2)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("product", [True, False],
+                             ids=["product", "phase-points"])
+    def test_tiles_scatter_to_columns(self, product, counts, monkeypatch):
+        # column_batch is the tiles scattered into zeros; with unsorted
+        # points and velocities and chunks of 7 points the tiles have
+        # index-array rows and columns and split over the chunks
+        model = phase_model(len(counts), counts)
+        xs, vs = product_grid(model, 30, 20, seed=4)
+        vs = vs[np.random.default_rng(1).permutation(vs.size)]
+        dirs = problems.direction(xs.shape[1], vs)
+        if not product:
+            xs, vs = _phase(*_tensor(xs, vs)), None
+            dirs = np.tile(dirs, (30, 1))
+        n_l = 1 if vs is None else vs.size
+        monkeypatch.setattr(basis, "_EVAL_CHUNK", 7 * n_l * model.n_features)
+        shape = (xs.shape[0], n_l, model.n_columns)
+        covered = np.zeros(shape, dtype=int)
+        tiled = np.zeros((2,) + shape)
+        for index, *tiles in basis.column_tiles(model, xs, dirs,
+                                                velocities=vs):
+            at = basis.tile_index(*index)
+            covered[at] += 1
+            for out, tile in zip(tiled, tiles):
+                assert tile.shape == out[at].shape
+                out[at] = tile
+        assert covered.max() == 1 and 0 < covered.mean() < 1
+        for got, full in zip(tiled, basis.column_batch(model, xs, dirs,
+                                                       velocities=vs)):
+            full = full.reshape(shape)
+            assert np.array_equal(got.view(np.int64), full.view(np.int64))
+            assert not np.any(full[covered == 0])
+
     def test_shapes_checked(self):
         model = phase_model(3)
         xs, vs = product_grid(model, 4, 5, seed=0)

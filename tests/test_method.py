@@ -1,19 +1,20 @@
-"""Row blocks of a method's system, and the streamed solve checked against
-the dense gelsd solve of the restacked matrix and against the system that
-repeats each macro row once per velocity."""
+"""Row blocks of a method's system, checked against the blocks built from
+full column arrays, and the streamed solve checked against the dense gelsd
+solve of the restacked matrix and against the system that repeats each
+macro row once per velocity."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from aprfm import assemble, collocation, method, problems, quadrature, \
-    reference
+from aprfm import assemble, basis, collocation, method, problems, \
+    quadrature, reference
 from aprfm.errors import DegenerateRowError
 from aprfm.solve import lstsq
 from helpers import (dense_lstsq, exact_field_for, exact_rho_field,
                      repeated_macro_blocks, run_config, stack_blocks,
-                     weighted)
+                     unfused_blocks, weighted)
 
 
 def setup(problem, eps, name, n_spatial, n_velocity, **features):
@@ -110,6 +111,74 @@ class TestBlocks:
         assert err.value.row_index == \
             colloc.n_interior + colloc.n_boundary - 1
         assert err.value.row_kind == "boundary"
+
+
+# The configurations of the tables, the oracle and annulus benchmarks and
+# the acceptance criteria, at test size but with their box partitions:
+# ex4's 2 x 2 spatial boxes give tiles with index-array rows.
+TILE_CASES = {
+    "ex6-eps1": ("ex6", 1.0, "aprfm", (8, 8), 16,
+                 dict(jrho=8, jg=16, m_velocity=4)),
+    "ex6-eps5e-3": ("ex6", 5e-3, "aprfm", (8, 8), 16,
+                    dict(jrho=8, jg=16, m_velocity=4)),
+    "T4": ("ex1", 1e-2, "aprfm", (32,), 64, dict(jrho=16, jg=16)),
+    "T1": ("ex1", 1e-2, "rfm", (16,), 32, dict(j=32)),
+    "T3-mx2-mv2": ("ex1", 1e-2, "rfm", (16,), 32,
+                   dict(j=16, m_spatial=(2,), m_velocity=2)),
+    "ex2": ("ex2", 1e-1, "aprfm", (32,), 32,
+            dict(jrho=8, jg=16, m_spatial=(2,), m_velocity=4)),
+    "ex3-mx2": ("ex3", None, "aprfm", (32,), 32,
+                dict(jrho=8, jg=16, m_spatial=(2,), m_velocity=4)),
+    "ex3-mx3": ("ex3", None, "aprfm", (32,), 32,
+                dict(jrho=8, jg=16, m_spatial=(3,), m_velocity=4)),
+    "ex5": ("ex5", 1.0, "aprfm", (8, 8), 16,
+            dict(jrho=8, jg=16, m_velocity=4)),
+    "ex4-rfm": ("ex4", 1.0, "rfm", (8, 8), 8,
+                dict(j=8, m_spatial=(2, 2), m_velocity=2)),
+    "ex4-aprfm": ("ex4", 1.0, "aprfm", (8, 8), 8,
+                  dict(jrho=8, jg=8, m_spatial=(2, 2), m_velocity=2)),
+    "ex6-rfm-mv1": ("ex6", 1.0, "rfm", (8, 8), 16, dict(j=16)),
+}
+
+
+def assert_blocks_equal(meth, colloc, rule):
+    blocks = list(meth.blocks(colloc, rule))
+    reference = list(unfused_blocks(meth, colloc, rule))
+    assert len(blocks) == len(reference) > 2
+    for block, ref in zip(blocks, reference):
+        for name in ("matrix", "rhs", "lam"):
+            assert np.array_equal(getattr(block, name), getattr(ref, name))
+
+
+class TestTileRows:
+    """The interior (rfm) and micro (aprfm) rows, written into the matrix
+    one tile of the kernel at a time, equal the rows built from the full
+    column arrays, bit for bit up to the sign of a zero, and so do the
+    blocks' rhs and weights."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "sine-pi"])
+    @pytest.mark.parametrize("case", TILE_CASES.values(),
+                             ids=TILE_CASES.keys())
+    def test_blocks_equal_unfused_blocks(self, case, activation,
+                                         monkeypatch):
+        problem, eps, name, n_spatial, n_velocity, features = case
+        meth, colloc, rule = setup(problem, eps, name, n_spatial, n_velocity,
+                                   activation=activation, **features)
+        # several slabs
+        monkeypatch.setattr(method, "_CHUNK_BUDGET", 20_000)
+        assert_blocks_equal(meth, colloc, rule)
+
+    @pytest.mark.parametrize("case", ["ex6-eps1", "ex3-mx2", "ex4-aprfm",
+                                      "T3-mx2-mv2"])
+    def test_tiles_over_part_of_the_nodes(self, case, monkeypatch):
+        # chunks of a few nodes split each box's tile over the nodes, so
+        # a box's base entries go in before its first tile
+        problem, eps, name, n_spatial, n_velocity, features = TILE_CASES[case]
+        meth, colloc, rule = setup(problem, eps, name, n_spatial, n_velocity,
+                                   **features)
+        monkeypatch.setattr(method, "_CHUNK_BUDGET", 20_000)
+        monkeypatch.setattr(basis, "_EVAL_CHUNK", 3 * n_velocity * 16)
+        assert_blocks_equal(meth, colloc, rule)
 
 
 STREAMED_CASES = {
