@@ -265,8 +265,8 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
     matrix[:n_x, z_r:] = avg_trans
     chi_rb, _ = column_batch(rho_model, colloc.boundary_x)
     matrix[bdy:, :z_r] = chi_rb
-    matrix[bdy:, z_r:] = (spec.epsilon_at(colloc.boundary_x)[:, None]
-                          * _boundary_columns(g_model, colloc))
+    np.multiply(spec.epsilon_at(colloc.boundary_x)[:, None],
+                _boundary_columns(g_model, colloc), out=matrix[bdy:, z_r:])
 
     rhs = np.concatenate([spec.macro_source(xs),
                           spec.micro_source(xs[:, None], vs).ravel(),

@@ -46,8 +46,10 @@ On the 2-core box a lone run at two threads still replayed its cell bit
 for bit at Z 48-640 against an exact solution (ex1 rfm mx 2 mv 2, ex1
 aprfm mx 4, ex6 mv 2 and both criterion-6 runs, whose factors are
 merged, and ex4 at Z 640 over four boxes), but not the oracle
-workload's ex2 (Z 576), ex3 (Z 1152) and ex5 runs, whose SVD and oracle
-use two threads: those need ``OPENBLAS_NUM_THREADS=1`` to replay.
+workload's ex2 (Z 576), ex3 (Z 1152) and ex5 runs, whose SVD (and ex5's
+GMRES oracle) use two threads: those need ``OPENBLAS_NUM_THREADS=1`` to
+replay.  The 1D oracle's sparse solve gives the same bits at one and two
+threads.
 """
 
 import argparse

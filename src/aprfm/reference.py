@@ -8,17 +8,19 @@ The oracle discretizes the native form of each benchmark,
 
 with first-order upwind differences on cell-centered grids over the
 16-node Gauss-Legendre rule.  Inflow values are injected as ghost values
-on the upwind side of boundary faces.  Eliminating f leaves a linear
-system (I - K) rho = b for the angular average rho = <f>, where K is one
-transport sweep of the scattering source.  There is one entry point per
+on the upwind side of boundary faces.  There is one entry point per
 dimension, for the field each dimension's runs are scored on:
 
-- :func:`fdm_reference` (1D) forms K densely from the per-ordinate upwind
-  propagators, solves the system directly, and sweeps once more at the
-  evaluation velocities for f;
-- :func:`fdm_density` (2D) applies K by one wavefront sweep over all
-  ordinates at once and solves the system by GMRES (Krylov-accelerated
-  source iteration, Adams & Larsen 2002) for rho.
+- :func:`fdm_reference` (1D) solves the scheme for the angular flux at
+  the K ordinates of every cell as one sparse system, cell-major so that
+  its bandwidth is about 2K, by one direct ``spsolve``; rho = <f> gives
+  the scattering source of one upwind sweep at the evaluation velocities
+  for f;
+- :func:`fdm_density` (2D) eliminates f, which leaves a linear system
+  (I - K) rho = b for the angular average rho = <f>, where K is one
+  transport sweep of the scattering source; it applies K by one
+  wavefront sweep over all ordinates at once and solves the system by
+  GMRES (Krylov-accelerated source iteration, Adams & Larsen 2002).
 
 Plain source iteration needs about 1/eps^2 sweeps; GMRES needs far fewer
 but still more as the optical thickness grows.  The 2D oracle takes a
@@ -36,7 +38,8 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import LinearOperator, gmres, spsolve
 
 from . import collocation
 from .collocation import EVAL_GRID_2D, _phase, _tensor
@@ -128,7 +131,8 @@ def fdm_reference(spec, resolution=None):
     n_cells = FDM_RESOLUTION_1D if resolution is None else resolution
     x, _, f = _solve_1d(spec, n_cells, angular_rule(1, 16), eval_v)
     f_eval = np.stack([np.interp(eval_x[:, 0], x, row) for row in f])
-    # one dense solve, counted as one sweep, as the log record counts it
+    # one sparse direct solve, counted as one sweep, as the log record
+    # counts it
     return replace(phase_field(eval_x, eval_v, f_eval.T.ravel()),
                    info={"kind": "fdm", "resolution": (int(n_cells),),
                          "solver": "direct", "sweeps": 1})
@@ -198,54 +202,65 @@ def _upwind(ratio, q):
 
 
 def _solve_1d(spec, n_cells, rule, velocities):
-    """Cell centers (n,), the density on them from one dense solve over
-    the ``rule`` ordinates, and the angular flux at ``velocities`` (L, n)
-    from one sweep each with that density's scattering source."""
+    """Cell centers (n,), the density on them from one sparse solve of the
+    angular system over the ``rule`` ordinates, and the angular flux at
+    ``velocities`` (L, n) from one sweep each with that density's
+    scattering source."""
     lo, hi = spec.x_lo[0], spec.x_hi[0]
     x = collocation.cell_centers(lo, hi, n_cells)
     n = x.size
     h = (hi - lo) / n
     eps, sig_s, removal = _native_fields(spec, x[:, None])
 
-    def sweep_terms(vs, scattering):
-        """Per ordinate: its cells in crossing order, the upwind ratio and
-        diagonal, and the recurrence source q for the scattering source
-        ``scattering`` (n,) with the inflow folded into q_0, all (K, n) in
-        crossing order.  The order, the identity or a reversal, is its own
-        inverse, so indexing by it also maps back."""
+    def sweep_terms(vs):
+        """Per ordinate: its cells in crossing order, the upwind coupling
+        a and the diagonal den of the step scheme, and the source with the
+        inflow a_0 f_in folded into its first cell, all (K, n) in crossing
+        order.  The order, the identity or a reversal, is its own inverse,
+        so indexing by it also maps back."""
         order = np.where(vs[:, None] < 0, np.arange(n)[::-1], np.arange(n))
         a = eps[order] * np.abs(vs)[:, None] / h
         den = a + removal[order]
-        ratio = a / den
-        src = spec.rfm_source(x[None, :, None], vs[:, None])
-        q = (np.take_along_axis(src, order, axis=1) + scattering[order]) / den
+        src = np.take_along_axis(spec.rfm_source(x[None, :, None],
+                                                 vs[:, None]), order, axis=1)
         faces = np.where(vs < 0, hi, lo)[:, None]
-        q[:, 0] += ratio[:, 0] * spec.boundary_value(faces, vs)
-        return order, den, ratio, q
+        src[:, 0] += a[:, 0] * spec.boundary_value(faces, vs)
+        return order, a, den, src
 
-    # the recurrence applied to the identity gives each ordinate's dense
-    # lower-triangular propagator P_m; eliminating the angular flux leaves
-    # rho = K rho + b, with K = sum_m w_m O_m P_m diag(1/den_m) O_m
-    # diag(sig_s) and b = sum_m w_m O_m P_m q_m, O_m the crossing order
-    order, den, ratio, q = sweep_terms(rule.nodes, np.zeros(n))
-    prop = _upwind(ratio, np.broadcast_to(np.eye(n), (rule.n_nodes, n, n)))
-    kernel = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for m, weight in enumerate(rule.weights):
-        block = prop[m] / den[m][None, :]
-        kernel += weight * block[np.ix_(order[m], order[m])]
-        rhs += weight * (prop[m] @ q[m])[order[m]]
-    kernel *= sig_s[None, :]
-    rho = np.linalg.solve(np.eye(n) - kernel, rhs)
+    # the step scheme for every (cell c, ordinate m), cell-major so that
+    # the bandwidth is about 2K: den f(c, m) - a f(upwind cell, m)
+    # - sig_s(c) sum_m' w_m' f(c, m') = src(c, m)
+    n_ord = rule.n_nodes
+    order, a, den, src = sweep_terms(rule.nodes)
+    index = np.arange(n * n_ord).reshape(n, n_ord)
+    # each cell's K x K block: -sig_s(c) w_m' in every row, den on the
+    # diagonal
+    block = np.multiply.outer(-sig_s, np.broadcast_to(rule.weights,
+                                                      (n_ord, n_ord)))
+    block[:, np.arange(n_ord), np.arange(n_ord)] += \
+        np.take_along_axis(den, order, axis=1).T
+    # each ordinate's cells past the first it crosses, from their upwind
+    # neighbours
+    upwind = order * n_ord + np.arange(n_ord)[:, None]
+    rows = np.concatenate([np.repeat(index, n_ord, axis=1).ravel(),
+                           upwind[:, 1:].ravel()])
+    cols = np.concatenate([np.tile(index, n_ord).ravel(),
+                           upwind[:, :-1].ravel()])
+    system = csc_array((np.concatenate([block.ravel(), -a[:, 1:].ravel()]),
+                        (rows, cols)), shape=(n * n_ord, n * n_ord))
+    rhs = np.take_along_axis(src, order, axis=1).T.ravel()
+    rho = spsolve(system, rhs, use_umfpack=False).reshape(n, n_ord) \
+        @ rule.weights
     if not np.all(np.isfinite(rho)):
         raise NoConvergenceError("1D direct solve gave a non-finite density",
                                  np.inf)
-    # one dense operator solve; the message format is what log readers parse
+    # one sparse direct solve; the message format is what log readers parse
     logger.info("%s: 1D source iteration converged in %d sweeps (n=%d)",
                 spec.id, 1, n)
 
-    order, _, ratio, q = sweep_terms(velocities, sig_s * rho)
-    f = np.take_along_axis(_upwind(ratio, q), order, axis=1)
+    order, a, den, src = sweep_terms(velocities)
+    q = (src + (sig_s * rho)[order]) / den
+    f = np.take_along_axis(_upwind(a / den, q), order, axis=1)
     return x, rho, f
 
 

@@ -11,9 +11,12 @@ the weighted single macro row; ``dense_column_batch``,
 ``dense_model_values`` and ``dense_assembly`` evaluate every box at every
 point with full gradients, as references for the support-restricted
 directional kernel; ``unfused_blocks`` builds the row blocks from full
-column arrays, as the reference for the rows written tile by tile;
-``micro_macro_residuals`` and ``exact_micro_macro_pair`` state the
-micro-macro equations pointwise, as references for the problem sources.
+column arrays, as the reference for the rows written tile by tile and
+the inflow rows written in place; ``micro_macro_residuals`` and
+``exact_micro_macro_pair`` state the micro-macro equations pointwise, as
+references for the problem sources; ``dense_solve_1d`` solves the 1D
+oracle through dense upwind propagators, as the reference for its sparse
+solve.
 ``blas_threads`` sets the BLAS thread count a lone run finds, and
 ``fold_flops`` counts the flops of the QR folds."""
 
@@ -356,7 +359,8 @@ def unfused_assembly(meth, colloc, rule):
     """``meth.assemble``'s system with the phase-model columns of its
     interior (rfm) or micro (aprfm) rows rebuilt from ``column_batch``'s
     full (S, L, Z) columns and transport derivatives, each element with
-    the operation order the assemblers keep."""
+    the operation order the assemblers keep, and for aprfm the g columns
+    of its inflow rows as eps times the inflow columns."""
     system = Method.assemble(meth, colloc, rule)  # meth may be Unfused
     spec, phase = meth.spec, meth.models[-1]
     xs, vs = colloc.spatial_nodes, colloc.velocity_nodes
@@ -383,6 +387,11 @@ def unfused_assembly(meth, colloc, rule):
     matrix = system.matrix.copy()
     matrix[system.row_kind == kind, -phase.n_columns:] = rows.reshape(
         -1, phase.n_columns)
+    if meth.name == "aprfm":
+        matrix[system.row_kind == assemble.ROW_BOUNDARY,
+               -phase.n_columns:] = (
+            spec.epsilon_at(colloc.boundary_x)[:, None]
+            * assemble._boundary_columns(phase, colloc))
     return dataclasses.replace(system, matrix=matrix)
 
 
@@ -488,6 +497,46 @@ def source_iteration_1d(spec, n_cells, rule, sweep_tol, max_iters=100_000):
         if change < sweep_tol:
             return rho
     raise AssertionError(f"source iteration stalled at change {change:.3e}")
+
+
+def dense_solve_1d(spec, n_cells, rule, velocities):
+    """The 1D oracle's cell centers, density and angular flux at
+    ``velocities`` the dense way: each ordinate's lower-triangular upwind
+    propagator P_m, built by the recurrence on the identity, gives
+    rho = K rho + b with K = sum_m w_m O_m P_m diag(1/den_m) O_m
+    diag(sig_s) and b = sum_m w_m O_m P_m q_m (O_m the crossing order),
+    solved by ``np.linalg.solve``; then one sweep per velocity."""
+    lo, hi = spec.x_lo[0], spec.x_hi[0]
+    x = collocation.cell_centers(lo, hi, n_cells)
+    n = x.size
+    h = (hi - lo) / n
+    eps, sig_s, removal = reference._native_fields(spec, x[:, None])
+
+    def sweep_terms(vs, scattering):
+        order = np.where(vs[:, None] < 0, np.arange(n)[::-1], np.arange(n))
+        a = eps[order] * np.abs(vs)[:, None] / h
+        den = a + removal[order]
+        ratio = a / den
+        src = spec.rfm_source(x[None, :, None], vs[:, None])
+        q = (np.take_along_axis(src, order, axis=1) + scattering[order]) / den
+        faces = np.where(vs < 0, hi, lo)[:, None]
+        q[:, 0] += ratio[:, 0] * spec.boundary_value(faces, vs)
+        return order, den, ratio, q
+
+    order, den, ratio, q = sweep_terms(rule.nodes, np.zeros(n))
+    prop = reference._upwind(ratio, np.broadcast_to(np.eye(n),
+                                                    (rule.n_nodes, n, n)))
+    kernel = np.zeros((n, n))
+    rhs = np.zeros(n)
+    for m, weight in enumerate(rule.weights):
+        block = prop[m] / den[m][None, :]
+        kernel += weight * block[np.ix_(order[m], order[m])]
+        rhs += weight * (prop[m] @ q[m])[order[m]]
+    kernel *= sig_s[None, :]
+    rho = np.linalg.solve(np.eye(n) - kernel, rhs)
+    order, _, ratio, q = sweep_terms(velocities, sig_s * rho)
+    f = np.take_along_axis(reference._upwind(ratio, q), order, axis=1)
+    return x, rho, f
 
 
 def source_iteration_2d(spec, n_cells, rule, sweep_tol, max_iters=10_000):

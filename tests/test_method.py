@@ -122,6 +122,7 @@ TILE_CASES = {
     "ex6-eps5e-3": ("ex6", 5e-3, "aprfm", (8, 8), 16,
                     dict(jrho=8, jg=16, m_velocity=4)),
     "T4": ("ex1", 1e-2, "aprfm", (32,), 64, dict(jrho=16, jg=16)),
+    "T4-eps1e-8": ("ex1", 1e-8, "aprfm", (32,), 64, dict(jrho=16, jg=16)),
     "T1": ("ex1", 1e-2, "rfm", (16,), 32, dict(j=32)),
     "T3-mx2-mv2": ("ex1", 1e-2, "rfm", (16,), 32,
                    dict(j=16, m_spatial=(2,), m_velocity=2)),
@@ -153,7 +154,8 @@ def assert_blocks_equal(meth, colloc, rule):
 class TestTileRows:
     """The interior (rfm) and micro (aprfm) rows, written into the matrix
     one tile of the kernel at a time, equal the rows built from the full
-    column arrays, bit for bit up to the sign of a zero, and so do the
+    column arrays, bit for bit up to the sign of a zero; so do the aprfm
+    inflow rows' g columns, multiplied into the matrix in place, and the
     blocks' rhs and weights."""
 
     @pytest.mark.parametrize("activation", ["tanh", "sine-pi"])

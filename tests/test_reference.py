@@ -1,17 +1,19 @@
 import dataclasses
 import gc
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from aprfm import collocation, problems, quadrature, reference
+from aprfm import collocation, problems, quadrature, reference, solve
 from aprfm.basis import model_values
 from aprfm.errors import (NoConvergenceError, UndefinedMetricError,
                           UnsupportedProblemError)
 from aprfm.method import Method
-from helpers import build_models, source_iteration_1d, source_iteration_2d
+from helpers import (blas_threads, build_models, dense_solve_1d,
+                     source_iteration_1d, source_iteration_2d)
 
 
 class TestExactField:
@@ -137,6 +139,46 @@ class TestFdm1D:
         _, rho, f = reference._solve_1d(spec, 512, rule, rule.nodes)
         assert np.max(np.abs(rule.weights @ f - rho)) <= \
             1e-12 * np.max(np.abs(rho))
+
+    @pytest.mark.parametrize("n_cells", [64, 128, 512])
+    @pytest.mark.parametrize("problem,eps", [("ex1", 1e-2), ("ex2", 1.0),
+                                             ("ex2", 1e-1), ("ex3", None)])
+    def test_sparse_solve_matches_dense_propagators(self, problem, eps,
+                                                    n_cells):
+        spec = problems.catalog(problem, eps)
+        rule = quadrature.angular_rule(1, 16)
+        _, vs = collocation.evaluation_nodes(spec)
+        _, rho, f = reference._solve_1d(spec, n_cells, rule, vs)
+        _, rho_ref, f_ref = dense_solve_1d(spec, n_cells, rule, vs)
+        assert np.max(np.abs(rho - rho_ref)) <= \
+            1e-12 * np.max(np.abs(rho_ref))
+        assert np.max(np.abs(f - f_ref)) <= 1e-12 * np.max(np.abs(f_ref))
+
+    def test_default_mesh_allocation_peak(self):
+        # the dense path held all 16 upwind propagators of the 512-cell
+        # mesh at once, a peak of 45 MB
+        spec = problems.catalog("ex2", 1e-1)
+        reference.fdm_reference(spec)
+        tracemalloc.start()
+        try:
+            reference.fdm_reference(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("problem,eps", [("ex2", 1e-1), ("ex3", None)])
+    def test_same_bits_at_one_and_two_blas_threads(self, problem, eps):
+        # a lone run keeps the process's BLAS threads for the oracle, a
+        # sweep runs it on one
+        if solve._blas_thread_controls() is None:
+            pytest.skip("the OpenBLAS thread counts cannot be set")
+        spec = problems.catalog(problem, eps)
+        with blas_threads(2):
+            outside = reference.fdm_reference(spec)
+        with solve._one_blas_thread():
+            inside = reference.fdm_reference(spec)
+        assert np.array_equal(inside.values, outside.values)
 
     def test_non_finite_density_raises(self):
         spec = dataclasses.replace(
