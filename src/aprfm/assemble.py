@@ -8,18 +8,19 @@ over a single phase-space feature model.  Micro-macro ("aprfm") systems
 have one macro row per spatial node, which has no velocity in it, and one
 micro row per interior collocation point (x, v),
 
-    macro:  mean_v(v . grad_x g) + sigma_a rho = macro_source,
+    macro:  mean_v(v . grad_x g) = macro_source,
     micro:  v . grad_x rho + eps (Id - P)(v . grad_x g)
-            - sigma_s (mean_v g - g) + eps^2 sigma_a g = micro_source,
+            - (mean_v g - g) = micro_source,
 
+(the normal form of :mod:`aprfm.problems`, sigma_s = 1 and sigma_a = 0)
 with the spatial model for rho in the leading column block and the phase
 model for g trailing; boundary rows impose rho + eps g = f_bdy.  The rows
 come macro first, then micro, then boundary.  A macro row stands for the
 n_v identical rows of its node's velocities, so the solve weights it by
 sqrt(n_v) (see ``aprfm.method``).  The mixed-scale variant replaces the
 eps-scaled micro/macro transport by derivatives of eps(x) g (product rule)
-and adds g itself to the micro row; it assumes a 1D problem with
-sigma_a = 0, as the one mixed-scale problem, ex3, is.
+and adds g itself to the micro row; it assumes a 1D problem, as the one
+mixed-scale problem, ex3, is.
 
 The phase model's transport terms come straight from the column kernel
 as the derivative of each column along the transport direction of its
@@ -198,8 +199,6 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
     n_int = colloc.n_interior
     n_bdy = colloc.n_boundary
 
-    sig_s = spec.sigma_s(xs)[:, None, None]
-    sig_a = spec.sigma_a(xs)
     eps = spec.epsilon_at(xs)[:, None, None]
 
     n_rows = n_x + n_int + n_bdy
@@ -214,7 +213,7 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
     # small spatial model
     micro_r[...] = 0.0
     for axis, along in enumerate(direction(dim, vs).T):
-        chi_r, d_axis = column_batch(rho_model, xs, np.eye(dim)[axis])
+        _, d_axis = column_batch(rho_model, xs, np.eye(dim)[axis])
         micro_r += along[None, :, None] * d_axis[:, None, :]
     chi_q, trans_q = _node_columns(g_model, xs, rule.nodes)
     if spec.mixed_scale:
@@ -239,29 +238,18 @@ def assemble_aprfm(spec, rho_model, g_model, colloc, rule):
 
         base = 0.0 - at  # ((eps' v 0 + 0 eps) - mean_v(...)) + 0
     else:
-        absorbing = bool(np.any(sig_a != 0.0))
-        eps2_sig_a = (eps * eps) * sig_a[:, None, None]
-
         def tile_rows(rows, cols, columns, chi, trans):
-            # (eps (trans - mean_v trans) + sig_s (chi - mean_v chi))
-            # + eps^2 sig_a chi; the last term adds zeros, and is
-            # skipped, when sig_a is 0 at every node (every built-in
-            # problem)
+            # eps (trans - mean_v trans) + (chi - mean_v chi)
             trans -= at[rows, :, columns]
             trans *= eps[rows]
-            part = chi - ac[rows, :, columns]
-            part *= sig_s[rows]
-            trans += part
-            if absorbing:
-                np.multiply(eps2_sig_a[rows], chi, out=part)
-                trans += part
+            trans += chi - ac[rows, :, columns]
             return trans
 
         base = (0.0 - at) * eps  # the same at chi = trans = 0
-        base += (0.0 - ac) * sig_s
+        base += 0.0 - ac
     _write_interior(micro[:, :, z_r:], g_model, xs, vs, base, tile_rows)
 
-    matrix[:n_x, :z_r] = sig_a[:, None] * chi_r
+    matrix[:n_x, :z_r] = 0.0
     matrix[:n_x, z_r:] = avg_trans
     chi_rb, _ = column_batch(rho_model, colloc.boundary_x)
     matrix[bdy:, :z_r] = chi_rb

@@ -22,7 +22,8 @@ command-line flags win.  File and flag values are read as text and go
 through the same parser, so a value that does not parse (``--j abc``)
 exits 2 with ``invalid-config`` wherever it comes from.  So does a value
 out of range, before any work: ``--epsilon`` must be positive and finite
-(``profile`` for ex3, which ignores it), every count positive, ``--nq``
+(``profile`` for ex3, which ignores it), every count positive and the
+grid counts ``--nx``, ``--nv``, ``--nx1`` and ``--nx2`` at least 2, ``--nq``
 in 2..128, ``--activation`` ``tanh`` or ``sine-pi``, ``--rank-tol`` in
 (0, 1), the weight interval [-b_range, b_range] of positive finite width,
 the seed in [0, 2**63) for rfm and in [0, 2**62) for aprfm (whose g model
@@ -57,6 +58,7 @@ import concurrent.futures
 import dataclasses
 import json
 import logging
+import math
 import os
 import resource
 import sys
@@ -67,7 +69,7 @@ import numpy as np
 
 from . import basis, collocation, quadrature
 from .errors import AprfmError, NoConvergenceError, NonFiniteInputError
-from .method import METHODS, solve
+from .method import METHODS, solve, spatial_counts
 from .problems import PROBLEM_IDS, catalog
 from .reference import (GridField, _require_oracle_eps, exact_field,
                         fdm_density, fdm_reference, phase_field, relative_l2)
@@ -117,6 +119,10 @@ class RunConfig:
         counts += [c for c in (self.j, self.jrho, self.jg) if c is not None]
         if any(int(c) < 1 for c in counts):
             raise ValueError("all counts must be positive")
+        # collocation takes at least two nodes per axis and velocity
+        if any(int(c) < 2 for c in (self.nx, self.nv, self.nx1, self.nx2)):
+            raise ValueError("nx, nv, nx1 and nx2 must be at least 2")
+        catalog(self.problem, _problem_epsilon(self))  # its epsilon check
         quadrature.angular_rule(1, self.nq)  # its node-count check
         if self.activation not in basis.ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -367,10 +373,8 @@ def _cost(config):
     """N Z^2 of a cell, counted from its settings (interior points times
     the squared column count): the order of the work its solve does."""
     cfg = config.resolved()
-    if catalog(cfg.problem, 1.0).spatial_dim == 1:
-        boxes, nodes = cfg.mx, cfg.nx
-    else:
-        boxes, nodes = cfg.mx1 * cfg.mx2, cfg.nx1 * cfg.nx2
+    boxes, nodes = map(math.prod, spatial_counts(
+        catalog(cfg.problem, 1.0).spatial_dim, cfg))
     z = boxes * (cfg.j * cfg.mv if cfg.method == "rfm"
                  else cfg.jrho + cfg.jg * cfg.mv)
     return nodes * cfg.nv * z * z

@@ -36,6 +36,15 @@ METHODS = ("rfm", "aprfm")
 _CHUNK_BUDGET = 2_000_000
 
 
+def spatial_counts(spatial_dim, config):
+    """The box counts per spatial axis of ``config``, ``(mx,)`` or ``(mx1,
+    mx2)``, and its collocation node counts, ``(nx,)`` or ``(nx1, nx2)``,
+    for a problem of dimension ``spatial_dim``."""
+    if spatial_dim == 1:
+        return (config.mx,), (config.nx,)
+    return (config.mx1, config.mx2), (config.nx1, config.nx2)
+
+
 def _restrict(colloc, nodes, inflow):
     """The part of ``colloc`` at the spatial nodes ``nodes`` (a slice, with
     every velocity) and the inflow points ``inflow`` (a slice)."""
@@ -64,8 +73,7 @@ class Method:
         models from seeds 2s and 2s + 1, so their streams never overlap.
         """
         spatial = list(zip(spec.x_lo, spec.x_hi))
-        m_spatial = ((config.mx,) if spec.spatial_dim == 1
-                     else (config.mx1, config.mx2))
+        m_spatial, _ = spatial_counts(spec.spatial_dim, config)
         phase_part = uniform_partition(spatial + [spec.velocity_bounds],
                                        m_spatial + (config.mv,))
 
@@ -240,8 +248,7 @@ def solve(spec, config):
     start = time.perf_counter()
     rule = angular_rule(spec.spatial_dim, config.nq)
     method = Method.build(spec, config)
-    n_spatial = ((config.nx,) if spec.spatial_dim == 1
-                 else (config.nx1, config.nx2))
+    _, n_spatial = spatial_counts(spec.spatial_dim, config)
     colloc = collocation.build_collocation(spec, n_spatial, config.nv)
     scales = []
 

@@ -1,15 +1,16 @@
 """Catalog of the built-in stationary transport benchmarks.
 
-All problems are stored in a micro-macro-ready normal form.  Writing the
-transport equation as
+Every problem has one collision law: isotropic scattering with sigma_s = 1
+and no absorption, sigma_a = 0.  The transport equation is then
 
-    v . grad_x f = (sigma_s / eps) (mean_v f - f) - eps sigma_a f + eps q,
+    v . grad_x f = (mean_v f - f) / eps + eps q,
 
-the decomposition f = rho + eps g (with mean_v g = 0) yields
+and every problem is stored in a micro-macro-ready normal form: the
+decomposition f = rho + eps g (with mean_v g = 0) yields
 
-    macro:  mean_v(v . grad_x g) + sigma_a rho = mean_v q,
+    macro:  mean_v(v . grad_x g) = mean_v q,
     micro:  v . grad_x rho + eps (Id - P)(v . grad_x g)
-            = sigma_s (mean_v g - g) - eps^2 sigma_a g + eps (q - mean_v q).
+            = (mean_v g - g) + eps (q - mean_v q).
 
 Sources are stored already combined with their eps factors so that every
 stored function stays O(1) as eps -> 0:
@@ -17,9 +18,9 @@ stored function stays O(1) as eps -> 0:
     macro_source(x)    = mean_v q,
     micro_source(x, v) = eps (q - mean_v q),
     rfm_source(x, v)   = eps^2 q   (right-hand side of the one-shot form
-                         eps v . grad f - mean_v f + f = rfm_source, which
-                         assumes sigma_s = 1 and sigma_a = 0 as in all
-                         built-ins).
+                         eps v . grad f - mean_v f + f = rfm_source),
+
+so that rfm_source = eps micro_source + eps^2 macro_source.
 
 The mixed-scale benchmark with spatially varying eps(x) uses the variant
 decomposition f = rho + eps(x) g, giving
@@ -27,7 +28,7 @@ decomposition f = rho + eps(x) g, giving
     macro:  mean_v(v . grad_x(eps(x) g)) = 0,
     micro:  v . grad_x rho + (Id - P)(v . grad_x(eps(x) g)) + g = 0,
 
-flagged by ``mixed_scale`` and restricted to sigma_a = 0 and q = 0.
+flagged by ``mixed_scale`` and restricted to q = 0.
 
 Spatial arguments have shape (..., d); velocity arguments (v in 1D, the
 angle alpha in 2D) have shape (...).  ``micro_source``, ``rfm_source``
@@ -50,7 +51,7 @@ HOLE_HALF_WIDTH = 1.0 / 3.0
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One benchmark: geometry, scales, coefficients, sources, boundary data."""
+    """One benchmark: geometry, scales, sources, boundary data."""
 
     id: str
     spatial_dim: int
@@ -60,8 +61,6 @@ class ProblemSpec:
     epsilon: Union[float, Callable]
     epsilon_prime: Optional[Callable]
     mixed_scale: bool
-    sigma_s: Callable
-    sigma_a: Callable
     macro_source: Callable
     micro_source: Callable
     rfm_source: Callable
@@ -162,7 +161,6 @@ def _slab_problem(problem_id, epsilon, inflow_left, with_source):
         id=problem_id, spatial_dim=1, geometry="interval",
         x_lo=(0.0,), x_hi=(1.0,),
         epsilon=eps, epsilon_prime=None, mixed_scale=False,
-        sigma_s=_const_field(1.0), sigma_a=_const_field(0.0),
         macro_source=_const_field(0.0),
         micro_source=micro_source, rfm_source=rfm_source,
         boundary_value=boundary_value,
@@ -188,7 +186,6 @@ def _mixed_problem():
         id="ex3", spatial_dim=1, geometry="interval",
         x_lo=(0.0,), x_hi=(1.0,),
         epsilon=epsilon, epsilon_prime=epsilon_prime, mixed_scale=True,
-        sigma_s=_const_field(1.0), sigma_a=_const_field(0.0),
         macro_source=_const_field(0.0),
         micro_source=zero_source, rfm_source=zero_source,
         boundary_value=boundary_value,
@@ -220,7 +217,6 @@ def _planar_2d_problem(problem_id, epsilon, geometry):
         id=problem_id, spatial_dim=2, geometry=geometry,
         x_lo=(-1.0, -1.0), x_hi=(1.0, 1.0),
         epsilon=eps, epsilon_prime=None, mixed_scale=False,
-        sigma_s=_const_field(1.0), sigma_a=_const_field(0.0),
         macro_source=_const_field(0.0),
         micro_source=micro_source, rfm_source=rfm_source,
         boundary_value=boundary_value,
@@ -242,7 +238,6 @@ def _uniform_source_2d_problem(epsilon):
         id="ex5", spatial_dim=2, geometry="square",
         x_lo=(-1.0, -1.0), x_hi=(1.0, 1.0),
         epsilon=eps, epsilon_prime=None, mixed_scale=False,
-        sigma_s=_const_field(1.0), sigma_a=_const_field(0.0),
         macro_source=_const_field(0.5),
         micro_source=zero_phase, rfm_source=rfm_source,
         boundary_value=zero_phase,

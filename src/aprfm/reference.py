@@ -1,10 +1,11 @@
 """Ground truth: exact fields, a finite-difference transport oracle, and
 the relative l2 error metric.
 
-The oracle discretizes the native form of each benchmark,
+The oracle discretizes the one-shot form of each benchmark, the equation
+the rfm solver collocates (sigma_s = 1 and sigma_a = 0, see
+:mod:`aprfm.problems`),
 
-    eps(x) v . grad_x f + (sigma_s + eps(x)^2 sigma_a) f
-        = sigma_s <f> + rfm_source,
+    eps(x) v . grad_x f + f = <f> + rfm_source,
 
 with first-order upwind differences on cell-centered grids over the
 16-node Gauss-Legendre rule.  Inflow values are injected as ghost values
@@ -182,13 +183,6 @@ def _require_oracle_eps(spec, resolution=FDM_RESOLUTION_2D):
             f"{FDM_MIN_EPSILON_2D:g}, not {eps:g}")
 
 
-def _native_fields(spec, x):
-    eps = spec.epsilon_at(x)
-    sig_s = spec.sigma_s(x)
-    removal = sig_s + eps * eps * spec.sigma_a(x)
-    return eps, sig_s, removal
-
-
 def _upwind(ratio, q):
     """The upwind recurrence f_i = ratio_i f_(i-1) + q_i from f_0 = q_0,
     over the cells (axis 1) of each ordinate (axis 0) in crossing order;
@@ -210,7 +204,7 @@ def _solve_1d(spec, n_cells, rule, velocities):
     x = collocation.cell_centers(lo, hi, n_cells)
     n = x.size
     h = (hi - lo) / n
-    eps, sig_s, removal = _native_fields(spec, x[:, None])
+    eps = spec.epsilon_at(x[:, None])
 
     def sweep_terms(vs):
         """Per ordinate: its cells in crossing order, the upwind coupling
@@ -220,7 +214,7 @@ def _solve_1d(spec, n_cells, rule, velocities):
         so indexing by it also maps back."""
         order = np.where(vs[:, None] < 0, np.arange(n)[::-1], np.arange(n))
         a = eps[order] * np.abs(vs)[:, None] / h
-        den = a + removal[order]
+        den = a + 1.0
         src = np.take_along_axis(spec.rfm_source(x[None, :, None],
                                                  vs[:, None]), order, axis=1)
         faces = np.where(vs < 0, hi, lo)[:, None]
@@ -229,14 +223,12 @@ def _solve_1d(spec, n_cells, rule, velocities):
 
     # the step scheme for every (cell c, ordinate m), cell-major so that
     # the bandwidth is about 2K: den f(c, m) - a f(upwind cell, m)
-    # - sig_s(c) sum_m' w_m' f(c, m') = src(c, m)
+    # - sum_m' w_m' f(c, m') = src(c, m)
     n_ord = rule.n_nodes
     order, a, den, src = sweep_terms(rule.nodes)
     index = np.arange(n * n_ord).reshape(n, n_ord)
-    # each cell's K x K block: -sig_s(c) w_m' in every row, den on the
-    # diagonal
-    block = np.multiply.outer(-sig_s, np.broadcast_to(rule.weights,
-                                                      (n_ord, n_ord)))
+    # each cell's K x K block: -w_m' in every row, den on the diagonal
+    block = np.tile(-rule.weights, (n, n_ord, 1))
     block[:, np.arange(n_ord), np.arange(n_ord)] += \
         np.take_along_axis(den, order, axis=1).T
     # each ordinate's cells past the first it crosses, from their upwind
@@ -259,7 +251,7 @@ def _solve_1d(spec, n_cells, rule, velocities):
                 spec.id, 1, n)
 
     order, a, den, src = sweep_terms(velocities)
-    q = (src + (sig_s * rho)[order]) / den
+    q = (src + rho[order]) / den
     f = np.take_along_axis(_upwind(a / den, q), order, axis=1)
     return x, rho, f
 
@@ -279,9 +271,9 @@ class _Sweep:
     ghost rows, so every cell reads both neighbours the same way."""
 
     def __init__(self, spec, grid, angles):
-        c1, c2, h1, h2, removal_f, eps_f = grid
+        c1, c2, h1, h2, eps_f = grid
         angles = np.asarray(angles, dtype=float)
-        n1, n2 = self.shape = removal_f.shape
+        n1, n2 = self.shape = eps_f.shape
         n = n1 * n2
         flip1 = np.cos(angles) < 0
         flip2 = np.sin(angles) < 0
@@ -306,7 +298,7 @@ class _Sweep:
         eps = self.frontal(eps_f)
         self.a1 = eps * np.abs(np.cos(angles)) / h1
         self.a2 = eps * np.abs(np.sin(angles)) / h2
-        self.den = self.a1 + self.a2 + self.frontal(removal_f)
+        self.den = self.a1 + self.a2 + 1.0
 
         # the inflow on the face each first-row (first-column) cell enters
         # through, in the order of its ghost rows
@@ -354,13 +346,11 @@ def _solve_2d(spec, n_cells, max_iters, rule):
     (lo1, lo2), (hi1, hi2) = spec.x_lo, spec.x_hi
     h1, h2 = (hi1 - lo1) / n1, (hi2 - lo2) / n2
     (c1, c2), pts, _ = collocation.cell_grid(spec, n_cells)
-    eps_f, sig_s_f, removal_f = (arr.reshape(n1, n2) for arr in
-                                 _native_fields(spec, pts.reshape(-1, 2)))
-    sweep = _Sweep(spec, (c1, c2, h1, h2, removal_f, eps_f), rule.nodes)
+    sweep = _Sweep(spec, (c1, c2, h1, h2, spec.epsilon_at(pts)), rule.nodes)
     sources = spec.rfm_source(pts, rule.nodes[:, None, None])
 
     # GMRES on rho - (S(rho) - S(0)) = S(0), where S(rho) averages one
-    # transport sweep of every ordinate with scattering source sig_s rho;
+    # transport sweep of every ordinate with scattering source rho;
     # the application count includes the sweep that gives S(0)
     applications = 0
     residuals = [1.0]  # GMRES's relative residuals, in order
@@ -370,7 +360,7 @@ def _solve_2d(spec, n_cells, max_iters, rule):
         if applications >= max_iters:
             raise NoConvergenceError("GMRES stalled", residuals[-1])
         applications += 1
-        f_all = sweep.sweep(sources + sig_s_f * rho)
+        f_all = sweep.sweep(sources + rho)
         return np.einsum("q,qij->ij", rule.weights, f_all)
 
     def matvec(x):

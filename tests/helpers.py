@@ -13,7 +13,8 @@ point with full gradients, as references for the support-restricted
 directional kernel; ``unfused_blocks`` builds the row blocks from full
 column arrays, as the reference for the rows written tile by tile and
 the inflow rows written in place; ``micro_macro_residuals`` and
-``exact_micro_macro_pair`` state the micro-macro equations pointwise, as
+``exact_micro_macro_pair`` state the micro-macro equations pointwise, in
+the normal form of ``aprfm.problems`` (sigma_s = 1, sigma_a = 0), as
 references for the problem sources; ``dense_solve_1d`` solves the 1D
 oracle through dense upwind propagators, as the reference for its sparse
 solve.
@@ -325,8 +326,6 @@ def dense_assembly(meth, colloc, rule):
         rows = eps * transport(vs, dchi) - avg_chi[:, None, :] + chi
         return np.concatenate([rows.reshape(-1, phase.n_columns), chi_b])
     rho_model = meth.models[0]
-    sig_s = spec.sigma_s(xs)[:, None, None]
-    sig_a = spec.sigma_a(xs)
     if spec.mixed_scale:
         eps_p = spec.epsilon_prime_at(xs)[:, None, None]
         trans_q = rule.nodes[None, :, None] * (eps_p * chi_q
@@ -339,10 +338,10 @@ def dense_assembly(meth, colloc, rule):
         micro_g = trans_c - avg_trans[:, None, :] + chi
     else:
         micro_g = (eps * (trans_c - avg_trans[:, None, :])
-                   + sig_s * (chi - avg_chi[:, None, :])
-                   + eps * eps * sig_a[:, None, None] * chi)
-    chi_r, dchi_r = dense_column_batch(rho_model, xs)
-    macro = np.concatenate([sig_a[:, None] * chi_r, avg_trans], axis=1)
+                   + (chi - avg_chi[:, None, :]))
+    _, dchi_r = dense_column_batch(rho_model, xs)
+    macro = np.concatenate([np.zeros((xs.shape[0], rho_model.n_columns)),
+                            avg_trans], axis=1)
     micro = np.concatenate(
         [np.einsum("la,sza->slz", direction(dim, vs), dchi_r), micro_g],
         axis=2)
@@ -381,9 +380,7 @@ def unfused_assembly(meth, colloc, rule):
                 - avg_trans) + chi
     else:
         kind = assemble.ROW_MICRO
-        rows = (((trans - avg_trans) * eps
-                 + (chi - avg_chi) * spec.sigma_s(xs)[:, None, None])
-                + ((eps * eps) * spec.sigma_a(xs)[:, None, None]) * chi)
+        rows = (trans - avg_trans) * eps + (chi - avg_chi)
     matrix = system.matrix.copy()
     matrix[system.row_kind == kind, -phase.n_columns:] = rows.reshape(
         -1, phase.n_columns)
@@ -413,15 +410,14 @@ def micro_macro_residuals(spec, x, v, rho_val, rho_grad, g_val, g_grad,
 
     The caller supplies the angular pieces evaluated at (x, v):
     ``avg_v_grad_g`` is the angular average of v . grad_x g at x, and
-    ``g_collision`` is the scattering operator applied to g.  For the
+    ``g_collision`` is the collision term mean_v g - g.  For the
     mixed-scale problem ``g_grad`` and ``avg_v_grad_g`` must already refer
     to the product eps(x) g (expanded via the product rule), and
     ``g_collision`` is unused.
     """
     x = np.asarray(x, dtype=float)
-    sig_a = spec.sigma_a(x)
     transport = v_dot(spec.spatial_dim, v, g_grad)
-    macro = avg_v_grad_g + sig_a * rho_val - spec.macro_source(x)
+    macro = avg_v_grad_g - spec.macro_source(x)
     if spec.mixed_scale:
         micro = (v_dot(spec.spatial_dim, v, rho_grad)
                  + (transport - avg_v_grad_g) + g_val)
@@ -429,8 +425,7 @@ def micro_macro_residuals(spec, x, v, rho_val, rho_grad, g_val, g_grad,
     eps = spec.epsilon_at(x)
     micro = (v_dot(spec.spatial_dim, v, rho_grad)
              + eps * (transport - avg_v_grad_g)
-             - spec.sigma_s(x) * g_collision
-             + eps * eps * sig_a * g_val
+             - g_collision
              - spec.micro_source(x, v))
     return macro, micro
 
@@ -466,12 +461,12 @@ def source_iteration_1d(spec, n_cells, rule, sweep_tol, max_iters=100_000):
     lo, hi = spec.x_lo[0], spec.x_hi[0]
     n = int(n_cells)
     x = collocation.cell_centers(lo, hi, n)[:, None]
-    eps, sig_s, removal = reference._native_fields(spec, x)
+    eps = spec.epsilon_at(x)
     # each ordinate's cells in the order it crosses them
     order = np.array([np.arange(n)[::-1] if v < 0 else np.arange(n)
                       for v in rule.nodes])
     a = eps[order] * np.abs(rule.nodes)[:, None] * n / (hi - lo)
-    den = a + removal[order]
+    den = a + 1.0
     ratio = a / den
     src = np.take_along_axis(
         np.stack([spec.rfm_source(x, np.full(n, v)) for v in rule.nodes]),
@@ -488,7 +483,7 @@ def source_iteration_1d(spec, n_cells, rule, sweep_tol, max_iters=100_000):
     rho = np.zeros(n)
     f = np.zeros((rule.n_nodes, n))
     for _ in range(max_iters):
-        q = (sig_s[order] * rho[order] + src) / den
+        q = (rho[order] + src) / den
         q[:, 0] += inflow
         f_new = np.matmul(prop, q[:, :, None])[:, :, 0]
         change = np.max(np.abs(f_new - f))
@@ -503,19 +498,19 @@ def dense_solve_1d(spec, n_cells, rule, velocities):
     """The 1D oracle's cell centers, density and angular flux at
     ``velocities`` the dense way: each ordinate's lower-triangular upwind
     propagator P_m, built by the recurrence on the identity, gives
-    rho = K rho + b with K = sum_m w_m O_m P_m diag(1/den_m) O_m
-    diag(sig_s) and b = sum_m w_m O_m P_m q_m (O_m the crossing order),
+    rho = K rho + b with K = sum_m w_m O_m P_m diag(1/den_m) O_m and
+    b = sum_m w_m O_m P_m q_m (O_m the crossing order),
     solved by ``np.linalg.solve``; then one sweep per velocity."""
     lo, hi = spec.x_lo[0], spec.x_hi[0]
     x = collocation.cell_centers(lo, hi, n_cells)
     n = x.size
     h = (hi - lo) / n
-    eps, sig_s, removal = reference._native_fields(spec, x[:, None])
+    eps = spec.epsilon_at(x[:, None])
 
     def sweep_terms(vs, scattering):
         order = np.where(vs[:, None] < 0, np.arange(n)[::-1], np.arange(n))
         a = eps[order] * np.abs(vs)[:, None] / h
-        den = a + removal[order]
+        den = a + 1.0
         ratio = a / den
         src = spec.rfm_source(x[None, :, None], vs[:, None])
         q = (np.take_along_axis(src, order, axis=1) + scattering[order]) / den
@@ -532,9 +527,8 @@ def dense_solve_1d(spec, n_cells, rule, velocities):
         block = prop[m] / den[m][None, :]
         kernel += weight * block[np.ix_(order[m], order[m])]
         rhs += weight * (prop[m] @ q[m])[order[m]]
-    kernel *= sig_s[None, :]
     rho = np.linalg.solve(np.eye(n) - kernel, rhs)
-    order, _, ratio, q = sweep_terms(velocities, sig_s * rho)
+    order, _, ratio, q = sweep_terms(velocities, rho)
     f = np.take_along_axis(reference._upwind(ratio, q), order, axis=1)
     return x, rho, f
 
@@ -545,16 +539,14 @@ def source_iteration_2d(spec, n_cells, rule, sweep_tol, max_iters=10_000):
     n1, n2 = n_cells
     (lo1, lo2), (hi1, hi2) = spec.x_lo, spec.x_hi
     (c1, c2), pts, _ = collocation.cell_grid(spec, n_cells)
-    eps, sig_s, removal = (arr.reshape(n1, n2) for arr in
-                           reference._native_fields(spec, pts.reshape(-1, 2)))
     sweep = reference._Sweep(spec, (c1, c2, (hi1 - lo1) / n1,
-                                    (hi2 - lo2) / n2, removal, eps),
+                                    (hi2 - lo2) / n2, spec.epsilon_at(pts)),
                              rule.nodes)
     src = spec.rfm_source(pts, rule.nodes[:, None, None])
     rho = np.zeros((n1, n2))
     f = np.zeros((rule.n_nodes, n1, n2))
     for _ in range(max_iters):
-        f_new = sweep.sweep(src + sig_s * rho)
+        f_new = sweep.sweep(src + rho)
         change = np.max(np.abs(f_new - f))
         f = f_new
         rho = np.einsum("q,qij->ij", rule.weights, f)

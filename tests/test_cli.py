@@ -277,6 +277,21 @@ class TestMain:
         assert calls == []
         assert not (tmp_path / "table_cells.csv").exists()
 
+    @pytest.mark.parametrize("setting, value", [
+        ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", "profile"),
+        ("nv", 1), ("nx", 1), ("nx2", 1)],
+        ids=["eps-zero", "eps-negative", "profile", "nv", "nx", "nx2"])
+    def test_bad_cell_stops_a_library_sweep_before_any_run(
+            self, tmp_path, monkeypatch, setting, value):
+        # settings that run would reject at once: checked with the others
+        calls = []
+        monkeypatch.setattr(cli, "run", stand_in_run(calls.append))
+        with pytest.raises(ValueError):
+            cli.sweep([tiny_config(**{setting: value})],
+                      cli.RunConfig(seeds=1), out=str(tmp_path / "table"))
+        assert calls == []
+        assert not (tmp_path / "table_cells.csv").exists()
+
     def test_oracle_below_its_eps_range_exit_two(self, tmp_path, capsys):
         code = cli.main(["run", "--problem", "ex5", "--method", "aprfm",
                          "--epsilon", "1e-3", "--j", "4", "--nx1", "8",
@@ -412,14 +427,17 @@ class TestMain:
 
 
 @pytest.mark.parametrize("setting, accepted", [
-    ("activation", "sine-pi"), ("nq", 2), ("nq", 128), ("rank_tol", 1e-300)])
+    ("activation", "sine-pi"), ("nq", 2), ("nq", 128), ("rank_tol", 1e-300),
+    ("nv", 2), ("nx", 2), ("nx1", 2), ("nx2", 2), ("epsilon", 1e-300)])
 def test_setting_at_its_bound_accepted(setting, accepted):
     cli.RunConfig(**{setting: accepted}).validate()
 
 
 @pytest.mark.parametrize("setting, rejected", [
     ("activation", "relu"), ("nq", 1), ("nq", 129), ("rank_tol", 0.0),
-    ("rank_tol", 1.0), ("rank_tol", float("nan"))])
+    ("rank_tol", 1.0), ("rank_tol", float("nan")), ("nv", 1), ("nx", 1),
+    ("nx1", 1), ("nx2", 1), ("epsilon", 0.0), ("epsilon", float("inf")),
+    ("epsilon", "profile")])
 def test_setting_out_of_range_rejected(setting, rejected):
     with pytest.raises(ValueError):
         cli.RunConfig(**{setting: rejected}).validate()

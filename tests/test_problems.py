@@ -46,21 +46,18 @@ class TestCatalog:
             with pytest.raises(ValueError):
                 problems.catalog(pid, eps)
 
-    def test_source_conventions_ex1(self):
-        spec = problems.catalog("ex1", 0.25)
-        x = np.array([[0.4]])
-        v = np.array([0.7])
-        assert spec.macro_source(x)[0] == 0.0
-        assert spec.micro_source(x, v)[0] == pytest.approx(-0.7)
-        assert spec.rfm_source(x, v)[0] == pytest.approx(-0.25 * 0.7)
-
-    def test_source_conventions_ex5(self):
-        spec = problems.catalog("ex5", 0.1)
-        x = np.array([[0.2, -0.3]])
-        a = np.array([1.1])
-        assert spec.macro_source(x)[0] == pytest.approx(0.5)
-        assert spec.micro_source(x, a)[0] == 0.0
-        assert spec.rfm_source(x, a)[0] == pytest.approx(0.5 * 0.01)
+    @pytest.mark.parametrize("pid", problems.PROBLEM_IDS)
+    def test_source_conventions(self, pid):
+        # the normal form's identity, which the rfm assembler, the aprfm
+        # assembler and the oracle all rely on:
+        # rfm_source = eps micro_source + eps^2 macro_source
+        spec = problems.catalog(pid, None if pid == "ex3" else 0.3)
+        xs, vs = collocation.evaluation_nodes(spec)
+        eps = spec.epsilon_at(xs)[:, None]
+        expected = (eps * spec.micro_source(xs[:, None], vs)
+                    + eps ** 2 * spec.macro_source(xs)[:, None])
+        np.testing.assert_allclose(spec.rfm_source(xs[:, None], vs),
+                                   expected, rtol=1e-15, atol=0.0)
 
 
 class TestEpsilonProfile:

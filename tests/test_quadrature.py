@@ -90,7 +90,7 @@ class TestAngularRule:
 
 class TestCollision:
     """The isotropic scattering operator assembly builds from the rule
-    weights, sigma_s (mean_v g - g), on samples at the rule nodes."""
+    weights, mean_v g - g (sigma_s = 1), on samples at the rule nodes."""
 
     def test_constants_are_null(self):
         rule = quadrature.angular_rule(1, 16)

@@ -210,6 +210,19 @@ class TestFdm2D:
                    for rec in caplog.records)
         assert rho.values.max() > 0.1  # interior source builds up density
 
+    @pytest.mark.parametrize("eps", [1.0, 1e-1])
+    def test_constant_solution_reproduced(self, eps):
+        # no absorption: a unit inflow with no source stays 1 in every cell
+        def ones(x, v):
+            return np.ones(np.broadcast_shapes(np.asarray(x).shape[:-1],
+                                               np.shape(v)))
+
+        const = dataclasses.replace(problems.catalog("ex5", eps),
+                                    rfm_source=lambda x, v: 0.0 * ones(x, v),
+                                    boundary_value=ones)
+        rho = reference.fdm_density(const, resolution=(16, 16))
+        np.testing.assert_allclose(rho.values, 1.0, atol=1e-8)
+
     def test_no_convergence_error(self):
         spec = problems.catalog("ex5", 1.0)
         with pytest.raises(NoConvergenceError) as err:
