@@ -3,12 +3,16 @@ emit JSON reports plus CSV tables and field dumps.
 
 Subcommands:
 
-  run       one configuration end to end (assemble, solve, error vs
-            reference), writing <out>.json and <out>.csv
-  sweep     one of the built-in benchmark tables (T1..T6), averaging each
-            cell over several seeds
-  plotdata  tidy CSV for plots: phase-space heatmaps, density heatmaps, or
-            error against degrees of freedom
+  run    one configuration end to end (assemble, solve, error vs
+         reference), writing <out>.json, the scored field to <out>.csv
+         and, for a 2D problem with an exact f, f on the phase grid to
+         <out>_f.csv
+  sweep  one of the built-in benchmark tables (T1..T6), averaging each
+         cell over several seeds
+
+An error-against-degrees-of-freedom ladder is a library sweep over a cell
+list: ``sweep([dataclasses.replace(cfg, j=j) for j in ladder],
+RunConfig(seeds=1), out=...)``.
 
 Every subcommand solves through :func:`aprfm.method.solve`.  1D runs
 report the relative l2 error of f on the fixed evaluation phase grid; 2D
@@ -40,9 +44,9 @@ bit.  A failing sweep run is recorded and the others go on (see
 :func:`sweep`).
 
 The QR folds and the merge of their factors always use one BLAS thread.
-In ``run`` and ``plotdata`` the folds run on a helper thread while the
-next row block is built, and the SVD, the evaluation and the oracle keep
-the process's BLAS threads, whose roundoff can differ from one thread's.
+In a lone ``run`` the folds run on a helper thread while the next row
+block is built, and the SVD, the evaluation and the oracle keep the
+process's BLAS threads, whose roundoff can differ from one thread's.
 On the 2-core box a lone run at two threads still replayed its cell bit
 for bit at Z 48-640 against an exact solution (ex1 rfm mx 2 mv 2, ex1
 aprfm mx 4, ex6 mv 2 and both criterion-6 runs, whose factors are
@@ -164,7 +168,8 @@ def _problem_epsilon(config):
 class RunResult:
     """A run's report and its field dump (the scored field: f in 1D, the
     density in 2D), plus the f dump on the phase grid when the run has an
-    f reference (every 1D run, and 2D runs with an exact f), else None."""
+    f reference (every 1D run, where it is the field dump itself, and 2D
+    runs with an exact f), else None."""
 
     report: dict
     field_columns: tuple
@@ -320,10 +325,18 @@ def write_csv(path, header, rows):
 
 
 def write_run_outputs(result, out):
+    """``<out>.json``, the field dump ``<out>.csv`` and, when the f dump is
+    not the field dump (2D with an exact f), ``<out>_f.csv``."""
     with open(f"{out}.json", "w", encoding="utf-8") as handle:
         json.dump(result.report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    write_csv(f"{out}.csv", result.field_columns, result.field_rows)
+    dumps = [(f"{out}.csv", result.field_columns, result.field_rows)]
+    if result.f_rows is not None and result.f_rows is not result.field_rows:
+        dumps.append((f"{out}_f.csv", F_COLUMNS[2], result.f_rows))
+    for path, columns, rows in dumps:
+        # finite floats only, so one format: the bytes _fmt would write
+        np.savetxt(path, rows, fmt="%.6e", delimiter=",",
+                   header=",".join(columns), comments="")
 
 
 # -- sweeps -----------------------------------------------------------------
@@ -391,7 +404,8 @@ def _shown(outcome):
 
 def sweep(table, base_config, out=None):
     """Run a benchmark table (T1..T6) or a custom list of cell configs,
-    averaging each cell over seeds.
+    averaging each cell over seeds.  A table's cells are keyed by epsilon
+    and column label, a list's by their index and epsilon.
 
     Cells run on one worker thread per CPU this process may use (capped at
     the number of cells), one BLAS thread each, or one at a time when the
@@ -410,11 +424,11 @@ def sweep(table, base_config, out=None):
             table, base_config)
         keys = [(cell.epsilon, label) for cell, label in zip(cells, labels)]
     else:
+        # keyed by list index: cells may differ in any setting (a J ladder)
         cells = list(table)
         rows = cols = None
-        row_name, col_name = "problem/method", "epsilon"
-        keys = [(f"{cell.problem}/{cell.method}", cell.epsilon)
-                for cell in cells]
+        row_name, col_name = "cell", "epsilon"
+        keys = [(i, cell.epsilon) for i, cell in enumerate(cells)]
     seeds = [base_config.seed + k for k in range(int(base_config.seeds))]
     for cell in cells:  # at the last seed, whose streams reach furthest
         dataclasses.replace(cell, seed=seeds[-1]).validate()
@@ -485,39 +499,6 @@ def sweep(table, base_config, out=None):
     return table_rows
 
 
-# -- plot data ---------------------------------------------------------------
-
-DOF_LADDER = {"rfm": (8, 16, 32, 64, 128), "aprfm": (4, 8, 16, 32, 64)}
-
-
-def emit_plot_data(config, kind, out):
-    """Write tidy plot CSVs; runs the pipeline as needed."""
-    if kind == "error-vs-dof":
-        rows = []
-        cache = {}
-        for j in DOF_LADDER[config.method]:
-            cfg = dataclasses.replace(config, j=j, jrho=None, jg=None)
-            rep = run(cfg, reference_cache=cache).report
-            rows.append([rep["Z"], rep["error"]])
-        write_csv(f"{out}.csv", ["Z", "error"], rows)
-        return rows
-    if kind not in ("heatmap-f", "heatmap-rho"):
-        raise ValueError(f"unknown plot kind {kind!r}")
-    # what the run can dump follows from the problem, so reject before solving
-    spec = catalog(config.problem, _problem_epsilon(config))
-    if kind == "heatmap-rho" and spec.spatial_dim == 1:
-        raise ValueError("density heatmaps need a 2D problem")
-    if kind == "heatmap-f" and spec.spatial_dim == 2 and spec.exact_f is None:
-        raise ValueError(f"{spec.id} has no phase-space reference field")
-    result = run(config)
-    if kind == "heatmap-f":
-        header, rows = F_COLUMNS[spec.spatial_dim], result.f_rows
-    else:
-        header, rows = result.field_columns, result.field_rows
-    write_csv(f"{out}.csv", header, rows)
-    return rows
-
-
 # -- command line -----------------------------------------------------------
 
 # one flag and config-file key per RunConfig field, with the parser of its
@@ -586,10 +567,6 @@ def main(argv=None):
     p_sweep.add_argument("--table", required=True,
                          choices=list(TABLES))
     _add_common_flags(p_sweep)
-    p_plot = sub.add_parser("plotdata", help="emit tidy plot CSVs")
-    p_plot.add_argument("--kind", required=True,
-                        choices=["heatmap-f", "heatmap-rho", "error-vs-dof"])
-    _add_common_flags(p_plot)
 
     try:
         args = parser.parse_args(argv)
@@ -610,11 +587,8 @@ def main(argv=None):
                   f"assembly={timings['assembly']:.2f}s "
                   f"solve={timings['solve']:.2f}s "
                   f"total={timings['total']:.2f}s")
-        elif args.command == "sweep":
-            sweep(args.table, config, out=config.out)
-            print(f"wrote {config.out}.csv")
         else:
-            emit_plot_data(config, args.kind, config.out)
+            sweep(args.table, config, out=config.out)
             print(f"wrote {config.out}.csv")
     except (NoConvergenceError, NonFiniteInputError) as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -115,6 +116,45 @@ class TestRun:
         cli.write_run_outputs(result, config.out)
         header = (tmp_path / "sq.csv").read_text().splitlines()[0]
         assert header == "x1,x2,rho_approx,rho_ref"
+
+    def test_2d_f_dump_beside_the_density_dump(self, tmp_path):
+        config = tiny_config(problem="ex4", epsilon=1.0, j=4, nx1=8, nx2=8,
+                             nv=8, out=str(tmp_path / "sq"))
+        result = cli.run(config)
+        np.testing.assert_allclose(result.f_rows[:, 4],
+                                   np.exp(-result.f_rows[:, 0]
+                                          - result.f_rows[:, 1]),
+                                   rtol=1e-15)
+        cli.write_run_outputs(result, config.out)
+        lines = (tmp_path / "sq_f.csv").read_text().splitlines()
+        assert lines[0] == "x1,x2,v,f_approx,f_ref"
+        assert len(lines) == 1 + 64 * 64 * 32
+        np.testing.assert_allclose(
+            np.loadtxt(lines[1:], delimiter=","), result.f_rows, rtol=5e-7)
+
+    def test_annulus_dump_omits_hole(self, tmp_path):
+        config = tiny_config(problem="ex6", epsilon=1.0, j=4, nx1=8, nx2=8,
+                             nv=8, mv=1, out=str(tmp_path / "hr"))
+        result = cli.run(config)
+        cli.write_run_outputs(result, config.out)
+        rows = np.loadtxt(tmp_path / "hr.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (3612, 4)
+        assert np.all(np.max(np.abs(rows[:, :2]), axis=1) >= 1 / 3)
+        assert (tmp_path / "hr_f.csv").exists()
+        # the bytes the sweep tables' writer gives the same rows
+        cli.write_csv(tmp_path / "table.csv", result.field_columns,
+                      result.field_rows)
+        assert (tmp_path / "hr.csv").read_bytes() == \
+            (tmp_path / "table.csv").read_bytes()
+
+    @pytest.mark.parametrize("problem", ["ex1", "ex5"])
+    def test_no_f_dump_beside_the_field_dump(self, tmp_path, problem):
+        # in 1D the field dump is f; ex5 has no exact f to dump against
+        config = tiny_config(problem=problem, epsilon=1.0, j=4, nx1=8,
+                             nx2=8, nv=8, out=str(tmp_path / "x"))
+        cli.write_run_outputs(cli.run(config), config.out)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "x.csv", "x.json"]
 
     @pytest.mark.parametrize("problem", ["ex4", "ex6"])
     def test_2d_exact_density_never_reaches_the_oracle(self, monkeypatch,
@@ -400,7 +440,10 @@ class TestMain:
         (["run", "--mx3", "2"], "unrecognized arguments: --mx3 2"),
         (["sweep", "--table", "T9"], "argument --table: invalid choice"),
         (["sweep"], "the following arguments are required: --table"),
-    ], ids=["unknown-flag", "invalid-table", "missing-table"])
+        (["plotdata", "--kind", "heatmap-f"],
+         "argument command: invalid choice"),
+    ], ids=["unknown-flag", "invalid-table", "missing-table",
+            "retired-subcommand"])
     def test_usage_error_exit_two(self, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(cli, "sweep", no_run)
         assert cli.main(argv) == 2
@@ -468,11 +511,11 @@ class TestSweep:
         rows = cli.sweep(cells, base, out=out)
         assert len(rows) == 2
         cell_lines = (tmp_path / "mini_cells.csv").read_text().splitlines()
-        assert cell_lines[0] == "problem/method,epsilon,seed,error"
+        assert cell_lines[0] == "cell,epsilon,seed,error"
         # a row per (cell, seed), in table order
-        assert [line.split(",")[1:3] for line in cell_lines[1:]] == [
-            ["5.000000e-01", "5"], ["5.000000e-01", "6"],
-            ["2.500000e-01", "5"], ["2.500000e-01", "6"]]
+        assert [line.split(",")[:3] for line in cell_lines[1:]] == [
+            ["0", "5.000000e-01", "5"], ["0", "5.000000e-01", "6"],
+            ["1", "2.500000e-01", "5"], ["1", "2.500000e-01", "6"]]
         report = json.loads((tmp_path / "mini.json").read_text())
         assert report["seeds"] == 2 and report["table"] == "custom"
 
@@ -628,8 +671,26 @@ class TestSweep:
                           if r.name == "aprfm.cli")
         assert len(messages) == 4
         assert [m.split(":")[0] for m in messages] == [
-            f"problem/method=ex1/aprfm epsilon={eps} seed {seed}"
-            for eps in (0.25, 0.5) for seed in (5, 6)]
+            f"cell={cell} epsilon={eps} seed {seed}"
+            for cell, eps in ((0, 0.5), (1, 0.25)) for seed in (5, 6)]
+
+    def test_j_ladder_cells_have_distinct_keys(self, tmp_path, caplog):
+        # an error-against-dofs ladder is a sweep over a cell list, whose
+        # cells differ in j alone
+        caplog.set_level(logging.INFO, logger="aprfm")
+        ladder = (4, 8, 16)
+        out = str(tmp_path / "dof")
+        rows = cli.sweep([dataclasses.replace(tiny_config(epsilon=1.0), j=j)
+                          for j in ladder], cli.RunConfig(seeds=1), out=out)
+        assert [row[0] for row in rows] == [0, 1, 2]
+        lines = (tmp_path / "dof_cells.csv").read_text().splitlines()
+        assert [line.split(",")[:3] for line in lines[1:]] == [
+            [str(i), "1.000000e+00", "0"] for i in range(3)]
+        messages = sorted(r.getMessage().split(":")[0]
+                          for r in caplog.records if r.name == "aprfm.cli")
+        assert messages == [f"cell={i} epsilon=1.0 seed 0" for i in range(3)]
+        cells = json.loads((tmp_path / "dof.json").read_text())["cells"]
+        assert [cell["j"] for cell in cells] == list(ladder)
 
     def test_labels_with_commas_stay_one_field(self, tmp_path):
         path = tmp_path / "t6.csv"
@@ -645,55 +706,3 @@ class TestSweep:
         lines = (tmp_path / "avg_cells.csv").read_text().splitlines()
         e0, e1 = (float(line.split(",")[3]) for line in lines[1:])
         assert rows[0][1] == pytest.approx((e0 + e1) / 2, rel=1e-6)
-
-
-class TestPlotData:
-    def test_error_vs_dof_monotone(self, tmp_path):
-        config = tiny_config(method="aprfm", epsilon=1.0, nx=16, nv=32)
-        rows = cli.emit_plot_data(config, "error-vs-dof",
-                                  str(tmp_path / "dof"))
-        assert len(rows) == 5
-        zs = [r[0] for r in rows]
-        assert zs == sorted(zs)
-        lines = (tmp_path / "dof.csv").read_text().splitlines()
-        assert lines[0] == "Z,error"
-
-    def test_heatmap_f_row_count(self, tmp_path):
-        config = tiny_config()
-        rows = cli.emit_plot_data(config, "heatmap-f", str(tmp_path / "hf"))
-        assert len(rows) == 128 * 256
-
-    def test_heatmap_f_2d(self, tmp_path):
-        config = tiny_config(problem="ex4", epsilon=1.0, j=4, nx1=8, nx2=8,
-                             nv=8)
-        rows = cli.emit_plot_data(config, "heatmap-f", str(tmp_path / "hf"))
-        assert rows.shape == (64 * 64 * 32, 5)
-        np.testing.assert_allclose(rows[:, 4],
-                                   np.exp(-rows[:, 0] - rows[:, 1]),
-                                   rtol=1e-15)
-        lines = (tmp_path / "hf.csv").read_text().splitlines()
-        assert lines[0] == "x1,x2,v,f_approx,f_ref"
-        assert len(lines) == 1 + 64 * 64 * 32
-
-    def test_heatmap_f_rejected_without_f_reference(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.setattr(cli, "run", no_run)
-        config = tiny_config(problem="ex5", epsilon=1.0, j=4, nx1=8, nx2=8,
-                             nv=8)
-        with pytest.raises(ValueError):
-            cli.emit_plot_data(config, "heatmap-f", str(tmp_path / "bad"))
-
-    def test_heatmap_rho_annulus_omits_hole(self, tmp_path):
-        config = tiny_config(problem="ex6", epsilon=1.0, j=4, nx1=8, nx2=8,
-                             nv=8, mv=1)
-        rows = cli.emit_plot_data(config, "heatmap-rho",
-                                  str(tmp_path / "hr"))
-        assert len(rows) == 3612
-        coords = np.array([[r[0], r[1]] for r in np.asarray(rows)])
-        assert np.all(np.max(np.abs(coords), axis=1) >= 1 / 3)
-
-    def test_heatmap_rho_rejected_in_1d(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "run", no_run)
-        with pytest.raises(ValueError):
-            cli.emit_plot_data(tiny_config(), "heatmap-rho",
-                               str(tmp_path / "bad"))

@@ -15,9 +15,11 @@ def test_every_export_resolves():
 def test_every_public_definition_is_used():
     """Each public module-level function and class of the package is
     referenced somewhere in it besides its own definition and the
-    package's ``__init__.py``; an API that only tests call is dead code."""
+    package's ``__init__.py``, and each public upper-case module-level
+    constant is read somewhere in it; an API that only tests call is dead
+    code."""
     package = pathlib.Path(aprfm.__file__).parent
-    defined, used = {}, set()
+    defined, constants, used, read = {}, {}, set(), set()
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -26,14 +28,23 @@ def test_every_public_definition_is_used():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                     and not node.name.startswith("_"):
                 defined[node.name] = path.name
+            elif isinstance(node, ast.Assign):  # ``A, B = ...`` too
+                for target in node.targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and name.id.isupper() \
+                                and not name.id.startswith("_"):
+                            constants[name.id] = path.name
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                used.add(name)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(name)
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in used)
-    assert not unused
+    unused += sorted(f"{module}:{name}" for name, module in constants.items()
+                     if name not in read)
+    assert constants and not unused
 
 
 def test_cli_import_leaves_unused_scipy_out():
